@@ -33,6 +33,7 @@ from .errors import (
     HypothesisError,
     InfeasibleParameterError,
     KktValidationError,
+    LpStatusError,
     ParseError,
     ProblemFormatError,
     UnboundedProblemError,
@@ -127,5 +128,6 @@ __all__ = [
     "ValfunError", "ParseError", "ProblemFormatError", "EvaluationError",
     "DimensionError", "InfeasibleParameterError", "UnboundedProblemError",
     "KktValidationError", "HypothesisError", "DegeneracyError",
-    "CaseRoutingError", "BranchCapError", "EstimateEmptyError", "UsageError",
+    "CaseRoutingError", "BranchCapError", "EstimateEmptyError", "LpStatusError",
+    "UsageError",
 ]

@@ -62,6 +62,11 @@ class BranchCapError(ValfunError):
     """The branch enumeration would exceed the configured cap."""
 
 
+class LpStatusError(ValfunError):
+    """An LP behind a set query ended without a definite answer (neither
+    optimal, infeasible nor unbounded), so the query cannot be decided."""
+
+
 class EstimateEmptyError(ValfunError):
     """An estimate came out empty; carries a diagnostic explanation."""
 

@@ -15,8 +15,12 @@ carriers:
 
 Arithmetic is float by default with 1e-9 pivot/rank tolerances.  Arrays
 of ``fractions.Fraction`` (dtype=object) switch the vertex-enumeration
-and affine-hull paths to exact rational arithmetic; LP-based queries
-always run in floating point.
+and affine-hull paths to exact rational arithmetic.  Emptiness,
+boundedness and coordinate ranges are read off one cached vertex/ray
+decomposition per polyhedron, so they are exact on rational data too;
+only pieces too large to enumerate (``MAX_VFORM_SUBSETS``) fall back to
+floating-point LPs, which raise :class:`LpStatusError` unless the solver
+reports a definite answer.
 
 Intended scale is dimension <= 12 with a handful of pieces; enumeration
 is combinatorial and will warn rather than fail above that.
@@ -26,18 +30,30 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import DimensionError
+from .errors import DimensionError, LpStatusError
 
 RANK_TOL = 1e-9
 DEDUP_TOL = 1e-6
 MAX_SET_DIM = 12
+#: Largest active-set subset count C(k, r-l) + C(k, r-l-1) (k rows, r
+#: free variables, lineality l) for which emptiness, boundedness and
+#: coordinate ranges come from the enumerated decomposition rather than
+#: LPs.  Ten covers the largest pieces of the test battery (k=4, r=2).  At
+#: this size a float decomposition costs 0.2-2.3 ms (r <= 8), less than
+#: the one 3 ms HiGHS call of an emptiness check; an exact one costs up to
+#: 4.5 ms for r <= 3, and more for dense rows in more free variables.
+MAX_VFORM_SUBSETS = 10
+#: HiGHS statuses that decide a query: optimal, infeasible, unbounded.
+DECIDED_LP_STATUSES = (0, 2, 3)
 
 
 class SetScaleWarning(UserWarning):
@@ -97,13 +113,20 @@ def _gauss(A_rows, b_vec, exact: bool):
             continue
         rows[r], rows[best] = rows[best], rows[r]
         piv = rows[r][c]
-        rows[r] = [v / piv for v in rows[r]]
+        if piv != 1:
+            rows[r] = [v / piv for v in rows[r]]
+        pr = rows[r]
+        # exact rows are sparse: skip their zero products (a float zero is
+        # kept, since skipping it could flip the sign of a zero)
+        nz = [j for j, v in enumerate(pr) if v != 0] if exact else None
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
-                if not exact and abs(factor) <= tol:
-                    continue
-                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
+                if nz is not None:
+                    for j in nz:
+                        rows[i][j] -= factor * pr[j]
+                elif abs(factor) > tol:
+                    rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], pr)]
         pivots.append((r, c))
         r += 1
         if r == nrows:
@@ -141,8 +164,6 @@ def solve_linear(A, b, exact: bool | None = None):
     rows = _rows_of(A, exact) if A.size else []
     if A.size == 0 and A.ndim == 2 and A.shape[1] > 0:
         # no rows: everything solves
-        rows = []
-        z0, basis = _gauss([], [], exact)
         ncols = A.shape[1]
         zero = Fraction(0) if exact else 0.0
         one = Fraction(1) if exact else 1.0
@@ -193,12 +214,44 @@ class VForm:
         return not self.vertices and self.anchor is None
 
 
+class _Reduced(NamedTuple):
+    """The equality rows eliminated: z = z0 + N t with t in
+    { t : Cp t <= dp }; ``lin`` is a basis of { t : Cp t = 0 }."""
+
+    z0: list
+    N: np.ndarray
+    Cp: np.ndarray
+    dp: np.ndarray
+    lin: list
+
+
+@dataclass(frozen=True)
+class _Decomposition:
+    """Minkowski-Weyl form P = conv(points) + cone(rays).
+
+    ``points`` is nonempty exactly when P is.  With a lineality space of
+    dimension ``lineality`` > 0 the points are the vertices of the section
+    of P orthogonal to it (in reduced coordinates) and the rays hold both
+    signs of its basis besides the extreme rays of the section.  When the
+    equality rows are consistent the rays span the recession cone of the
+    H-form even if P is empty.
+    """
+
+    points: list
+    rays: list
+    lineality: int
+
+
+_UNSET = object()
+
+
 class Polyhedron:
     """H-form polyhedron { z : C z <= d, C_eq z = d_eq }.
 
     ``open_rows`` flags inequality rows meant strictly; the stored set is
     the closure.  Construct via the classmethods or by stacking rows on
-    an existing instance.
+    an existing instance.  The row arrays are private read-only copies, so
+    the cached decomposition and feasible point never go stale.
     """
 
     def __init__(self, dim, C=None, d=None, C_eq=None, d_eq=None, open_rows=()):
@@ -207,6 +260,8 @@ class Polyhedron:
         self.d = self._vec(d, self.C.shape[0])
         self.C_eq = self._mat(C_eq, self.dim)
         self.d_eq = self._vec(d_eq, self.C_eq.shape[0])
+        for arr in (self.C, self.d, self.C_eq, self.d_eq):
+            arr.setflags(write=False)
         self.open_rows = frozenset(int(i) for i in open_rows)
         for i in self.open_rows:
             if not 0 <= i < self.C.shape[0]:
@@ -218,14 +273,17 @@ class Polyhedron:
                 SetScaleWarning,
                 stacklevel=2,
             )
+        self._reduction = _UNSET
+        self._decomp = None
+        self._point = _UNSET
 
     @staticmethod
     def _mat(M, dim):
         if M is None:
             return np.zeros((0, dim))
-        M = np.asarray(M)
+        M = np.array(M)
         if M.dtype != object:
-            M = np.asarray(M, dtype=float)
+            M = M.astype(float, copy=False)
         if M.size == 0:
             return np.zeros((0, dim))
         if M.ndim != 2 or M.shape[1] != dim:
@@ -234,11 +292,9 @@ class Polyhedron:
 
     @staticmethod
     def _vec(v, nrows):
-        if v is None:
-            v = np.zeros(0)
-        v = np.asarray(v)
+        v = np.array([] if v is None else v)
         if v.dtype != object:
-            v = np.asarray(v, dtype=float)
+            v = v.astype(float, copy=False)
         v = np.atleast_1d(v)
         if v.shape[0] != nrows:
             raise DimensionError(f"rhs length {v.shape[0]} does not match {nrows} rows")
@@ -272,22 +328,6 @@ class Polyhedron:
             or self.C_eq.dtype == object
             or self.d.dtype == object
             or self.d_eq.dtype == object
-        )
-
-    def with_ineqs(self, C2, d2, open_new: bool = False) -> "Polyhedron":
-        C2 = self._mat(C2, self.dim)
-        d2 = self._vec(d2, C2.shape[0])
-        base = self.C.shape[0]
-        opens = set(self.open_rows)
-        if open_new:
-            opens.update(range(base, base + C2.shape[0]))
-        return Polyhedron(
-            self.dim,
-            C=_stack(self.C, C2),
-            d=_cat(self.d, d2),
-            C_eq=self.C_eq,
-            d_eq=self.d_eq,
-            open_rows=opens,
         )
 
     def with_eqs(self, E2, f2) -> "Polyhedron":
@@ -342,7 +382,13 @@ class Polyhedron:
         return True
 
     def feasible_point(self):
-        """Any point of the closure via LP, or None when empty."""
+        """Any point of the closure via LP, or None when empty.  Memoized;
+        raises LpStatusError when the LP ends undecided."""
+        if self._point is _UNSET:
+            self._point = self._lp_point()
+        return self._point
+
+    def _lp_point(self):
         if self.dim == 0:
             ok = np.all(_as_float(self.d) >= -RANK_TOL) if self.d.shape[0] else True
             ok = ok and (
@@ -351,33 +397,45 @@ class Polyhedron:
                 else True
             )
             return np.zeros(0) if ok else None
-        res = _lp(
-            np.zeros(self.dim),
-            A_ub=_as_float(self.C) if self.C.shape[0] else None,
-            b_ub=_as_float(self.d) if self.C.shape[0] else None,
-            A_eq=_as_float(self.C_eq) if self.C_eq.shape[0] else None,
-            b_eq=_as_float(self.d_eq) if self.C_eq.shape[0] else None,
-        )
-        if res.status == 0:
-            return res.x
-        return None
+        res = _lp(np.zeros(self.dim), **self._lp_rows())
+        _check_status(res, "feasible point")
+        if res.status != 0:
+            return None
+        res.x.setflags(write=False)
+        return res.x
+
+    def _lp_rows(self) -> dict:
+        """The rows as float ``linprog`` arguments."""
+        ineq, eq = self.C.shape[0] > 0, self.C_eq.shape[0] > 0
+        return {
+            "A_ub": _as_float(self.C) if ineq else None,
+            "b_ub": _as_float(self.d) if ineq else None,
+            "A_eq": _as_float(self.C_eq) if eq else None,
+            "b_eq": _as_float(self.d_eq) if eq else None,
+        }
 
     def is_empty(self) -> bool:
+        if self._enumerable():
+            return not self._decomposition().points
         return self.feasible_point() is None
 
     def is_bounded(self) -> bool:
-        """True when the recession cone of the closure is {0}."""
-        if self.dim == 0:
+        """True when the closure is empty or its recession cone is {0}."""
+        if self._enumerable():
+            dec = self._decomposition()
+            return not (dec.points and dec.rays)
+        if self.is_empty():
             return True
-        A_ub = _as_float(self.C) if self.C.shape[0] else None
-        b_ub = np.zeros(self.C.shape[0]) if self.C.shape[0] else None
-        A_eq = _as_float(self.C_eq) if self.C_eq.shape[0] else None
-        b_eq = np.zeros(self.C_eq.shape[0]) if self.C_eq.shape[0] else None
+        rows = self._lp_rows()
+        for key in ("b_ub", "b_eq"):
+            if rows[key] is not None:
+                rows[key] = np.zeros_like(rows[key])
         for j in range(self.dim):
             for sign in (1.0, -1.0):
                 c = np.zeros(self.dim)
                 c[j] = -sign  # maximize sign * e_j
-                res = _lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+                res = _lp(c, **rows)
+                _check_status(res, "recession cone")
                 if res.status == 3:
                     return False
                 if res.status == 0 and -res.fun > RANK_TOL:
@@ -387,111 +445,111 @@ class Polyhedron:
     # -- vertex enumeration ----------------------------------------------------
 
     def vertices(self) -> VForm:
-        """Enumerate vertices (and a spanning set of recession directions).
+        """Enumerate vertices and recession directions.
 
         Equality rows are eliminated first, then active-set subsets of the
         reduced inequality system are solved.  Exact on rational data.
-        For sets with no extreme point, ``anchor`` carries one feasible
-        point and ``rays`` a basis of directions; the ray list spans the
-        recession cone but is not guaranteed to be a minimal extreme-ray
-        list in degenerate cases.
+        The rays span the recession cone: both signs of a lineality basis
+        plus the extreme rays of the section orthogonal to it.  For sets
+        with no extreme point, ``anchor`` carries one feasible point, a
+        vertex of that section.
         """
+        dec = self._decomposition()
+        if dec.lineality == 0:
+            return VForm(list(dec.points), list(dec.rays))
+        return VForm([], list(dec.rays), dec.points[0] if dec.points else None)
+
+    def _reduced(self) -> _Reduced | None:
+        """The equality rows eliminated; None when they are inconsistent.
+        Cached."""
+        if self._reduction is _UNSET:
+            self._reduction = self._reduce()
+        return self._reduction
+
+    def _reduce(self):
         exact = self.rational
-        if self.dim == 0:
-            pt = self.feasible_point()
-            return VForm([], [], None) if pt is None else VForm([np.zeros(0)], [])
+        dt = object if exact else float
         z0, basis = solve_linear(
             self.C_eq if self.C_eq.shape[0] else np.zeros((0, self.dim)),
             self.d_eq if self.d_eq.shape[0] else [],
             exact,
         )
         if z0 is None:
-            return VForm([], [])
-        r = len(basis)
-        zero = Fraction(0) if exact else 0.0
-        if r == 0:
-            z = np.array(z0, dtype=object if exact else float)
-            if self.contains_point(z, 0 if exact else RANK_TOL):
-                return VForm([z], [])
-            return VForm([], [])
-        # transform inequalities into the reduced coordinates t: z = z0 + N t
-        N = np.array(basis, dtype=object if exact else float).T  # dim x r
-        if self.C.shape[0]:
-            Cm = self.C if exact else _as_float(self.C)
-            Cp = Cm @ N
-            dp = np.array(
-                [self.d[i] - _dot(Cm[i], z0) for i in range(self.C.shape[0])],
-                dtype=object if exact else float,
-            )
+            return None
+        r, k = len(basis), self.C.shape[0]
+        N = np.array(basis, dtype=dt).T.reshape(self.dim, r)
+        if r == 0:  # z0 is the only candidate; _decompose tests it directly
+            return _Reduced(z0, N, np.zeros((k, 0), dtype=dt), None, [])
+        Cm = self.C if exact else _as_float(self.C)
+        Cp = _matmul(Cm, N) if k else np.zeros((0, r), dtype=dt)
+        dp = np.array([self.d[i] - _dot(Cm[i], z0) for i in range(k)], dtype=dt)
+        if k:
+            _, lin = _gauss(_rows_of(Cp, exact), [0] * k, exact)
         else:
-            Cp = np.zeros((0, r), dtype=object if exact else float)
-            dp = np.zeros(0, dtype=object if exact else float)
-        k = Cp.shape[0]
-        tolf = 0 if exact else RANK_TOL
+            lin = _null_space([], r, exact)
+        return _Reduced(z0, N, Cp, dp, lin)
 
-        verts_t = []
+    def _enumerable(self) -> bool:
+        """Whether the decomposition fits MAX_VFORM_SUBSETS."""
+        red = self._reduced()
+        if red is None:
+            return True
+        k, s = red.Cp.shape[0], red.N.shape[1] - len(red.lin)
+        return _comb(k, s) + _comb(k, s - 1) <= MAX_VFORM_SUBSETS
+
+    def _decomposition(self) -> _Decomposition:
+        if self._decomp is None:
+            self._decomp = self._decompose()
+        return self._decomp
+
+    def _decompose(self) -> _Decomposition:
+        exact = self.rational
+        dt = object if exact else float
+        red = self._reduced()
+        if red is None:
+            return _Decomposition([], [], 0)
+        z0, N, Cp, dp, lin = red
+        k, r, l = Cp.shape[0], N.shape[1], len(lin)
+        if r == 0:
+            z = np.array(z0, dtype=dt)
+            z.setflags(write=False)
+            inside = self.contains_point(z, 0 if exact else RANK_TOL)
+            return _Decomposition([z] if inside else [], [], 0)
+        # the section L^T t = 0 of the reduced set is pointed
+        section = [list(v) for v in lin]
+        zeros = [Fraction(0) if exact else 0.0] * l
         scale = 1 if exact else max(1.0, float(np.max(np.abs(_as_float(dp)))) if k else 1.0)
-        for J in itertools.combinations(range(k), r):
-            sub = [list(Cp[i]) for i in J]
-            rhs = [dp[i] for i in J]
-            sol, null = _gauss(_rows_of(sub, exact), rhs, exact)
+        slack = 0 if exact else RANK_TOL * scale
+        verts_t = []
+        for J in itertools.combinations(range(k), r - l):
+            rows = [list(Cp[i]) for i in J] + section
+            sol, null = _gauss(_rows_of(rows, exact), [dp[i] for i in J] + zeros, exact)
             if sol is None or null:
                 continue  # singular or rank-deficient
-            t = np.array(sol, dtype=object if exact else float)
-            vals = Cp @ t if k else np.zeros(0)
-            feas = all(vals[i] <= dp[i] + (0 if exact else RANK_TOL * scale) for i in range(k))
-            if feas:
+            t = np.array(sol, dtype=dt)
+            vals = _matmul(Cp, t)
+            if all(vals[i] <= dp[i] + slack for i in range(k)):
                 verts_t.append(t)
-        # rays: lineality basis plus one-face directions of the reduced cone
-        rays_t = self._recession_directions(Cp, r, exact)
-        verts = [_affine(z0, N, t, exact) for t in _dedup(verts_t, exact)]
-        rays = []
-        for t in rays_t:
-            v = N @ t
-            rays.append(np.array(v, dtype=object if exact else float))
-        anchor = None
-        if not verts:
-            pt = self.feasible_point()
-            if pt is not None:
-                anchor = pt
-        verts.sort(key=_sort_key)
+        rays_t = []
+        for v in lin:
+            arr = np.array(v, dtype=dt)
+            rays_t += [arr, -arr]
+        if r - l >= 1:
+            tol = 0 if exact else RANK_TOL
+            for J in itertools.combinations(range(k), r - l - 1):
+                null = _null_space([list(Cp[i]) for i in J] + section, r, exact)
+                if len(null) != 1:
+                    continue
+                t = np.array(null[0], dtype=dt)
+                rays_t += [c for c in (t, -t) if all(v <= tol for v in _matmul(Cp, c))]
+        rays_t = _dedup([_normalize_ray(t, exact) for t in rays_t if _nonzero(t)], exact)
+        points = [_affine(z0, N, t, exact) for t in _dedup(verts_t, exact)]
+        rays = [np.array(_matmul(N, t), dtype=dt) for t in rays_t]
+        points.sort(key=_sort_key)
         rays.sort(key=_sort_key)
-        return VForm(verts, rays, anchor)
-
-    def _recession_directions(self, Cp, r, exact):
-        """Directions spanning { t : Cp t <= 0 }: lineality basis (both
-        signs) plus subset-enumerated boundary rays."""
-        k = Cp.shape[0]
-        out = []
-        # lineality space
-        _, lin = _gauss(_rows_of(Cp, exact) if k else [], [0] * k, exact) if k else (None, None)
-        if k == 0:
-            lin = [list(np.eye(r)[j]) for j in range(r)]
-        if lin:
-            for v in lin:
-                arr = np.array(v, dtype=object if exact else float)
-                out.append(arr)
-                out.append(-arr)
-        if k:
-            size = r - 1
-            if size == 0:
-                for sign in (1, -1):
-                    t = np.array([sign], dtype=object if exact else float)
-                    vals = Cp @ t
-                    if all(v <= (0 if exact else RANK_TOL) for v in vals):
-                        out.append(t)
-            else:
-                for J in itertools.combinations(range(k), size):
-                    sub = [list(Cp[i]) for i in J]
-                    _, null = _gauss(_rows_of(sub, exact), [0] * size, exact)
-                    if len(null) != 1:
-                        continue
-                    t = np.array(null[0], dtype=object if exact else float)
-                    for cand in (t, -t):
-                        vals = Cp @ cand
-                        if all(v <= (0 if exact else RANK_TOL) for v in vals):
-                            out.append(cand)
-        return _dedup([_normalize_ray(t, exact) for t in out if _nonzero(t)], exact)
+        for v in points + rays:
+            v.setflags(write=False)
+        return _Decomposition(points, rays, l)
 
     # -- serialization ----------------------------------------------------------
 
@@ -550,8 +608,24 @@ def _dot(row, vec):
     return sum(a * b for a, b in zip(row, vec))
 
 
+def _matmul(A, B):
+    """A @ B.  On object (Fraction) arrays the products with a zero factor
+    are skipped: the value is the same and most of the Fraction work on
+    these sparse matrices is saved."""
+    if A.dtype != object or B.dtype != object:
+        return A @ B
+    if B.ndim == 2:
+        cols = [_matmul(A, col) for col in B.T]
+        return np.array(cols, dtype=object).T.reshape(A.shape[0], B.shape[1])
+    nz = [j for j, b in enumerate(B) if b != 0]
+    return np.array(
+        [sum((row[j] * B[j] for j in nz if row[j] != 0), Fraction(0)) for row in A],
+        dtype=object,
+    )
+
+
 def _affine(z0, N, t, exact):
-    v = N @ t
+    v = _matmul(N, t)
     out = [z0[i] + v[i] for i in range(len(z0))]
     return np.array(out, dtype=object if exact else float)
 
@@ -576,6 +650,18 @@ def _dedup(points, exact):
 
 def _nonzero(t):
     return any(v != 0 for v in t)
+
+
+def _comb(k, s):
+    return math.comb(k, s) if s >= 0 else 0
+
+
+def _null_space(rows, ncols, exact):
+    """Basis of { t : rows t = 0 } in R^ncols (all of it when no rows)."""
+    if rows:
+        return _gauss(_rows_of(rows, exact), [0] * len(rows), exact)[1]
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    return [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
 
 
 def _normalize_ray(t, exact):
@@ -614,6 +700,12 @@ def _lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
         bounds=bounds if bounds is not None else [(None, None)] * len(c),
         method="highs",
     )
+
+
+def _check_status(res, query: str) -> None:
+    """Only an optimal, infeasible or unbounded LP may answer a query."""
+    if res.status not in DECIDED_LP_STATUSES:
+        raise LpStatusError(f"{query} LP ended undecided: status {res.status} ({res.message})")
 
 
 # ---------------------------------------------------------------------------
@@ -806,33 +898,12 @@ class PolySet:
 
     def coord_range(self, i: int):
         """Range of coordinate i over the set union: (lo, hi), infinite
-        when unbounded, (inf, -inf) when the set is empty."""
+        when unbounded, (inf, -inf) when the set is empty.  Exact on
+        rational pieces up to the final rounding to float."""
         lo, hi = float("inf"), float("-inf")
         for pc in self.pieces:
-            row = _as_float(pc.A[i])
-            off = float(pc.b[i])
-            if not np.any(np.abs(row) > 0) or pc.poly.dim == 0:
-                if pc.poly.is_empty():
-                    continue
-                lo, hi = min(lo, off), max(hi, off)
-                continue
-            for sign in (1.0, -1.0):
-                res = _lp(
-                    sign * row,
-                    A_ub=_as_float(pc.poly.C) if pc.poly.C.shape[0] else None,
-                    b_ub=_as_float(pc.poly.d) if pc.poly.C.shape[0] else None,
-                    A_eq=_as_float(pc.poly.C_eq) if pc.poly.C_eq.shape[0] else None,
-                    b_eq=_as_float(pc.poly.d_eq) if pc.poly.C_eq.shape[0] else None,
-                )
-                if res.status == 3:
-                    if sign > 0:
-                        lo = float("-inf")
-                    else:
-                        hi = float("inf")
-                elif res.status == 0:
-                    val = res.fun if sign > 0 else -res.fun
-                    val += off
-                    lo, hi = min(lo, val), max(hi, val)
+            plo, phi = _piece_range(pc, i)
+            lo, hi = min(lo, plo), max(hi, phi)
         return lo, hi
 
     def is_empty(self) -> bool:
@@ -842,8 +913,8 @@ class PolySet:
         """True when the set is nonempty and equals {0} within tol.
 
         Uses exact affine-hull reasoning when a piece carries rational
-        data and its map kills the hull directions; otherwise falls back
-        to coordinate-range LPs.
+        data and its map kills the hull directions; otherwise checks the
+        piece's coordinate ranges.
         """
         nonempty = False
         for pc in self.pieces:
@@ -904,6 +975,57 @@ def _add_vec(a, b):
     return _as_float(a) + _as_float(b)
 
 
+def _piece_range(pc: Piece, i: int):
+    """(lo, hi) of coordinate i over one piece, (inf, -inf) when empty:
+    extremes over the decomposition's points, opened to infinity on the
+    side a ray points to."""
+    src = pc.poly
+    row, off = pc.A[i], pc.b[i]
+    if not any(v != 0 for v in row):
+        return (float("inf"), float("-inf")) if src.is_empty() else (float(off), float(off))
+    if not src._enumerable():
+        return _lp_range(pc, i)
+    dec = src._decomposition()
+    if not dec.points:
+        return float("inf"), float("-inf")
+    if src.rational and pc.A.dtype == object and pc.b.dtype == object:
+        vals = [_dot(row, v) for v in dec.points]
+        lo, hi = float(min(vals) + off), float(max(vals) + off)
+        slopes = [(_dot(row, r), 0) for r in dec.rays]
+    else:
+        row, off = _as_float(row), float(off)
+        vals = [float(row @ _as_float(v)) for v in dec.points]
+        lo, hi = min(vals) + off, max(vals) + off
+        scale = float(np.max(np.abs(row)))
+        slopes = [(float(row @ rf), RANK_TOL * max(1.0, scale * float(np.max(np.abs(rf)))))
+                  for rf in map(_as_float, dec.rays)]
+    for slope, tol in slopes:
+        if slope < -tol:
+            lo = float("-inf")
+        elif slope > tol:
+            hi = float("inf")
+    return lo, hi
+
+
+def _lp_range(pc: Piece, i: int):
+    """``_piece_range`` by two LPs, for pieces too large to enumerate."""
+    row, off = _as_float(pc.A[i]), float(pc.b[i])
+    rows = pc.poly._lp_rows()
+    lo, hi = float("inf"), float("-inf")
+    for sign in (1.0, -1.0):
+        res = _lp(sign * row, **rows)
+        _check_status(res, "coordinate range")
+        if res.status == 3:
+            if sign > 0:
+                lo = float("-inf")
+            else:
+                hi = float("inf")
+        elif res.status == 0:
+            val = (res.fun if sign > 0 else -res.fun) + off
+            lo, hi = min(lo, val), max(hi, val)
+    return lo, hi
+
+
 def _piece_distance(pc: Piece, point):
     """min_t { t : z in closure(source), |A z + b - point|_inf <= t }."""
     src = pc.poly
@@ -930,6 +1052,7 @@ def _piece_distance(pc: Piece, point):
         b_eq = _as_float(src.d_eq)
     bounds = [(None, None)] * nz + [(0, None)]
     res = _lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    _check_status(res, "piece distance")
     if res.status != 0:
         return None, None
     return float(res.fun), res.x[:nz]

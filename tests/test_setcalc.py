@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from valfun import setcalc
+from valfun.errors import LpStatusError
 from valfun.setcalc import (
     ConvexHullSet,
     Piece,
@@ -42,6 +44,17 @@ def test_solve_linear_inconsistent_and_underdetermined():
     assert z0 is None
     z0, basis = solve_linear(A[:1], np.array([1.0]))
     assert z0 is not None and len(basis) == 1
+
+
+def test_sparse_exact_matmul_matches_numpy(rng):
+    def frac(shape):
+        vals = rng.integers(-2, 3, size=shape) * (rng.random(shape) < 0.5)
+        return np.array([Fraction(int(v), 3) for v in vals.ravel()], dtype=object).reshape(shape)
+
+    for m, n, r in [(3, 4, 2), (0, 2, 3), (4, 0, 1), (5, 5, 0)]:
+        A, B, v = frac((m, n)), frac((n, r)), frac((n,))
+        assert np.array_equal(setcalc._matmul(A, B), A @ B)
+        assert np.array_equal(setcalc._matmul(A, v), A @ v)
 
 
 def test_matrix_rank_generic_exact_vs_float():
@@ -93,6 +106,67 @@ def test_affine_subspace_anchor():
     assert vf.anchor is not None
     assert P.contains_point(vf.anchor)
     assert len(vf.rays) == 2  # +/- the free direction
+
+
+def test_rays_span_cone_with_lineality():
+    # {z : z1 <= 0, z2 <= 0} in R^3: the cone is -e1, -e2 plus the line of e3
+    P = Polyhedron(3, C=[[1, 0, 0], [0, 1, 0]], d=[0, 0])
+    rays = {tuple(float(c) for c in r) for r in P.vertices().rays}
+    assert rays == {(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)}
+    S = PolySet(3, [Piece(P, np.eye(3), np.zeros(3), "P")])
+    assert S.coord_range(0) == (-np.inf, 0.0)
+    assert S.coord_range(2) == (-np.inf, np.inf)
+
+
+def test_rows_are_frozen_copies():
+    C = np.array([[1.0, 0.0]])
+    P = Polyhedron(2, C=C, d=[1.0])
+    C[0, 0] = 5.0
+    assert P.C[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        P.d[0] = 0.0
+
+
+def test_small_pieces_need_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    P = Polyhedron(2, C=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], d=[0.0, 0.0, 1.0])
+    S = PolySet(1, [Piece(P, np.array([[1.0, 2.0]]), np.array([0.5]), "tri")])
+    assert not S.is_empty() and P.is_bounded()
+    assert S.coord_range(0) == (0.5, 2.5)
+    assert not S.is_zero_singleton()
+
+
+class _Undecided:
+    status, message, x, fun = 4, "numerical difficulties", None, None
+
+
+def test_undecided_lp_raises(monkeypatch):
+    monkeypatch.setattr(setcalc, "linprog", lambda *a, **k: _Undecided())
+    box = Polyhedron.from_box([(0.0, 1.0)])
+    with pytest.raises(LpStatusError):
+        box.feasible_point()
+    # pieces past the enumeration budget take the LP route
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
+    S = PolySet(1, [Piece(Polyhedron.from_box([(0.0, 1.0)]), np.eye(1), np.zeros(1), "box")])
+    with pytest.raises(LpStatusError):
+        S.coord_range(0)
+    with pytest.raises(LpStatusError):
+        S.is_empty()
+    with pytest.raises(LpStatusError):
+        S.member([0.5])
+
+
+def test_lp_fallback_matches_enumeration(monkeypatch):
+    P = Polyhedron(2, C=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], d=[0.0, 0.0, 1.0])
+    ray = Polyhedron(2, C=[[-1.0, 0.0], [0.0, -1.0]], d=[0.0, 0.0])
+    pieces = [Piece(p, np.array([[1.0, -2.0]]), np.array([0.5]), "") for p in (P, ray)]
+    want = [PolySet(1, [pc]).coord_range(0) for pc in pieces]
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
+    assert [PolySet(1, [pc]).coord_range(0) for pc in pieces] == want
+    assert [P.is_bounded(), ray.is_bounded()] == [True, False]
 
 
 def test_empty_polyhedron_detected():
