@@ -131,6 +131,15 @@ def _lagrangian_image_piece(problem, xbar, y, provenance) -> tuple:
     return piece, gens, mult
 
 
+def _no_multiplier_record(where: str) -> HypothesisRecord:
+    # an empty multiplier set leaves an empty image piece: the estimate
+    # must not read as a clean (empty) answer
+    return HypothesisRecord(
+        "kkt-multiplier-exists", FAILED,
+        f"no KKT multiplier at {where}; its piece of the estimate is empty",
+    )
+
+
 def convex_mfcq_subdiff(
     problem: ParametricProblem, xbar, y=None, minimizers=None
 ) -> SubdiffEstimate:
@@ -166,6 +175,8 @@ def convex_mfcq_subdiff(
     else:
         hyps.append(HypothesisRecord("convex-in-y", ASSUMED, "no flag supplied"))
     piece, gens, mult = _lagrangian_image_piece(problem, xbar, y, "convex-mfcq")
+    if mult.empty:
+        hyps.append(_no_multiplier_record("the minimizer"))
     if not mult.bounded:
         hyps.append(HypothesisRecord("bounded-multiplier-set", FAILED))
     result = PolySet(problem.n, [piece])
@@ -197,6 +208,8 @@ def gauvin_dubeau(
         piece, g, mult = _lagrangian_image_piece(
             problem, xbar, y, f"gauvin-dubeau[y{idx}]"
         )
+        if mult.empty:
+            hyps.append(_no_multiplier_record(f"minimizer {idx}"))
         if not mult.bounded:
             hyps.append(
                 HypothesisRecord("bounded-multiplier-set", FAILED, f"minimizer {idx}")
@@ -233,6 +246,3 @@ def auto_estimate(problem: ParametricProblem, xbar, minimizers=None) -> SubdiffE
         return convex_mfcq_subdiff(problem, xbar, minimizers=minimizers)
     return gauvin_dubeau(problem, xbar, minimizers=minimizers)
 
-
-def membership(estimate: SubdiffEstimate, xund, tol: float = 1e-6) -> MemberVerdict:
-    return estimate.member(xund, tol)

@@ -10,6 +10,12 @@ Two solve paths:
 The heuristic path can miss global minimizers; results carry an
 ``under_enumerated`` flag so downstream estimates can report that unions
 over minimizers may be incomplete.
+
+Inner-LP unboundedness is read off the exact rays of the feasible set,
+and MFCQ off the cached vertex/ray decomposition of { d : G d <= -1 }.
+scipy is imported only on first use: for SLSQP multistart, and for the
+MFCQ linear program when that set is too large to enumerate
+(``setcalc.MAX_VFORM_SUBSETS``).
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .errors import (
     InfeasibleParameterError,
@@ -26,11 +31,18 @@ from .errors import (
     UnboundedProblemError,
 )
 from .model import DEFAULT_TOL_ACT, ParametricProblem
-from .setcalc import Polyhedron, matrix_rank_generic
+from .setcalc import Polyhedron, linprog, matrix_rank_generic
 
 VALUE_TIE_TOL = 1e-7
 MINIMIZER_DEDUP_TOL = 1e-6
 PIN_MATCH_TOL = 1e-12
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +172,9 @@ def _solve_lp_exact(problem, x, rational, x_raw=None):
             "no feasible point at this parameter; the model assumes a nonempty "
             "feasible set wherever the value function is queried"
         )
-    if _lp_unbounded_below(lp, m):
+    # the set is pointed, so the LP is unbounded below iff an extreme ray
+    # descends; rays and costs are Fractions
+    if any(sum(ci * ri for ci, ri in zip(lp.c, r)) < 0 for r in vf.rays):
         raise UnboundedProblemError("inner LP is unbounded below at this parameter")
     values = []
     for v in vf.vertices:
@@ -185,19 +199,6 @@ def _solve_lp_exact(problem, x, rational, x_raw=None):
         value_exact=best if rational else None,
         minimizers_exact=mins_exact if rational else None,
     )
-
-
-def _lp_unbounded_below(lp: LpData, m: int) -> bool:
-    A = np.array([[float(v) for v in row] for row in lp.A])
-    c = np.array([float(v) for v in lp.c])
-    res = linprog(
-        c,
-        A_ub=A,
-        b_ub=np.zeros(A.shape[0]),
-        bounds=[(-1, 1)] * m,
-        method="highs",
-    )
-    return res.status == 0 and res.fun < -1e-9
 
 
 def _solve_multistart(problem, x):
@@ -421,7 +422,12 @@ def check_licq(
 def check_mfcq(
     problem: ParametricProblem, x, y, tol_act: float = DEFAULT_TOL_ACT
 ) -> MfcqReport:
-    """Existence of a direction d with gy_i . d < 0 for all active i."""
+    """Existence of a direction d with gy_i . d < 0 for all active i.
+
+    That holds iff Q = { d : gy_A d <= -1 } is nonempty.  Q is decided
+    from its vertex/ray decomposition when it fits the enumeration
+    budget, otherwise by an LP.  The witness has sup-norm at most 1.
+    """
     x = np.atleast_1d(np.asarray(x, float))
     y = np.atleast_1d(np.asarray(y, float))
     g = problem.eval_g(x, y) if problem.p else np.zeros(0)
@@ -429,7 +435,17 @@ def check_mfcq(
     if not active:
         return MfcqReport(holds=True, active=(), witness=np.zeros(problem.m))
     gy = problem.jac_y_g(x, y)[list(active)]
-    m = problem.m
+    Q = Polyhedron(problem.m, C=gy, d=-np.ones(len(active)))
+    if Q.enumerable():
+        vf = Q.vertices()
+        if vf.empty:
+            return MfcqReport(holds=False, active=active, witness=None)
+        w = np.asarray(vf.vertices[0] if vf.vertices else vf.anchor, float)
+        return MfcqReport(holds=True, active=active, witness=w / np.max(np.abs(w)))
+    return _mfcq_lp(gy, active, problem.m)
+
+
+def _mfcq_lp(gy, active, m) -> MfcqReport:
     # max t  s.t.  gy d + t <= 0, |d| <= 1, t <= 1
     c = np.zeros(m + 1)
     c[-1] = -1.0
@@ -443,7 +459,3 @@ def check_mfcq(
     if t > 1e-9:
         return MfcqReport(holds=True, active=active, witness=res.x[:m])
     return MfcqReport(holds=False, active=active, witness=None)
-
-
-def solution_is_singleton(result: SolveResult) -> bool:
-    return len(result.minimizers) == 1 and not result.non_singleton

@@ -19,8 +19,12 @@ and affine-hull paths to exact rational arithmetic.  Emptiness,
 boundedness and coordinate ranges are read off one cached vertex/ray
 decomposition per polyhedron, so they are exact on rational data too;
 only pieces too large to enumerate (``MAX_VFORM_SUBSETS``) fall back to
-floating-point LPs, which raise :class:`LpStatusError` unless the solver
-reports a definite answer.
+floating-point LPs.  Membership distances and hull weights are LPs too.
+Every LP raises :class:`LpStatusError` unless the solver reports a
+definite answer.
+
+scipy is imported on first use only: for those LPs and for Qhull in
+:func:`polyhedron_from_vertices`.
 
 Intended scale is dimension <= 12 with a handful of pieces; enumeration
 is combinatorial and will warn rather than fail above that.
@@ -37,7 +41,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DimensionError, LpStatusError
 
@@ -45,12 +48,13 @@ RANK_TOL = 1e-9
 DEDUP_TOL = 1e-6
 MAX_SET_DIM = 12
 #: Largest active-set subset count C(k, r-l) + C(k, r-l-1) (k rows, r
-#: free variables, lineality l) for which emptiness, boundedness and
-#: coordinate ranges come from the enumerated decomposition rather than
-#: LPs.  Ten covers the largest pieces of the test battery (k=4, r=2).  At
-#: this size a float decomposition costs 0.2-2.3 ms (r <= 8), less than
-#: the one 3 ms HiGHS call of an emptiness check; an exact one costs up to
-#: 4.5 ms for r <= 3, and more for dense rows in more free variables.
+#: free variables, lineality l) for which emptiness, boundedness,
+#: coordinate ranges and ``kernel.check_mfcq`` come from the enumerated
+#: decomposition rather than LPs.  Ten covers the largest pieces of the
+#: test battery (k=4, r=2).  At this size a float decomposition costs
+#: 0.2-2.3 ms (r <= 8), less than the one 3 ms HiGHS call of an emptiness
+#: check; an exact one costs up to 4.5 ms for r <= 3, and more for dense
+#: rows in more free variables.
 MAX_VFORM_SUBSETS = 10
 #: HiGHS statuses that decide a query: optimal, infeasible, unbounded.
 DECIDED_LP_STATUSES = (0, 2, 3)
@@ -58,6 +62,13 @@ DECIDED_LP_STATUSES = (0, 2, 3)
 
 class SetScaleWarning(UserWarning):
     pass
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +426,13 @@ class Polyhedron:
         }
 
     def is_empty(self) -> bool:
-        if self._enumerable():
+        if self.enumerable():
             return not self._decomposition().points
         return self.feasible_point() is None
 
     def is_bounded(self) -> bool:
         """True when the closure is empty or its recession cone is {0}."""
-        if self._enumerable():
+        if self.enumerable():
             dec = self._decomposition()
             return not (dec.points and dec.rays)
         if self.is_empty():
@@ -489,7 +500,7 @@ class Polyhedron:
             lin = _null_space([], r, exact)
         return _Reduced(z0, N, Cp, dp, lin)
 
-    def _enumerable(self) -> bool:
+    def enumerable(self) -> bool:
         """Whether the decomposition fits MAX_VFORM_SUBSETS."""
         red = self._reduced()
         if red is None:
@@ -983,7 +994,7 @@ def _piece_range(pc: Piece, i: int):
     row, off = pc.A[i], pc.b[i]
     if not any(v != 0 for v in row):
         return (float("inf"), float("-inf")) if src.is_empty() else (float(off), float(off))
-    if not src._enumerable():
+    if not src.enumerable():
         return _lp_range(pc, i)
     dec = src._decomposition()
     if not dec.points:
@@ -1095,6 +1106,7 @@ def _refine_open(pc: Piece, point, tol: float):
         b_eq = _as_float(src.d_eq)
     bounds = [(None, None)] * nz + [(None, 1.0)]
     res = _lp(c, A_ub=np.vstack(rows), b_ub=np.array(rhs), A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    _check_status(res, "open-row margin")
     if res.status != 0:
         return "boundary"
     mu = -res.fun
@@ -1194,6 +1206,7 @@ def _hull_weights(point, generators, tol):
     A_eq = np.vstack([G, np.ones((1, k))])
     b_eq = np.concatenate([point, [1.0]])
     res = _lp(np.zeros(k), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * k)
+    _check_status(res, "hull weights")
     if res.status != 0:
         return None
     w = np.clip(res.x, 0.0, None)

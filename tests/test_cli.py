@@ -224,3 +224,26 @@ def test_missing_problem_file_is_a_usage_error():
     proc = run_cli("analyze", "--problem", "/nonexistent/prob.json")
     assert proc.returncode == 64
     assert "bad problem file" in proc.stderr
+
+
+#: Imports valfun.cli, runs ``report`` on the first point of every battery
+#: instance in the same process, then prints the scipy modules loaded.
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+import valfun.cli
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    point = sorted(json.loads(path.read_text())["points"])[0]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert valfun.cli.main(["report", "--problem", str(path), "--point", point]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_report_path_imports_no_scipy():
+    instances = instance_path("shiftbox").parent
+    assert len(list(instances.glob("*.json"))) == 18
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(instances)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -92,6 +92,22 @@ def test_convex_mfcq_multiplier_segment_image():
     assert not est.member([1.1])
 
 
+def test_missing_multiplier_is_a_failed_hypothesis():
+    # 1e-6 off the quarticshift minimizer the gradient does not vanish and
+    # the only constraint is far from active: no KKT multiplier exists
+    prob = load_instance("quarticshift")
+    off = [1e-6]
+    for est in (convex_mfcq_subdiff(prob, [0.0], y=off),
+                gauvin_dubeau(prob, [0.0], minimizers=[off])):
+        assert not est.generators and est.result.is_empty()
+        failed = [h for h in est.hypotheses if h.name == "kkt-multiplier-exists"]
+        assert [h.status for h in failed] == ["failed"]
+    for est in (convex_mfcq_subdiff(prob, [0.0], y=[0.0]),
+                gauvin_dubeau(prob, [0.0], minimizers=[[0.0]])):
+        assert est.generators
+        assert all(h.name != "kkt-multiplier-exists" for h in est.hypotheses)
+
+
 def test_gauvin_dubeau_square_style_data():
     # cost weight and right-hand side both carry the parameter: the
     # generators are the Lagrangian x-gradients y-like in the first slot

@@ -159,6 +159,31 @@ def test_undecided_lp_raises(monkeypatch):
         S.member([0.5])
 
 
+def test_undecided_hull_weights_raise(monkeypatch):
+    monkeypatch.setattr(setcalc, "linprog", lambda *a, **k: _Undecided())
+    hull = convex_hull([np.zeros(1), np.ones(1)])
+    with pytest.raises(LpStatusError):
+        hull.member([0.5])
+    with pytest.raises(LpStatusError):
+        hull.certificate([0.5])
+
+
+def test_undecided_open_row_margin_raises(monkeypatch):
+    # the distance LP decides; the open-row margin LP after it does not
+    real, calls = setcalc.linprog, []
+
+    def second_undecided(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs) if len(calls) == 1 else _Undecided()
+
+    monkeypatch.setattr(setcalc, "linprog", second_undecided)
+    P = Polyhedron(1, C=[[-1.0]], d=[0.0], open_rows=(0,))
+    S = PolySet(1, [Piece(P, np.eye(1), np.zeros(1), "open")])
+    with pytest.raises(LpStatusError):
+        S.member([0.5])
+    assert len(calls) == 2
+
+
 def test_lp_fallback_matches_enumeration(monkeypatch):
     P = Polyhedron(2, C=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], d=[0.0, 0.0, 1.0])
     ray = Polyhedron(2, C=[[-1.0, 0.0], [0.0, -1.0]], d=[0.0, 0.0])
