@@ -5,9 +5,15 @@
 ``report.json`` holds the ``valfun report`` output for the first named
 point of every battery instance; ``hessian.json`` holds the text output of
 ``valfun hessian`` for every battery point x first-order generator x unit
-covector at branch cap 200.  ``test_golden.py`` replays both in-process
-and requires byte-identical output, so regenerate only when a change of
-output is intended, and say why in the change log.
+covector at branch cap 200; ``theorems.json`` holds
+``json.dumps(result.to_json(), sort_keys=True)`` for the direct calls in
+``THEOREM_CALLS``, which reach the theorem paths and multi-generator modes
+the battery queries do not (composed single-single, both hull modes,
+selection over several minimizers, the multiplier-vertex union) and the
+coderivative estimates at the points of ``test_coderiv.py``.
+``test_golden.py`` replays all three in-process and requires
+byte-identical output, so regenerate only when a change of output is
+intended, and say why in the change log.
 """
 
 from __future__ import annotations
@@ -45,6 +51,108 @@ def _vec(v):
     return ",".join(repr(float(x)) for x in v)
 
 
+def _instance(name):
+    from valfun.model import load_problem
+
+    return load_problem(INSTANCES / f"{name}.json")
+
+
+def _pinned_kkt(name, point="base"):
+    from valfun.model import make_kkt
+
+    prob = _instance(name)
+    pt = prob.points[point]
+    return prob, make_kkt(prob, pt.x, pt.minimizers[0], pt.u)
+
+
+def _redundant_rows_kkt():
+    from valfun.model import make_kkt, parse_problem
+
+    prob = parse_problem({"n": 1, "m": 1, "f": "y1^2", "g": ["-y1", "-2*y1"]})
+    return prob, make_kkt(prob, [0.0], [0.0], [0.0, 0.0])
+
+
+def _ambiguous_kkt():
+    from valfun.model import make_kkt
+
+    prob = _instance("quadfit")
+    pt = prob.points["kink"]
+    return prob, make_kkt(prob, pt.x, pt.minimizers[0], [2e-8, 2e-8],
+                          tol_kkt=1e-7, tol_act=1e-8)
+
+
+def _hessian(fn, name, xbar, xund, xstar, **kw):
+    from valfun import hessian
+
+    return getattr(hessian, fn)(_instance(name), hessian.HessianQuery(xbar, xund, xstar), **kw)
+
+
+def _lam(kkt_fn, ustar, **kw):
+    from valfun.coderiv import coderivative_lambda
+
+    prob, kkt = kkt_fn()
+    return coderivative_lambda(prob, kkt, ustar, **kw)
+
+
+def _cq(kkt_fn, **kw):
+    from valfun.coderiv import check_cq_lambda
+
+    prob, kkt = kkt_fn()
+    return check_cq_lambda(prob, kkt, **kw)
+
+
+def _dS(name, xbar, ybar, ystar):
+    from valfun.coderiv import coderivative_S
+
+    return coderivative_S(_instance(name), xbar, ybar, ystar)
+
+
+def _kkt_of(name, point):
+    return lambda: _pinned_kkt(name, point)
+
+
+#: id -> zero-argument call whose result has ``to_json``.
+THEOREM_CALLS = {
+    "single-single-composed/quadfit-1": lambda: _hessian(
+        "hessian_single_single", "quadfit", [1.0], [0.0], [1.0]),
+    "unperturbed-hull/bilinear1-0": lambda: _hessian(
+        "hessian_unperturbed", "bilinear1", [0.0], [0.0], [1.0], smode="caratheodory"),
+    "unperturbed-selection/multiSxfree-1": lambda: _hessian(
+        "hessian_unperturbed", "multiSxfree", [1.0], [-1.0], [1.0], smode="multi"),
+    "single-lambda-selection/multiS-e1": lambda: _hessian(
+        "hessian_single_lambda", "multiS", [1.0, 0.0], [-1.0, -2.0], [1.0, 0.0]),
+    "single-lambda-selection/multiS-e2": lambda: _hessian(
+        "hessian_single_lambda", "multiS", [1.0, 0.0], [-1.0, -2.0], [0.0, 1.0]),
+    "single-lambda-hull/multiS-e1": lambda: _hessian(
+        "hessian_single_lambda", "multiS", [1.0, 0.0], [-1.0, -2.0], [1.0, 0.0],
+        mode="caratheodory"),
+    "single-s-composed/twoactive-0": lambda: _hessian(
+        "hessian_single_s", "twoactive", [0.0], [1.0], [1.0]),
+    "coderivative_lambda/bilinear1-right": lambda: _lam(
+        _kkt_of("bilinear1", "right"), [0.0, 0.7]),
+    "coderivative_lambda/bilinear1-right-nocq": lambda: _lam(
+        _kkt_of("bilinear1", "right"), [0.0, 0.5], with_cq=False),
+    "coderivative_lambda/constantobj-base": lambda: _lam(
+        _kkt_of("constantobj", "base"), [0.0, 0.0]),
+    "coderivative_lambda/quadfit-kink-ambiguous": lambda: _lam(
+        _ambiguous_kkt, [0.0, 0.0], branch_cap=16),
+    "check_cq_lambda/bilinear1-right": lambda: _cq(_kkt_of("bilinear1", "right")),
+    "check_cq_lambda/constantobj-base": lambda: _cq(_kkt_of("constantobj", "base")),
+    "check_cq_lambda/quadfit-kink": lambda: _cq(_kkt_of("quadfit", "kink")),
+    "check_cq_lambda/redundant-rows": lambda: _cq(_redundant_rows_kkt, branch_cap=16),
+    "coderivative_S/quadfit-0.3": lambda: _dS("quadfit", [0.3], [0.3], [0.7]),
+    "coderivative_S/quarticshift-0": lambda: _dS("quarticshift", [0.0], [0.0], [1.0]),
+    "coderivative_S/quarticshift-zero-covector": lambda: _dS(
+        "quarticshift", [0.0], [0.0], [0.0]),
+    "coderivative_S/twoactive-0": lambda: _dS("twoactive", [0.0], [0.0], [0.8]),
+    "coderivative_S/constantobj-0.5": lambda: _dS("constantobj", [0.5], [0.0], [1.0]),
+}
+
+
+def theorem_json(call_id):
+    return json.dumps(THEOREM_CALLS[call_id]().to_json(), sort_keys=True)
+
+
 def capture():
     from valfun import firstorder
     from valfun.model import load_problem
@@ -73,4 +181,7 @@ if __name__ == "__main__":
     reports, queries = capture()
     (HERE / "report.json").write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
     (HERE / "hessian.json").write_text(json.dumps(queries, indent=1) + "\n")
-    print(f"{len(reports)} reports, {len(queries)} hessian queries")
+    theorems = {k: theorem_json(k) for k in THEOREM_CALLS}
+    (HERE / "theorems.json").write_text(json.dumps(theorems, indent=1, sort_keys=True) + "\n")
+    print(f"{len(reports)} reports, {len(queries)} hessian queries, "
+          f"{len(theorems)} theorem-path calls")

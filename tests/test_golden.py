@@ -1,7 +1,8 @@
 """Golden CLI outputs: ``valfun report`` for every battery instance and the
 text of ``valfun hessian`` (coordinate ranges included) for every battery
-query must stay byte-identical.  The references were captured by
-``golden/capture.py``; runs are in-process through ``cli.main``."""
+query must stay byte-identical, and so must the JSON of the theorem-path
+calls in ``THEOREM_CALLS``.  The references were captured by
+``golden/capture.py``; CLI runs are in-process through ``cli.main``."""
 
 from __future__ import annotations
 
@@ -10,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from golden.capture import hessian_argv, report_argv, run_cli
+from golden.capture import THEOREM_CALLS, hessian_argv, report_argv, run_cli, theorem_json
 
 GOLDEN = Path(__file__).parent / "golden"
 REPORTS = json.loads((GOLDEN / "report.json").read_text())
 QUERIES = json.loads((GOLDEN / "hessian.json").read_text())
+THEOREMS = json.loads((GOLDEN / "theorems.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
@@ -30,3 +32,12 @@ def test_report_golden(name):
 def test_hessian_golden(q):
     got = run_cli(hessian_argv(q["instance"], q["point"], q["xund"], q["xstar"]))
     assert got == (q["rc"], q["stdout"], q["stderr"])
+
+
+def test_theorem_goldens_cover_every_call():
+    assert sorted(THEOREMS) == sorted(THEOREM_CALLS)
+
+
+@pytest.mark.parametrize("call_id", sorted(THEOREMS))
+def test_theorem_golden(call_id):
+    assert theorem_json(call_id) == THEOREMS[call_id]
