@@ -28,7 +28,6 @@ from .errors import (
     CaseRoutingError,
     DegeneracyError,
     DimensionError,
-    EstimateEmptyError,
     EvaluationError,
     HypothesisError,
     InfeasibleParameterError,
@@ -128,6 +127,6 @@ __all__ = [
     "ValfunError", "ParseError", "ProblemFormatError", "EvaluationError",
     "DimensionError", "InfeasibleParameterError", "UnboundedProblemError",
     "KktValidationError", "HypothesisError", "DegeneracyError",
-    "CaseRoutingError", "BranchCapError", "EstimateEmptyError", "LpStatusError",
+    "CaseRoutingError", "BranchCapError", "LpStatusError",
     "UsageError",
 ]

@@ -3,9 +3,9 @@
 Subcommands: ``analyze`` (point diagnostics), ``first-order`` (gradient
 set estimate), ``hessian`` (second-order estimate), ``verify`` (check a
 problem file and its pinned points), ``report`` (one JSON document with
-everything).  Exit codes: 0 success, 1 an estimate came back empty (a
-diagnostic, not a crash), 2 a stated hypothesis failed or the point is
-invalid, 64 usage errors.
+everything).  Exit codes: 0 success, 1 when ``first-order``, ``hessian``
+or ``report`` prints an empty estimate (a diagnostic, not an error), 2 a
+stated hypothesis failed or the point is invalid, 64 usage errors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import (
     BranchCapError,
     CaseRoutingError,
     DegeneracyError,
-    EstimateEmptyError,
     EvaluationError,
     HypothesisError,
     InfeasibleParameterError,
@@ -37,7 +36,7 @@ from .hessian import CASES, HessianQuery
 from .model import (
     DEFAULT_TOL_ACT,
     DEFAULT_TOL_KKT,
-    classify,
+    kkt_point,
     kkt_residual,
     load_problem,
     problem_to_json,
@@ -132,7 +131,8 @@ def _cmd_analyze(args) -> int:
             + ("" if mult.bounded else " (unbounded set)")
         )
         for u in mult.vertices:
-            part = classify(problem, xbar, y, u, tol_act=args.tol_act)
+            kkt = kkt_point(problem, xbar, y, u, tol_act=args.tol_act)
+            part = kkt.partition
             entry.setdefault("partitions", []).append(
                 {
                     "u": [float(v) for v in u],
@@ -140,7 +140,7 @@ def _cmd_analyze(args) -> int:
                     "theta": list(part.theta),
                     "nu": list(part.nu),
                     "ambiguous": list(part.ambiguous),
-                    "kkt_residual": kkt_residual(problem, xbar, y, u),
+                    "kkt_residual": kkt.kkt_residual,
                 }
             )
             lines.append(
@@ -421,9 +421,6 @@ def main(argv=None) -> int:
     except (ParseError, ProblemFormatError) as exc:
         print(f"valfun: bad problem file: {exc}", file=sys.stderr)
         return 64
-    except EstimateEmptyError as exc:
-        print(f"valfun: empty estimate: {exc}", file=sys.stderr)
-        return 1
     except (
         HypothesisError,
         KktValidationError,

@@ -35,16 +35,8 @@ import numpy as np
 
 from . import kernel
 from .errors import BranchCapError, HypothesisError
-from .model import (
-    KktPoint,
-    ParametricProblem,
-    Partition,
-    classify,
-    differentiate,
-    kkt_residual,
-    verify_concave_convex,
-)
-from .reporting import ASSERTED, ASSUMED, FAILED, NOT_CHECKED, VERIFIED, HypothesisRecord
+from .model import KktPoint, ParametricProblem, Partition, kkt_point, verify_concave_convex
+from .reporting import ASSERTED, ASSUMED, FAILED, VERIFIED, HypothesisRecord
 from .setcalc import Piece, Polyhedron, PolySet, _as_float
 
 DEFAULT_BRANCH_CAP = 8
@@ -77,7 +69,6 @@ def build_branch_family(
     u_star,
     flavor: str = "M",
     branch_cap: int = DEFAULT_BRANCH_CAP,
-    prune_empty: bool = True,
 ) -> BranchFamily:
     """Construct the branch family from raw constraint-gradient rows.
 
@@ -171,7 +162,7 @@ def build_branch_family(
         label = ",".join(
             f"g{i + 1}:{case_names[idx]}" for idx, i in zip(assign, theta)
         ) or "base"
-        if prune_empty and poly.is_empty():
+        if poly.is_empty():
             continue
         branches.append(Branch(poly=poly, label=label))
     return BranchFamily(
@@ -193,16 +184,10 @@ def branch_family(
     branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> BranchFamily:
     """Branch family at a validated KKT point of the given problem."""
-    gy = problem.jac_y_g(kkt.x, kkt.y)
     u_star = np.atleast_1d(np.asarray(u_star, dtype=float))
     if u_star.shape != (problem.p,):
         raise ValueError(f"covector must have length p={problem.p}")
-    return build_branch_family(gy, kkt.partition, u_star, flavor, branch_cap)
-
-
-def lagrangian_blocks(problem: ParametricProblem, kkt: KktPoint):
-    lag = differentiate(problem, kkt.x, kkt.y, kkt.u)
-    return lag
+    return build_branch_family(kkt.lag.gy, kkt.partition, u_star, flavor, branch_cap)
 
 
 def coderivative_map_matrix(lag) -> np.ndarray:
@@ -255,8 +240,10 @@ def check_cq_lambda(
 ) -> CqReport:
     """Evaluate both qualification conditions at the zero covector."""
     fam = branch_family(problem, kkt, np.zeros(problem.p), flavor, branch_cap)
-    lag = differentiate(problem, kkt.x, kkt.y, kkt.u)
-    M = coderivative_map_matrix(lag)
+    return _cq_report(fam, coderivative_map_matrix(kkt.lag))
+
+
+def _cq_report(fam: BranchFamily, M) -> CqReport:
     only_zero = True
     vanishes = True
     dim = fam.dim
@@ -285,7 +272,6 @@ class CoderivEstimate:
     result: PolySet
     cq: CqReport | None = None
     hypotheses: list[HypothesisRecord] = field(default_factory=list)
-    families: list[BranchFamily] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -313,8 +299,7 @@ def coderivative_lambda(
     """
     u_star = np.atleast_1d(np.asarray(u_star, dtype=float))
     fam = branch_family(problem, kkt, u_star, flavor, branch_cap)
-    lag = differentiate(problem, kkt.x, kkt.y, kkt.u)
-    M = coderivative_map_matrix(lag)
+    M = coderivative_map_matrix(kkt.lag)
     pieces = [
         Piece(br.poly, M, np.zeros(M.shape[0]), f"dlambda[{br.label}]")
         for br in fam.branches
@@ -341,7 +326,6 @@ def coderivative_lambda(
         result=PolySet(M.shape[0], pieces),
         cq=cq,
         hypotheses=hyps,
-        families=[fam],
     )
 
 
@@ -353,7 +337,6 @@ def coderivative_S(
     flavor: str = "M",
     branch_cap: int = DEFAULT_BRANCH_CAP,
     multiplier_vertices=None,
-    with_cq: bool = True,
 ) -> CoderivEstimate:
     """Upper estimate of the solution-map coderivative D*S(xbar|ybar)(ystar).
 
@@ -369,7 +352,7 @@ def coderivative_S(
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     ystar = np.atleast_1d(np.asarray(ystar, dtype=float))
-    n, m, p = problem.n, problem.m, problem.p
+    n, p = problem.n, problem.p
     hyps = []
     mfcq = kernel.check_mfcq(problem, xbar, ybar)
     hyps.append(HypothesisRecord("mfcq", VERIFIED if mfcq.holds else FAILED))
@@ -399,47 +382,33 @@ def coderivative_S(
         )
     )
     pieces = []
-    families = []
     cq_all = True
     for k, u in enumerate(multiplier_vertices):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        part = classify(problem, xbar, ybar, u)
-        kkt = KktPoint(
-            x=xbar,
-            y=ybar,
-            u=u,
-            partition=part,
-            kkt_residual=kkt_residual(problem, xbar, ybar, u),
-        )
+        kkt = kkt_point(problem, xbar, ybar, u)
         fam = branch_family(problem, kkt, np.zeros(p), flavor, branch_cap)
-        families.append(fam)
-        lag = differentiate(problem, xbar, ybar, u)
-        M = coderivative_map_matrix(lag)
+        M = coderivative_map_matrix(kkt.lag)
         x_rows, y_rows = M[:n], M[n:]
         for br in fam.branches:
             sliced = br.poly.with_eqs(y_rows, -ystar)
             pieces.append(
                 Piece(sliced, x_rows, np.zeros(n), f"dS[u{k}|{br.label}]")
             )
-        if with_cq:
-            rep = check_cq_lambda(problem, kkt, flavor, branch_cap)
-            if not rep.only_zero_preimage:
-                cq_all = False
-    if with_cq:
-        hyps.append(
-            HypothesisRecord(
-                "branch-map-injective-at-zero",
-                VERIFIED if cq_all else FAILED,
-                "required for validity of the solution-map estimate",
-            )
+        # the zero-covector family doubles as the one the CQ check needs
+        if not _cq_report(fam, M).only_zero_preimage:
+            cq_all = False
+    hyps.append(
+        HypothesisRecord(
+            "branch-map-injective-at-zero",
+            VERIFIED if cq_all else FAILED,
+            "required for validity of the solution-map estimate",
         )
+    )
     return CoderivEstimate(
         kind="S",
         covector=ystar,
         result=PolySet(n, pieces),
         cq=None,
         hypotheses=hyps,
-        families=families,
     )
 
 
@@ -453,14 +422,7 @@ def solution_map_lipschitz_like(
     if mult.empty:
         return False
     for u in mult.vertices:
-        part = classify(problem, xbar, ybar, u)
-        kkt = KktPoint(
-            x=np.atleast_1d(np.asarray(xbar, float)),
-            y=np.atleast_1d(np.asarray(ybar, float)),
-            u=u,
-            partition=part,
-            kkt_residual=kkt_residual(problem, xbar, ybar, u),
-        )
+        kkt = kkt_point(problem, xbar, ybar, u)
         if not check_cq_lambda(problem, kkt, "M", branch_cap).image_vanishes:
             return False
     return True
@@ -486,8 +448,6 @@ def hull_coderivative(
     gen_map: FiniteGeneratorMap,
     ybar,
     ystar,
-    qualification: str = "check",
-    weight_tol: float = 1e-9,
 ) -> CoderivEstimate:
     """Coderivative estimate of a hull-valued map at (xbar, ybar).
 
@@ -496,31 +456,27 @@ def hull_coderivative(
     support's weight polytope, and for each vertex weight a sums the
     per-generator coderivatives at the scaled covectors a_s * ystar.
 
-    With ``qualification="check"`` the zero-covector sum condition is
-    verified piecewise: it holds whenever every per-generator
-    coderivative at 0 is {0}.  Failure is recorded, not fatal.
+    The zero-covector sum condition is verified piecewise: it holds
+    whenever every per-generator coderivative at 0 is {0}.  Failure is
+    recorded, not fatal.
     """
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     ystar = np.atleast_1d(np.asarray(ystar, dtype=float))
     gens = [np.atleast_1d(np.asarray(g, float)) for g in gen_map.generators]
     d = ybar.shape[0]
-    hyps = []
-    if qualification == "check":
-        ok = True
-        for s in range(len(gens)):
-            if not gen_map.coderiv(s, np.zeros(d)).is_zero_singleton(tol=1e-9):
-                ok = False
-                break
-        hyps.append(
-            HypothesisRecord(
-                "hull-sum-qualification",
-                VERIFIED if ok else FAILED,
-                "each generator coderivative at 0 is {0}" if ok else
-                "a generator coderivative at 0 is nontrivial; sums may interact",
-            )
+    ok = True
+    for s in range(len(gens)):
+        if not gen_map.coderiv(s, np.zeros(d)).is_zero_singleton(tol=1e-9):
+            ok = False
+            break
+    hyps = [
+        HypothesisRecord(
+            "hull-sum-qualification",
+            VERIFIED if ok else FAILED,
+            "each generator coderivative at 0 is {0}" if ok else
+            "a generator coderivative at 0 is nontrivial; sums may interact",
         )
-    else:
-        hyps.append(HypothesisRecord("hull-sum-qualification", ASSUMED))
+    ]
 
     pieces_out: list[Piece] = []
     seen = set()
@@ -542,7 +498,7 @@ def hull_coderivative(
                 active = tuple(
                     (support[j], round(float(w[j]), 12))
                     for j in range(size)
-                    if w[j] > weight_tol
+                    if w[j] > 1e-9
                 )
                 if not active or active in seen:
                     continue

@@ -67,9 +67,5 @@ class LpStatusError(ValfunError):
     optimal, infeasible nor unbounded), so the query cannot be decided."""
 
 
-class EstimateEmptyError(ValfunError):
-    """An estimate came out empty; carries a diagnostic explanation."""
-
-
 class UsageError(ValfunError):
     """Bad command-line arguments."""

@@ -62,13 +62,6 @@ class SubdiffEstimate:
         }
 
 
-def _solve_minimizers(problem, xbar, minimizers):
-    if minimizers is not None:
-        return [np.atleast_1d(np.asarray(y, float)) for y in minimizers], False
-    res = kernel.solve_value(problem, xbar)
-    return res.minimizers, res.under_enumerated
-
-
 def danskin(
     problem: ParametricProblem,
     xbar,
@@ -98,7 +91,7 @@ def danskin(
     hyps.append(HypothesisRecord("concave-convex", cc_status))
     if hull is None:
         hull = cc_status in (VERIFIED, ASSERTED)
-    mins, under = _solve_minimizers(problem, xbar, minimizers)
+    mins, under = kernel.minimizers_at(problem, xbar, minimizers)
     gens = kernel._dedup_points([problem.grad_x_f(xbar, y) for y in mins])
     if hull:
         result = PolySet.from_hull(gens, provenance="danskin")
@@ -152,7 +145,7 @@ def convex_mfcq_subdiff(
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     hyps = []
     if y is None:
-        mins, _ = _solve_minimizers(problem, xbar, minimizers)
+        mins, _ = kernel.minimizers_at(problem, xbar, minimizers)
         y = mins[0]
     y = np.atleast_1d(np.asarray(y, float))
     mfcq = kernel.check_mfcq(problem, xbar, y)
@@ -198,7 +191,7 @@ def gauvin_dubeau(
     the union is an inclusion and is tagged so.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    mins, under = _solve_minimizers(problem, xbar, minimizers)
+    mins, under = kernel.minimizers_at(problem, xbar, minimizers)
     hyps = []
     pieces, gens = [], []
     for idx, y in enumerate(mins):

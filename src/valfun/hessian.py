@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .coderiv import (
     FiniteGeneratorMap,
     branch_family,
     build_branch_family,
+    coderivative_map_matrix,
     coderivative_S,
     hull_coderivative,
 )
@@ -48,15 +50,13 @@ from .errors import (
     HypothesisError,
 )
 from .model import (
-    DEFAULT_TOL_ACT,
     Const,
     KktPoint,
     ParametricProblem,
-    Partition,
     Var,
-    classify,
     differentiate,
-    kkt_residual,
+    kkt_point,
+    partition_of,
     verify_concave_convex,
 )
 from .reporting import (
@@ -183,7 +183,7 @@ def sensitivity_system(problem: ParametricProblem, kkt: KktPoint) -> Sensitivity
             f"active constraint gradients are dependent (rank {licq.rank} "
             f"of {len(licq.active)})"
         )
-    lag = differentiate(problem, kkt.x, kkt.y, kkt.u)
+    lag = kkt.lag
     m, p, n = problem.m, problem.p, problem.n
     K = np.zeros((m + p, m + p))
     K[:m, :m] = lag.Lyy
@@ -200,138 +200,379 @@ def sensitivity_system(problem: ParametricProblem, kkt: KktPoint) -> Sensitivity
     return SensitivityResult(ds=X[:m], du=X[m:], residual=residual, cond=float(cond))
 
 
-def _kkt_at(problem, x, y, u, tol_act: float = DEFAULT_TOL_ACT) -> KktPoint:
-    x = _fvec(x)
-    y = _fvec(y)
-    u = np.atleast_1d(np.asarray(u, dtype=float)) if problem.p else np.zeros(0)
-    return KktPoint(
-        x=x,
-        y=y,
-        u=u,
-        partition=classify(problem, x, y, u, tol_act),
-        kkt_residual=kkt_residual(problem, x, y, u),
-    )
-
-
-def _minimizer_list(problem, xbar, minimizers):
-    if minimizers is not None:
-        return [_fvec(y) for y in minimizers], False
-    res = kernel.solve_value(problem, xbar)
-    return res.minimizers, res.under_enumerated
-
-
 # ---------------------------------------------------------------------------
-# The composed estimate: multiplier-map branches chained with a
-# realization of the scalarized solution-map derivative
+# The general cases: generators, local derivatives, modes
+#
+# unperturbed, single-single, single-s and single-lambda run one pipeline.
+# Every minimizer is a generator.  Its local derivative along a covector is
+# the smooth sensitivity when a KKT system there is regular, else the
+# composed branch estimate.  A mode combines the generators: the first
+# alone, all of them, those whose gradient matches the base gradient
+# (selection), or the Caratheodory supports of the base gradient (hull).
 # ---------------------------------------------------------------------------
 
 
-def _solution_realizer(problem, xbar, ybar, mult_vertices, flavor, branch_cap, ds=None):
-    """How to realize directional derivatives of the solution map.
+class _Generator:
+    """Minimizer k at xbar as a generator of a general case.
 
-    Returns ("jacobian", ds) when a solution tangent is available (given
-    or computed from a regular KKT system), else ("coderiv", inner) with
-    the zero-covector branch families at every multiplier vertex, for the
-    product-space composition.
+    Its multiplier set is handed in by ``route`` or computed on first use;
+    the KKT point, the smooth sensitivity and the zero-covector branch
+    family at each multiplier vertex are built once.  Its gradient is
+    grad_x f in the unperturbed case, else the Lagrangian gradient at the
+    first multiplier vertex.
     """
-    if ds is not None:
-        return ("jacobian", np.asarray(ds, dtype=float))
-    for u in mult_vertices:
-        try:
-            sens = sensitivity_system(problem, _kkt_at(problem, xbar, ybar, u))
-            return ("jacobian", sens.ds)
-        except DegeneracyError:
-            continue
-    inner = []
-    for u in mult_vertices:
-        kkt = _kkt_at(problem, xbar, ybar, u)
-        fam = branch_family(problem, kkt, np.zeros(problem.p), flavor, branch_cap)
-        inner.append((fam, differentiate(problem, xbar, ybar, u)))
-    return ("coderiv", inner)
+
+    def __init__(self, problem, xbar, k, y, case, mult, flavor, branch_cap):
+        self.problem, self.xbar, self.k, self.y, self.case = problem, xbar, k, y, case
+        self.flavor, self.branch_cap = flavor, branch_cap
+        self._mult = mult
+        self._kkt, self._sens, self._fam0 = {}, {}, {}
+
+    @property
+    def mult(self):
+        if self._mult is None:
+            self._mult = kernel.multipliers(self.problem, self.xbar, self.y)
+        return self._mult
+
+    def kkt(self, j) -> KktPoint:
+        if j not in self._kkt:
+            self._kkt[j] = kkt_point(self.problem, self.xbar, self.y, self.mult.vertices[j])
+        return self._kkt[j]
+
+    def sensitivity(self, j):
+        """The SensitivityResult at vertex j, or the DegeneracyError refusing it."""
+        if j not in self._sens:
+            try:
+                self._sens[j] = sensitivity_system(self.problem, self.kkt(j))
+            except DegeneracyError as exc:
+                self._sens[j] = exc
+        return self._sens[j]
+
+    def tangent(self, js):
+        """The sensitivity at the first regular vertex among js, or None."""
+        for j in js:
+            sens = self.sensitivity(j)
+            if isinstance(sens, SensitivityResult):
+                return sens
+        return None
+
+    def family0(self, j):
+        if j not in self._fam0:
+            self._fam0[j] = branch_family(
+                self.problem, self.kkt(j), np.zeros(self.problem.p), self.flavor, self.branch_cap
+            )
+        return self._fam0[j]
+
+    @cached_property
+    def lag0(self):
+        """Lagrangian blocks at u = 0, i.e. the objective's; a zero
+        multiplier vertex's KKT point already holds them."""
+        for j, u in enumerate(self.mult.vertices):
+            if not np.any(u):
+                return self.kkt(j).lag
+        return differentiate(self.problem, self.xbar, self.y, np.zeros(self.problem.p))
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        if self.case == "unperturbed":
+            return self.problem.grad_x_f(self.xbar, self.y)
+        return self.kkt(0).lag.grad_x_L
 
 
-def _compose_pieces(problem, xbar, ybar, u, xstar, realizer, flavor, branch_cap, tag):
+def _compose_pieces(gen, j, xstar, js, tag):
     """Pieces of  Lxx x* + zeta_x + D<zeta_y + Lyx x*, s>  where zeta runs
-    over the multiplier-map branch images at input covector gx x*.
+    over the multiplier-map branch images at input covector gx x*, at
+    multiplier vertex j, and s is the solution map realized at the
+    vertices js.
 
-    With a solution tangent the inner term is affine in zeta; otherwise
-    each inner branch family is chained in product space with the linking
-    equality that the inner covector match -(zeta_y + Lyx x*).
+    With a solution tangent (from the first regular KKT system among js)
+    the inner term is affine in zeta; otherwise the zero-covector branch
+    family at each vertex of js is chained in product space with the
+    linking equality that the inner covector match -(zeta_y + Lyx x*).
     """
-    lag = differentiate(problem, xbar, ybar, u)
-    n = problem.n
-    kkt = _kkt_at(problem, xbar, ybar, u)
+    problem, n = gen.problem, gen.problem.n
+    kkt = gen.kkt(j)
+    lag = kkt.lag
     ustar_in = lag.gx @ xstar if problem.p else np.zeros(0)
-    fam = branch_family(problem, kkt, ustar_in, flavor, branch_cap)
-    Mx = np.hstack([lag.Lxy, lag.gx.T])
-    My = np.hstack([lag.Lyy, lag.gy.T])
+    fam = branch_family(problem, kkt, ustar_in, gen.flavor, gen.branch_cap)
+    M = coderivative_map_matrix(lag)
+    Mx, My = M[:n], M[n:]
     base = lag.Lxx @ xstar
     v_const = lag.Lyx @ xstar
+    sens = gen.tangent(js)
+    if sens is not None:
+        A = Mx + sens.ds.T @ My
+        off = base + sens.ds.T @ v_const
+        return [Piece(br.poly, A, off, f"{tag}[{br.label}]") for br in fam.branches]
     pieces = []
-    kind = realizer[0]
-    if kind == "jacobian":
-        ds = realizer[1]
-        A = Mx + ds.T @ My
-        off = base + ds.T @ v_const
-        for br in fam.branches:
-            pieces.append(Piece(br.poly, A, off, f"{tag}[{br.label}]"))
-    elif kind == "coderiv":
-        for br in fam.branches:
-            for k2, (fam2, lag2) in enumerate(realizer[1]):
-                Mx2 = np.hstack([lag2.Lxy, lag2.gx.T])
-                My2 = np.hstack([lag2.Lyy, lag2.gy.T])
-                for br2 in fam2.branches:
-                    prod = br.poly.product(br2.poly)
-                    prod = prod.with_eqs(np.hstack([My, My2]), -v_const)
-                    pieces.append(
-                        Piece(
-                            prod,
-                            np.hstack([Mx, Mx2]),
-                            base,
-                            f"{tag}[{br.label}|u{k2}:{br2.label}]",
-                        )
-                    )
-    else:  # "fd": a bag of finite-difference solution Jacobians
-        for j, J in enumerate(realizer[1]):
-            A = Mx + J.T @ My
-            off = base + J.T @ v_const
-            for br in fam.branches:
-                pieces.append(Piece(br.poly, A, off, f"{tag}-fd{j}[{br.label}]"))
+    for br in fam.branches:
+        for k2, j2 in enumerate(js):
+            M2 = coderivative_map_matrix(gen.kkt(j2).lag)
+            for br2 in gen.family0(j2).branches:
+                prod = br.poly.product(br2.poly)
+                prod = prod.with_eqs(np.hstack([My, M2[n:]]), -v_const)
+                pieces.append(Piece(prod, np.hstack([Mx, M2[:n]]), base,
+                                    f"{tag}[{br.label}|u{k2}:{br2.label}]"))
     return pieces
 
 
-# ---------------------------------------------------------------------------
-# Case: unperturbed feasible set (constraints free of x)
-# ---------------------------------------------------------------------------
+def _local_derivative(gen, w, hyps=None, frozen=None):
+    """(estimate, smooth): the derivative of one generator along w.
 
-
-def _unperturbed_point_estimate(problem, xbar, xstar, y, flavor, branch_cap, hyps):
-    """Estimate contribution of one minimizer: fxx x* plus a realization
-    of the derivative of x -> grad_x f(x, s(x)) through the local
-    solution branch."""
-    lag0 = differentiate(problem, xbar, y, np.zeros(problem.p))
-    base = lag0.Lxx @ xstar
-    v = lag0.Lyx @ xstar
-    mult = kernel.multipliers(problem, xbar, y)
-    if mult.empty:
-        raise HypothesisError("no multiplier exists at a minimizer; MFCQ fails there")
-    for u in mult.vertices:
-        try:
-            sens = sensitivity_system(problem, _kkt_at(problem, xbar, y, u))
-            pt = base + sens.ds.T @ v
-            return PolySet.from_point(pt, "unperturbed-smooth"), True
-        except DegeneracyError:
-            continue
-    hyps.append(
-        HypothesisRecord(
-            "smooth-solution-branch",
-            FAILED,
-            "KKT system degenerate at the minimizer; composed estimate used",
+    Smooth: for the unperturbed case  Lxx w + ds^T (Lyx w)  with u = 0
+    blocks and the tangent of the first regular multiplier vertex; else
+    (Lxx + ds^T Lyx + du^T gx) w  at the first vertex.  Otherwise the
+    composed estimate: the solution-map coderivative at Lyx w shifted by
+    Lxx w (unperturbed), or the multiplier-map branches chained with the
+    solution map, over every vertex for single-s.  In hull mode
+    (``frozen`` a list) an unperturbed generator without a tangent is
+    differentiated with its minimizer frozen and its index is recorded.
+    The records of an unperturbed fallback go to ``hyps``.
+    """
+    problem, k = gen.problem, gen.k
+    if gen.case == "unperturbed":
+        lag0 = gen.lag0
+        sens = gen.tangent(range(len(gen.mult.vertices)))
+        if sens is not None:
+            tag = "unperturbed-smooth" if frozen is None else f"gen{k}"
+            return PolySet.from_point(lag0.Lxx @ w + sens.ds.T @ (lag0.Lyx @ w), tag), True
+        if frozen is not None:
+            if k not in frozen:
+                frozen.append(k)
+            return PolySet.from_point(lag0.Lxx @ w, f"gen{k}-frozen"), False
+        if gen.mult.empty:
+            raise HypothesisError("no multiplier exists at a minimizer; MFCQ fails there")
+        hyps.append(
+            HypothesisRecord(
+                "smooth-solution-branch",
+                FAILED,
+                "KKT system degenerate at the minimizer; composed estimate used",
+            )
         )
+        est = coderivative_S(problem, gen.xbar, gen.y, lag0.Lyx @ w, gen.flavor, gen.branch_cap)
+        hyps.extend(est.hypotheses)
+        return est.result.map(np.eye(problem.n), lag0.Lxx @ w), False
+    if gen.case == "single-s":
+        js = range(len(gen.mult.vertices))
+        tags = [f"sS[y{k}u{j}]" for j in js]
+    else:
+        sens = gen.sensitivity(0)
+        if isinstance(sens, SensitivityResult):
+            lag = gen.kkt(0).lag
+            H = lag.Lxx + sens.ds.T @ lag.Lyx + (sens.du.T @ lag.gx if problem.p else 0.0)
+            tag = "single-single" if gen.case == "single-single" else f"sl[y{k}]"
+            return PolySet.from_point(H @ w, tag), True
+        js, tags = [0], ["ss" if gen.case == "single-single" else f"sl[y{k}]"]
+    pieces = []
+    for j, tag in zip(js, tags):
+        pieces.extend(_compose_pieces(gen, j, w, js, tag))
+    return PolySet(problem.n, pieces), False
+
+
+def _combine(case, gens, query, mode, hyps, under) -> HessianEstimate:
+    """Combine the generators' local derivatives at xstar by ``mode``:
+    "single" (the first generator), "union" (all), "selection" (those
+    whose gradient matches the base gradient) or "hull" (supports of the
+    base gradient among the generator gradients, weighted)."""
+    xund, xstar = _fvec(query.xund), _fvec(query.xstar)
+    n = gens[0].problem.n
+    supports = None
+    equality = False
+    if mode == "hull":
+        frozen = []
+        gen_map = FiniteGeneratorMap(
+            generators=[g.gradient for g in gens],
+            coderiv=lambda k, w: _local_derivative(gens[k], _fvec(w), frozen=frozen)[0],
+            target_dim=n,
+        )
+        est = hull_coderivative(gen_map, xund, xstar)
+        hyps.extend(est.hypotheses)
+        hyps.append(
+            HypothesisRecord(
+                "generator-stability",
+                ASSUMED,
+                "minimizer branches treated as a locally fixed generator family",
+            )
+        )
+        if frozen:
+            hyps.append(
+                HypothesisRecord(
+                    "frozen-minimizer-generators",
+                    ASSUMED,
+                    f"no solution tangent at minimizers {frozen}; "
+                    "their generators were differentiated with the minimizer frozen",
+                )
+            )
+        result = est.result
+        supports = sorted({pc.provenance.split("|")[0] for pc in result.pieces})
+        theorem = f"{case}-hull"
+    elif mode == "single":
+        result, equality = _local_derivative(gens[0], xstar, hyps)
+        theorem = f"{case}-smooth" if equality else f"{case}-composed"
+    else:
+        chosen = gens
+        theorem = f"{case}-composed"
+        if mode == "selection":
+            chosen = _selected(gens, xund)
+            if not chosen:
+                kind = "objective" if case == "unperturbed" else "Lagrangian"
+                raise HypothesisError(
+                    f"base gradient matches no minimizer's {kind} gradient; "
+                    "use the hull mode for interior base gradients"
+                )
+            hyps.append(
+                HypothesisRecord(
+                    "gradient-selection",
+                    VERIFIED,
+                    f"{len(chosen)} of {len(gens)} minimizers match the base gradient",
+                )
+            )
+            theorem = f"{case}-selection"
+        result = PolySet.empty(n)
+        for g in chosen:
+            part, smooth = _local_derivative(g, xstar, hyps)
+            if not smooth and case == "single-lambda":
+                hyps.append(
+                    HypothesisRecord(
+                        f"kkt-system-regular[y{g.k}]",
+                        FAILED,
+                        "composed estimate used at this minimizer",
+                    )
+                )
+            result = result.union(part)
+    return HessianEstimate(
+        query=query,
+        case=case,
+        theorem=theorem,
+        result=result,
+        hypotheses=hyps,
+        equality=equality,
+        under_enumerated=under,
+        supports=supports,
     )
-    est = coderivative_S(problem, xbar, y, v, flavor, branch_cap)
-    hyps.extend(est.hypotheses)
-    return est.result.map(np.eye(problem.n), base), False
+
+
+def _selected(gens, xund):
+    return [g for g in gens if float(np.max(np.abs(g.gradient - xund))) <= SELECTION_TOL]
+
+
+#: Mode names the public entry points accept, by case, with the pipeline
+#: mode each stands for.
+_MODE_NAMES = {
+    "unperturbed": ("unperturbed sub-mode",
+                    {"single": "single", "multi": "selection", "caratheodory": "hull"}),
+    "single-lambda": ("single-lambda mode", {"selection": "selection", "caratheodory": "hull"}),
+}
+
+
+def _general(problem, query, case, minimizers=None, mults=None, mode="auto",
+             flavor="M", branch_cap=DEFAULT_BRANCH_CAP) -> HessianEstimate:
+    """One general case: its generators (the minimizers, with ``mults``
+    their multiplier sets when known), the case's own hypotheses, and the
+    mode that combines the generators ("auto" picks it)."""
+    if case == "unperturbed" and not problem.constraints_x_free():
+        raise CaseRoutingError("unperturbed case requires constraints free of x")
+    xbar, xund = _fvec(query.xbar), _fvec(query.xund)
+    mins, under = kernel.minimizers_at(problem, xbar, minimizers)
+    if not mins:
+        raise HypothesisError("no minimizer available at xbar")
+    gens = [
+        _Generator(problem, xbar, k, y, case, mults[k] if mults else None, flavor, branch_cap)
+        for k, y in enumerate(mins)
+    ]
+    hyps = []
+    if case == "unperturbed":
+        hyps.append(
+            HypothesisRecord(
+                "minimizer-enumeration",
+                ASSUMED if under else VERIFIED,
+                f"{len(mins)} minimizer(s), "
+                + ("heuristic search" if under else "exact/pinned"),
+            )
+        )
+    elif case in ("single-single", "single-s"):
+        hyps.append(
+            HypothesisRecord(
+                "solution-single-valued",
+                VERIFIED if len(mins) == 1 else FAILED,
+                f"{len(mins)} minimizer(s) found (pointwise check)",
+            )
+        )
+    if case == "single-single":
+        gen = gens[0]
+        if gen.mult.empty:
+            raise HypothesisError("no multiplier exists at (xbar, ybar)")
+        hyps.append(
+            HypothesisRecord(
+                "multiplier-single-valued",
+                VERIFIED if gen.mult.is_singleton() else FAILED,
+                f"{len(gen.mult.vertices)} multiplier vertex(es)",
+            )
+        )
+        sens = gen.sensitivity(0)
+        if isinstance(sens, SensitivityResult):
+            hyps.append(
+                HypothesisRecord(
+                    "kkt-system-regular",
+                    VERIFIED,
+                    f"condition {sens.cond:.2e}, residual {sens.residual:.2e}",
+                )
+            )
+        else:
+            hyps.append(HypothesisRecord("kkt-system-regular", FAILED, str(sens)))
+            mfcq = kernel.check_mfcq(problem, xbar, gen.y)
+            hyps.append(HypothesisRecord("mfcq", VERIFIED if mfcq.holds else FAILED))
+    for gen in gens if case == "single-s" else ():
+        k = gen.k
+        mfcq = kernel.check_mfcq(problem, xbar, gen.y)
+        hyps.append(HypothesisRecord(f"mfcq[y{k}]", VERIFIED if mfcq.holds else FAILED))
+        if not mfcq.holds:
+            raise HypothesisError("MFCQ fails at a minimizer")
+        if gen.mult.empty:
+            raise HypothesisError("no multiplier exists at a minimizer")
+        if not gen.mult.bounded:
+            hyps.append(HypothesisRecord(f"bounded-multipliers[y{k}]", FAILED))
+        if not gen.mult.is_singleton():
+            hyps.append(
+                HypothesisRecord(
+                    f"multiplier-vertex-union[y{k}]",
+                    ASSUMED,
+                    f"union over {len(gen.mult.vertices)} polytope vertices only",
+                )
+            )
+    if case == "single-lambda":
+        for gen in gens:
+            if gen.mult.empty:
+                raise HypothesisError("no multiplier exists at a minimizer")
+            if not gen.mult.is_singleton():
+                hyps.append(
+                    HypothesisRecord(
+                        f"multiplier-single-valued[y{gen.k}]",
+                        FAILED,
+                        f"{len(gen.mult.vertices)} vertices; first vertex used",
+                    )
+                )
+        cc = verify_concave_convex(problem)
+        hyps.append(
+            HypothesisRecord(
+                "concave-convex-shape",
+                VERIFIED if cc == "verified" else (ASSERTED if cc == "asserted" else NOT_CHECKED),
+                f"shape check: {cc}",
+            )
+        )
+    if case in ("single-single", "single-s"):
+        mode = "single" if case == "single-single" else "union"
+    elif mode == "auto":
+        if case == "unperturbed" and len(gens) == 1:
+            mode = "single"
+        else:
+            mode = "selection" if _selected(gens, xund) else "hull"
+    else:
+        label, names = _MODE_NAMES[case]
+        if mode not in names:
+            raise ValueError(f"unknown {label} {mode!r}")
+        mode = names[mode]
+    return _combine(case, gens, query, mode, hyps, under)
 
 
 def hessian_unperturbed(
@@ -349,136 +590,7 @@ def hessian_unperturbed(
     gradient), "caratheodory" (hull treatment with supports of at most
     n+1 minimizers, for base gradients strictly inside the hull).
     """
-    if not problem.constraints_x_free():
-        raise CaseRoutingError("unperturbed case requires constraints free of x")
-    xbar, xund, xstar = _fvec(query.xbar), _fvec(query.xund), _fvec(query.xstar)
-    n = problem.n
-    mins, under = _minimizer_list(problem, xbar, minimizers)
-    if not mins:
-        raise HypothesisError("no minimizer available at xbar")
-    hyps = [
-        HypothesisRecord(
-            "minimizer-enumeration",
-            ASSUMED if under else VERIFIED,
-            f"{len(mins)} minimizer(s), "
-            + ("heuristic search" if under else "exact/pinned"),
-        )
-    ]
-    grads = [problem.grad_x_f(xbar, y) for y in mins]
-    sel = [
-        k
-        for k, bk in enumerate(grads)
-        if float(np.max(np.abs(bk - xund))) <= SELECTION_TOL
-    ]
-    if smode == "auto":
-        if len(mins) == 1:
-            smode = "single"
-        elif sel:
-            smode = "multi"
-        else:
-            smode = "caratheodory"
-
-    if smode == "single":
-        result, smooth = _unperturbed_point_estimate(
-            problem, xbar, xstar, mins[0], flavor, branch_cap, hyps
-        )
-        return HessianEstimate(
-            query=query,
-            case="unperturbed",
-            theorem="unperturbed-smooth" if smooth else "unperturbed-composed",
-            result=result,
-            hypotheses=hyps,
-            equality=smooth,
-            under_enumerated=under,
-        )
-
-    if smode == "multi":
-        if not sel:
-            raise HypothesisError(
-                "base gradient matches no minimizer's objective gradient; "
-                "use the hull mode for interior base gradients"
-            )
-        hyps.append(
-            HypothesisRecord(
-                "gradient-selection",
-                VERIFIED,
-                f"{len(sel)} of {len(mins)} minimizers match the base gradient",
-            )
-        )
-        result = PolySet.empty(n)
-        smooth_all = True
-        for k in sel:
-            part, smooth = _unperturbed_point_estimate(
-                problem, xbar, xstar, mins[k], flavor, branch_cap, hyps
-            )
-            smooth_all = smooth_all and smooth
-            result = result.union(part)
-        return HessianEstimate(
-            query=query,
-            case="unperturbed",
-            theorem="unperturbed-selection",
-            result=result,
-            hypotheses=hyps,
-            equality=False,
-            under_enumerated=under,
-        )
-
-    if smode != "caratheodory":
-        raise ValueError(f"unknown unperturbed sub-mode {smode!r}")
-
-    frozen_logged = []
-
-    def _gen_coderiv(k, w):
-        w = _fvec(w)
-        lagk = differentiate(problem, xbar, mins[k], np.zeros(problem.p))
-        mult = kernel.multipliers(problem, xbar, mins[k])
-        for u in mult.vertices:
-            try:
-                sens = sensitivity_system(problem, _kkt_at(problem, xbar, mins[k], u))
-                return PolySet.from_point(
-                    lagk.Lxx @ w + sens.ds.T @ (lagk.Lyx @ w), f"gen{k}"
-                )
-            except DegeneracyError:
-                continue
-        if k not in frozen_logged:
-            frozen_logged.append(k)
-        return PolySet.from_point(lagk.Lxx @ w, f"gen{k}-frozen")
-
-    gen_map = FiniteGeneratorMap(generators=grads, coderiv=_gen_coderiv, target_dim=n)
-    est = hull_coderivative(gen_map, xund, xstar, qualification="check")
-    hyps.extend(est.hypotheses)
-    hyps.append(
-        HypothesisRecord(
-            "generator-stability",
-            ASSUMED,
-            "minimizer branches treated as a locally fixed generator family",
-        )
-    )
-    if frozen_logged:
-        hyps.append(
-            HypothesisRecord(
-                "frozen-minimizer-generators",
-                ASSUMED,
-                f"no solution tangent at minimizers {frozen_logged}; "
-                "their generators were differentiated with the minimizer frozen",
-            )
-        )
-    supports = sorted({pc.provenance.split("|")[0] for pc in est.result.pieces})
-    return HessianEstimate(
-        query=query,
-        case="unperturbed",
-        theorem="unperturbed-hull",
-        result=est.result,
-        hypotheses=hyps,
-        equality=False,
-        under_enumerated=under,
-        supports=supports,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Case: unique minimizer, unique multiplier
-# ---------------------------------------------------------------------------
+    return _general(problem, query, "unperturbed", minimizers, None, smode, flavor, branch_cap)
 
 
 def hessian_single_single(
@@ -492,72 +604,8 @@ def hessian_single_single(
     single matrix  Lxx + ds^T Lyx + du^T gx  applied to xstar whenever
     the KKT system is regular; otherwise the composed branch estimate
     with the same multiplier."""
-    xbar, xstar = _fvec(query.xbar), _fvec(query.xstar)
-    mins, under = _minimizer_list(problem, xbar, minimizers)
-    if not mins:
-        raise HypothesisError("no minimizer available at xbar")
-    ybar = mins[0]
-    hyps = [
-        HypothesisRecord(
-            "solution-single-valued",
-            VERIFIED if len(mins) == 1 else FAILED,
-            f"{len(mins)} minimizer(s) found (pointwise check)",
-        )
-    ]
-    mult = kernel.multipliers(problem, xbar, ybar)
-    if mult.empty:
-        raise HypothesisError("no multiplier exists at (xbar, ybar)")
-    hyps.append(
-        HypothesisRecord(
-            "multiplier-single-valued",
-            VERIFIED if mult.is_singleton() else FAILED,
-            f"{len(mult.vertices)} multiplier vertex(es)",
-        )
-    )
-    u = mult.vertices[0]
-    kkt = _kkt_at(problem, xbar, ybar, u)
-    try:
-        sens = sensitivity_system(problem, kkt)
-        lag = differentiate(problem, xbar, ybar, u)
-        H = lag.Lxx + sens.ds.T @ lag.Lyx + (sens.du.T @ lag.gx if problem.p else 0.0)
-        hyps.append(
-            HypothesisRecord(
-                "kkt-system-regular",
-                VERIFIED,
-                f"condition {sens.cond:.2e}, residual {sens.residual:.2e}",
-            )
-        )
-        return HessianEstimate(
-            query=query,
-            case="single-single",
-            theorem="single-single-smooth",
-            result=PolySet.from_point(H @ xstar, "single-single"),
-            hypotheses=hyps,
-            equality=True,
-            under_enumerated=under,
-        )
-    except DegeneracyError as exc:
-        hyps.append(HypothesisRecord("kkt-system-regular", FAILED, str(exc)))
-    realizer = _solution_realizer(problem, xbar, ybar, [u], flavor, branch_cap)
-    mfcq = kernel.check_mfcq(problem, xbar, ybar)
-    hyps.append(HypothesisRecord("mfcq", VERIFIED if mfcq.holds else FAILED))
-    pieces = _compose_pieces(
-        problem, xbar, ybar, u, xstar, realizer, flavor, branch_cap, "ss"
-    )
-    return HessianEstimate(
-        query=query,
-        case="single-single",
-        theorem="single-single-composed",
-        result=PolySet(problem.n, pieces),
-        hypotheses=hyps,
-        equality=False,
-        under_enumerated=under,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Case: unique minimizer, polyhedral multiplier set
-# ---------------------------------------------------------------------------
+    return _general(problem, query, "single-single", minimizers, None, "auto", flavor,
+                    branch_cap)
 
 
 def hessian_single_s(
@@ -566,75 +614,12 @@ def hessian_single_s(
     minimizers=None,
     flavor: str = "M",
     branch_cap: int = DEFAULT_BRANCH_CAP,
-    solution_jacobian=None,
 ) -> HessianEstimate:
     """Single-valued solution map with a multiplier polytope: union over
-    multiplier vertices of the composed branch estimates.
-
-    ``solution_jacobian`` supplies a known solution tangent (m x n) when
-    the solution happens to be differentiable despite degenerate
-    multipliers; otherwise the inner derivative is realized through the
-    zero-covector branch families.
-    """
-    xbar, xstar = _fvec(query.xbar), _fvec(query.xstar)
-    mins, under = _minimizer_list(problem, xbar, minimizers)
-    if not mins:
-        raise HypothesisError("no minimizer available at xbar")
-    hyps = [
-        HypothesisRecord(
-            "solution-single-valued",
-            VERIFIED if len(mins) == 1 else FAILED,
-            f"{len(mins)} minimizer(s) found (pointwise check)",
-        )
-    ]
-    pieces = []
-    for k, ybar in enumerate(mins):
-        mfcq = kernel.check_mfcq(problem, xbar, ybar)
-        hyps.append(
-            HypothesisRecord(
-                f"mfcq[y{k}]", VERIFIED if mfcq.holds else FAILED
-            )
-        )
-        if not mfcq.holds:
-            raise HypothesisError("MFCQ fails at a minimizer")
-        mult = kernel.multipliers(problem, xbar, ybar)
-        if mult.empty:
-            raise HypothesisError("no multiplier exists at a minimizer")
-        if not mult.bounded:
-            hyps.append(HypothesisRecord(f"bounded-multipliers[y{k}]", FAILED))
-        if not mult.is_singleton():
-            hyps.append(
-                HypothesisRecord(
-                    f"multiplier-vertex-union[y{k}]",
-                    ASSUMED,
-                    f"union over {len(mult.vertices)} polytope vertices only",
-                )
-            )
-        realizer = _solution_realizer(
-            problem, xbar, ybar, mult.vertices, flavor, branch_cap,
-            ds=solution_jacobian,
-        )
-        for j, u in enumerate(mult.vertices):
-            pieces.extend(
-                _compose_pieces(
-                    problem, xbar, ybar, u, xstar, realizer, flavor, branch_cap,
-                    f"sS[y{k}u{j}]",
-                )
-            )
-    return HessianEstimate(
-        query=query,
-        case="single-s",
-        theorem="single-s-composed",
-        result=PolySet(problem.n, pieces),
-        hypotheses=hyps,
-        equality=False,
-        under_enumerated=under,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Case: several minimizers, one multiplier each
-# ---------------------------------------------------------------------------
+    multiplier vertices of the composed branch estimates, with the inner
+    derivative realized by a solution tangent when one exists and by the
+    zero-covector branch families otherwise."""
+    return _general(problem, query, "single-s", minimizers, None, "auto", flavor, branch_cap)
 
 
 def hessian_single_lambda(
@@ -653,126 +638,7 @@ def hessian_single_lambda(
     n+1 Lagrangian gradients and the per-minimizer derivatives are
     Minkowski-summed with the combination weights.
     """
-    xbar, xund, xstar = _fvec(query.xbar), _fvec(query.xund), _fvec(query.xstar)
-    n = problem.n
-    mins, under = _minimizer_list(problem, xbar, minimizers)
-    if not mins:
-        raise HypothesisError("no minimizer available at xbar")
-    uniq = []
-    gens = []
-    hyps = []
-    for k, y in enumerate(mins):
-        mult = kernel.multipliers(problem, xbar, y)
-        if mult.empty:
-            raise HypothesisError("no multiplier exists at a minimizer")
-        if not mult.is_singleton():
-            hyps.append(
-                HypothesisRecord(
-                    f"multiplier-single-valued[y{k}]",
-                    FAILED,
-                    f"{len(mult.vertices)} vertices; first vertex used",
-                )
-            )
-        u = mult.vertices[0]
-        uniq.append(u)
-        gens.append(differentiate(problem, xbar, y, u).grad_x_L)
-    sel = [
-        k
-        for k, bk in enumerate(gens)
-        if float(np.max(np.abs(bk - xund))) <= SELECTION_TOL
-    ]
-    cc = verify_concave_convex(problem)
-    hyps.append(
-        HypothesisRecord(
-            "concave-convex-shape",
-            VERIFIED if cc == "verified" else (ASSERTED if cc == "asserted" else NOT_CHECKED),
-            f"shape check: {cc}",
-        )
-    )
-    if mode == "auto":
-        mode = "selection" if sel else "caratheodory"
-
-    def _point_set(k, w):
-        try:
-            sens = sensitivity_system(problem, _kkt_at(problem, xbar, mins[k], uniq[k]))
-            lag = differentiate(problem, xbar, mins[k], uniq[k])
-            H = lag.Lxx + sens.ds.T @ lag.Lyx + (
-                sens.du.T @ lag.gx if problem.p else 0.0
-            )
-            return PolySet.from_point(H @ w, f"sl[y{k}]"), True
-        except DegeneracyError:
-            realizer = _solution_realizer(
-                problem, xbar, mins[k], [uniq[k]], flavor, branch_cap
-            )
-            pieces = _compose_pieces(
-                problem, xbar, mins[k], uniq[k], w, realizer, flavor, branch_cap,
-                f"sl[y{k}]",
-            )
-            return PolySet(n, pieces), False
-
-    if mode == "selection":
-        if not sel:
-            raise HypothesisError(
-                "base gradient matches no minimizer's Lagrangian gradient; "
-                "use the hull mode for interior base gradients"
-            )
-        hyps.append(
-            HypothesisRecord(
-                "gradient-selection",
-                VERIFIED,
-                f"{len(sel)} of {len(mins)} minimizers match the base gradient",
-            )
-        )
-        result = PolySet.empty(n)
-        for k in sel:
-            part, smooth = _point_set(k, xstar)
-            if not smooth:
-                hyps.append(
-                    HypothesisRecord(
-                        f"kkt-system-regular[y{k}]",
-                        FAILED,
-                        "composed estimate used at this minimizer",
-                    )
-                )
-            result = result.union(part)
-        return HessianEstimate(
-            query=query,
-            case="single-lambda",
-            theorem="single-lambda-selection",
-            result=result,
-            hypotheses=hyps,
-            equality=False,
-            under_enumerated=under,
-        )
-
-    if mode != "caratheodory":
-        raise ValueError(f"unknown single-lambda mode {mode!r}")
-
-    gen_map = FiniteGeneratorMap(
-        generators=gens,
-        coderiv=lambda k, w: _point_set(k, _fvec(w))[0],
-        target_dim=n,
-    )
-    est = hull_coderivative(gen_map, xund, xstar, qualification="check")
-    hyps.extend(est.hypotheses)
-    hyps.append(
-        HypothesisRecord(
-            "generator-stability",
-            ASSUMED,
-            "minimizer branches treated as a locally fixed generator family",
-        )
-    )
-    supports = sorted({pc.provenance.split("|")[0] for pc in est.result.pieces})
-    return HessianEstimate(
-        query=query,
-        case="single-lambda",
-        theorem="single-lambda-hull",
-        result=est.result,
-        hypotheses=hyps,
-        equality=False,
-        under_enumerated=under,
-        supports=supports,
-    )
+    return _general(problem, query, "single-lambda", minimizers, None, mode, flavor, branch_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -780,26 +646,16 @@ def hessian_single_lambda(
 # ---------------------------------------------------------------------------
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return Fraction(int(v))
-    if isinstance(v, str):
-        return Fraction(v)
-    return Fraction(v)  # floats convert exactly (binary expansion)
-
-
 def _frac_vec(v) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(v, dtype=object))
-    return np.array([_frac(x) for x in arr], dtype=object)
+    return np.array([Fraction(x) for x in arr], dtype=object)
 
 
 def _frac_mat(M) -> np.ndarray:
     M = np.asarray(M, dtype=object)
     if M.ndim != 2:
         raise ValueError("matrix expected")
-    return np.array([[_frac(v) for v in row] for row in M], dtype=object)
+    return np.array([[Fraction(v) for v in row] for row in M], dtype=object)
 
 
 def _ozeros(r, c) -> np.ndarray:
@@ -820,16 +676,9 @@ def _omatvec(M, v) -> np.ndarray:
     )
 
 
-def _exact_partition(g_vals, u_vals) -> Partition:
-    eta, theta, nu = [], [], []
-    for i in range(len(u_vals)):
-        if u_vals[i] > 0:
-            nu.append(i)
-        elif g_vals[i] == 0:
-            theta.append(i)
-        else:
-            eta.append(i)
-    return Partition(eta=tuple(eta), theta=tuple(theta), nu=tuple(nu), ambiguous=())
+def _exact_estimate(query, case, result, hyps, under=False) -> HessianEstimate:
+    return HessianEstimate(query=query, case=case, theorem=case, result=result, hypotheses=hyps,
+                           exact=True, under_enumerated=under)
 
 
 def lp_lhs_hessian(
@@ -858,21 +707,7 @@ def lp_lhs_hessian(
     if any(gi > 0 for gi in g):
         raise HypothesisError("base gradient is not feasible for the program (exact)")
     inactive = [i for i in range(p) if g[i] < 0]
-    rows = [list(A.T[j]) for j in range(m)]
-    rhs = [-xbar[j] for j in range(m)]
-    for i in inactive:
-        row = [Fraction(0)] * p
-        row[i] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    mult_poly = Polyhedron(
-        p,
-        C=-_oeye(p),
-        d=np.array([Fraction(0)] * p, dtype=object),
-        C_eq=np.array(rows, dtype=object),
-        d_eq=np.array(rhs, dtype=object),
-    )
-    vf = mult_poly.vertices()
+    vf = kernel.multiplier_polyhedron(A, xbar, inactive).vertices()
     if vf.empty:
         raise HypothesisError(
             "no multiplier certifies optimality: the base gradient is not a "
@@ -894,23 +729,14 @@ def lp_lhs_hessian(
     zeros_m = np.array([Fraction(0)] * m, dtype=object)
     pieces = []
     for j, u in enumerate(vf.vertices):
-        part = _exact_partition(g, u)
+        part = partition_of(g, u, 0)
         fam = build_branch_family(
             A, part, np.array([Fraction(0)] * p, dtype=object), flavor, branch_cap
         )
         for br in fam.branches:
             sliced = br.poly.with_eqs(slice_rows, -xstar)
             pieces.append(Piece(sliced, proj, zeros_m, f"lp-lhs[u{j}|{br.label}]"))
-    return HessianEstimate(
-        query=query,
-        case="lp-lhs",
-        theorem="lp-lhs",
-        result=PolySet(m, pieces),
-        hypotheses=hyps,
-        equality=False,
-        exact=True,
-        under_enumerated=under,
-    )
+    return _exact_estimate(query, "lp-lhs", PolySet(m, pieces), hyps, under)
 
 
 def lp_lhs_rhs_hessian(
@@ -953,14 +779,7 @@ def lp_lhs_rhs_hessian(
                 "the graph point is empty",
             )
         )
-        return HessianEstimate(
-            query=query,
-            case="lp-lhs-rhs",
-            theorem="lp-lhs-rhs",
-            result=PolySet.empty(n),
-            hypotheses=hyps,
-            exact=True,
-        )
+        return _exact_estimate(query, "lp-lhs-rhs", PolySet.empty(n), hyps)
     hyps.append(
         HypothesisRecord(
             "base-covector-multiplier",
@@ -1005,14 +824,7 @@ def lp_lhs_rhs_hessian(
                 "the graph point is empty",
             )
         )
-        return HessianEstimate(
-            query=query,
-            case="lp-lhs-rhs",
-            theorem="lp-lhs-rhs",
-            result=PolySet.empty(n),
-            hypotheses=hyps,
-            exact=True,
-        )
+        return _exact_estimate(query, "lp-lhs-rhs", PolySet.empty(n), hyps)
     # Lagrangian blocks for the fixed-cost objective: Lyy = 0, Lxy = 0,
     # gy = A, gx = -I.
     Mx = np.hstack([_ozeros(n, m), -_oeye(p)])
@@ -1026,27 +838,13 @@ def lp_lhs_rhs_hessian(
     pieces = []
     for k, y in enumerate(ys):
         g = _omatvec(A, y) - xbar
-        part = _exact_partition(g, u)
+        part = partition_of(g, u, 0)
         fam1 = build_branch_family(A, part, neg_xstar, flavor, branch_cap)
         # inner families: one per multiplier vertex at this minimizer
         inactive = [i for i in range(p) if g[i] < 0]
-        rows = [list(A.T[j]) for j in range(m)]
-        rhs = [-cost_eff[j] for j in range(m)]
-        for i in inactive:
-            row = [Fraction(0)] * p
-            row[i] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(0))
-        mult_poly = Polyhedron(
-            p,
-            C=-_oeye(p),
-            d=np.array([Fraction(0)] * p, dtype=object),
-            C_eq=np.array(rows, dtype=object),
-            d_eq=np.array(rhs, dtype=object),
-        )
-        uvf = mult_poly.vertices()
+        uvf = kernel.multiplier_polyhedron(A, cost_eff, inactive).vertices()
         for j, u2 in enumerate(uvf.vertices):
-            part2 = _exact_partition(g, u2)
+            part2 = partition_of(g, u2, 0)
             fam2 = build_branch_family(A, part2, zero_cov, flavor, branch_cap)
             for br1 in fam1.branches:
                 for br2 in fam2.branches:
@@ -1060,15 +858,7 @@ def lp_lhs_rhs_hessian(
                             f"lp-lhs-rhs[y{k}u{j}|{br1.label}|{br2.label}]",
                         )
                     )
-    return HessianEstimate(
-        query=query,
-        case="lp-lhs-rhs",
-        theorem="lp-lhs-rhs",
-        result=PolySet(n, pieces),
-        hypotheses=hyps,
-        exact=True,
-        under_enumerated=under,
-    )
+    return _exact_estimate(query, "lp-lhs-rhs", PolySet(n, pieces), hyps, under)
 
 
 # ---------------------------------------------------------------------------
@@ -1078,6 +868,14 @@ def lp_lhs_rhs_hessian(
 
 def _const_val(e):
     return e.value if isinstance(e, Const) else None
+
+
+def _const_matrix(rows):
+    """Rows of derivative expressions as Fractions; None unless all are constant."""
+    vals = [[_const_val(e) for e in row] for row in rows]
+    if any(v is None for row in vals for v in row):
+        return None
+    return [[Fraction(v) for v in row] for row in vals]
 
 
 def lp_cost_parametric_data(problem: ParametricProblem):
@@ -1090,16 +888,11 @@ def lp_cost_parametric_data(problem: ParametricProblem):
             return None
         if tab["fx"][j].key() != Var("y", j).key():
             return None
-    p, m = problem.p, problem.m
-    A = [[None] * m for _ in range(p)]
-    for i in range(p):
-        for j in range(m):
-            v = _const_val(tab["gy"][i][j])
-            if v is None:
-                return None
-            A[i][j] = Fraction(v)
+    A = _const_matrix(tab["gy"])
+    if A is None:
+        return None
     zx = [Fraction(0)] * problem.n
-    zy = [Fraction(0)] * m
+    zy = [Fraction(0)] * problem.m
     b = [-Fraction(problem.eval_expr(gi, zx, zy)) for gi in problem.g]
     return np.array(A, dtype=object), np.array(b, dtype=object)
 
@@ -1114,42 +907,29 @@ def lp_rhs_parametric_data(problem: ParametricProblem):
     if problem.p != problem.n or problem.p == 0:
         return None
     tab = problem._dtable()
-    p, m = problem.p, problem.m
-    A = [[None] * m for _ in range(p)]
-    for i in range(p):
-        for j in range(problem.n):
-            v = _const_val(tab["gx"][i][j])
-            if v is None or Fraction(v) != (Fraction(-1) if i == j else Fraction(0)):
-                return None
-        for j in range(m):
-            v = _const_val(tab["gy"][i][j])
-            if v is None:
-                return None
-            A[i][j] = Fraction(v)
+    gx, A = _const_matrix(tab["gx"]), _const_matrix(tab["gy"])
+    minus_eye = [[-1 if i == j else 0 for j in range(problem.n)] for i in range(problem.p)]
+    if gx != minus_eye or A is None:
+        return None
     zx = [Fraction(0)] * problem.n
-    zy = [Fraction(0)] * m
+    zy = [Fraction(0)] * problem.m
     for gi in problem.g:
         if Fraction(problem.eval_expr(gi, zx, zy)) != 0:
             return None
-    A = np.array(A, dtype=object)
     if not all(isinstance(e, Const) and e.value == 0 for e in tab["fx"]):
         return None
-    cost = []
-    for k in range(m):
-        v = _const_val(tab["fy"][k])
-        if v is None:
-            return None
-        cost.append(Fraction(v))
-    if Fraction(problem.eval_expr(problem.f, zx, zy)) != 0:
+    cost = _const_matrix([tab["fy"]])
+    if cost is None or Fraction(problem.eval_expr(problem.f, zx, zy)) != 0:
         return None
-    return A, np.array(cost, dtype=object)
+    return np.array(A, dtype=object), np.array(cost[0], dtype=object)
 
 
 def route(problem: ParametricProblem, query: HessianQuery | None = None):
     """Pick a case from problem structure; returns (case, info).
 
     The info dict carries anything expensive that was computed along the
-    way (minimizers, multiplier counts) so ``compute`` can reuse it.
+    way (the solve's minimizers, their multiplier sets and counts) so
+    ``compute`` can hand it to the case.
     """
     lp1 = lp_cost_parametric_data(problem)
     if lp1 is not None:
@@ -1162,12 +942,10 @@ def route(problem: ParametricProblem, query: HessianQuery | None = None):
     if query is None:
         return "single-s", {}
     res = kernel.solve_value(problem, _fvec(query.xbar))
-    info = {"minimizers": res.minimizers, "under": res.under_enumerated}
-    counts = []
-    for y in res.minimizers:
-        mult = kernel.multipliers(problem, _fvec(query.xbar), y)
-        counts.append(0 if mult.empty else len(mult.vertices))
-    info["multiplier_counts"] = counts
+    mults = [kernel.multipliers(problem, _fvec(query.xbar), y) for y in res.minimizers]
+    counts = [0 if mult.empty else len(mult.vertices) for mult in mults]
+    info = {"minimizers": res.minimizers, "under": res.under_enumerated,
+            "multipliers": mults, "multiplier_counts": counts}
     if len(res.minimizers) == 1 and not res.non_singleton:
         return ("single-single" if counts[0] == 1 else "single-s"), info
     if all(c == 1 for c in counts):
@@ -1181,8 +959,6 @@ def compute(
     query: HessianQuery,
     flavor: str = "M",
     branch_cap: int = DEFAULT_BRANCH_CAP,
-    smode: str = "auto",
-    check_membership: bool = True,
 ) -> HessianEstimate:
     """Run a second-order query end to end.
 
@@ -1212,54 +988,28 @@ def compute(
                                   branch_cap=branch_cap)
 
     mins = info.get("minimizers")
-    membership_rec = None
-    if check_membership:
-        fo = firstorder.auto_estimate(problem, _fvec(query.xbar), minimizers=mins)
-        verdict = fo.member(_fvec(query.xund), MEMBERSHIP_TOL)
-        if verdict.status == "outside":
-            raise HypothesisError(
-                f"base gradient is not in the first-order estimate "
-                f"({fo.formula}); distance at least {verdict.distance:.3e}"
+    fo = firstorder.auto_estimate(problem, _fvec(query.xbar), minimizers=mins)
+    verdict = fo.member(_fvec(query.xund), MEMBERSHIP_TOL)
+    if verdict.status == "outside":
+        raise HypothesisError(
+            f"base gradient is not in the first-order estimate "
+            f"({fo.formula}); distance at least {verdict.distance:.3e}"
+        )
+    est = _general(problem, query, case, mins, info.get("multipliers"), "auto", flavor,
+                   branch_cap)
+    if info.get("doubly_set_valued"):
+        est.hypotheses.append(
+            HypothesisRecord(
+                "solution-single-valued",
+                FAILED,
+                "both maps are set-valued; union over all minimizers used",
             )
-        membership_rec = HypothesisRecord(
-            "base-gradient-membership",
-            VERIFIED,
-            f"{verdict.status} of the {fo.formula} estimate",
         )
-
-    if case == "unperturbed":
-        est = hessian_unperturbed(
-            problem, query, minimizers=mins, smode=smode, flavor=flavor,
-            branch_cap=branch_cap,
-        )
-    elif case == "single-single":
-        est = hessian_single_single(
-            problem, query, minimizers=mins, flavor=flavor, branch_cap=branch_cap
-        )
-    elif case == "single-s":
-        est = hessian_single_s(
-            problem, query, minimizers=mins, flavor=flavor, branch_cap=branch_cap
-        )
-        if info.get("doubly_set_valued"):
-            est.hypotheses.append(
-                HypothesisRecord(
-                    "solution-single-valued",
-                    FAILED,
-                    "both maps are set-valued; union over all minimizers used",
-                )
-            )
-    elif case == "single-lambda":
-        mode = {"auto": "auto", "multi": "selection", "caratheodory": "caratheodory"}.get(
-            smode, "auto"
-        )
-        est = hessian_single_lambda(
-            problem, query, minimizers=mins, mode=mode, flavor=flavor,
-            branch_cap=branch_cap,
-        )
-    else:
-        raise CaseRoutingError(f"unknown case {case!r}")
-    if membership_rec is not None:
-        est.hypotheses.insert(0, membership_rec)
+    est.hypotheses.insert(0, HypothesisRecord(
+        "base-gradient-membership",
+        VERIFIED,
+        f"{verdict.status} of the {fo.formula} estimate",
+    ))
     if info.get("under"):
         est.under_enumerated = True
     return est

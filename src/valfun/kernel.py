@@ -132,6 +132,15 @@ def solve_value(problem: ParametricProblem, x, rational: bool = False) -> SolveR
     return _solve_multistart(problem, x)
 
 
+def minimizers_at(problem: ParametricProblem, x, minimizers=None):
+    """(minimizers, under_enumerated): the given ones as float vectors, or
+    those of a fresh solve at x."""
+    if minimizers is not None:
+        return [np.atleast_1d(np.asarray(y, float)) for y in minimizers], False
+    res = solve_value(problem, x)
+    return res.minimizers, res.under_enumerated
+
+
 def _pinned_minimizers(problem, x):
     for name in sorted(problem.points):
         pt = problem.points[name]
@@ -332,10 +341,35 @@ class MultiplierPolyhedron:
             return True
         return not self.vertices and self.poly.is_empty()
 
-    def is_singleton(self, tol: float = MINIMIZER_DEDUP_TOL) -> bool:
-        if len(self.vertices) != 1:
-            return False
-        return self.bounded
+    def is_singleton(self) -> bool:
+        return len(self.vertices) == 1 and self.bounded
+
+
+def multiplier_polyhedron(gy, fy, inactive) -> Polyhedron:
+    """{ u >= 0 : gy^T u = -fy, u_i = 0 for i in ``inactive`` }.
+
+    ``gy`` is the p x m constraint Jacobian in y and ``fy`` the objective
+    gradient in y.  Object arrays of Fractions give an exact polyhedron,
+    anything else a float one.
+    """
+    gy = np.asarray(gy)
+    exact = gy.dtype == object
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    dtype = object if exact else float
+    p = gy.shape[0]
+    eye = np.full((p, p), zero, dtype=dtype)
+    unit = np.full((len(inactive), p), zero, dtype=dtype)
+    for i in range(p):
+        eye[i, i] = one
+    for r, i in enumerate(inactive):
+        unit[r, i] = one
+    return Polyhedron(
+        p,
+        C=-eye,
+        d=np.full(p, zero, dtype=dtype),
+        C_eq=np.vstack([gy.T, unit]),
+        d_eq=np.concatenate([-np.asarray(fy, dtype=dtype), np.full(len(inactive), zero, dtype=dtype)]),
+    )
 
 
 def multipliers(
@@ -345,7 +379,7 @@ def multipliers(
     the active set } with enumerated vertices."""
     x = np.atleast_1d(np.asarray(x, float))
     y = np.atleast_1d(np.asarray(y, float))
-    p, m = problem.p, problem.m
+    p = problem.p
     if p == 0:
         fy = problem.grad_y_f(x, y)
         feasible = np.max(np.abs(fy), initial=0.0) <= 1e-6
@@ -354,19 +388,9 @@ def multipliers(
         return MultiplierPolyhedron(x=x, y=y, poly=Polyhedron(0), vertices=verts,
                                     active=(), bounded=True, feasible=feasible)
     g = problem.eval_g(x, y)
-    gy = problem.jac_y_g(x, y)
-    fy = problem.grad_y_f(x, y)
     active = tuple(i for i in range(p) if g[i] >= -tol_act)
-    C_eq = gy.T  # m rows: sum_i u_i * dg_i/dy_k = -df/dy_k
-    d_eq = -fy
-    inact = [i for i in range(p) if i not in active]
-    if inact:
-        rows = np.zeros((len(inact), p))
-        for r, i in enumerate(inact):
-            rows[r, i] = 1.0
-        C_eq = np.vstack([C_eq, rows])
-        d_eq = np.concatenate([d_eq, np.zeros(len(inact))])
-    poly = Polyhedron(p, C=-np.eye(p), d=np.zeros(p), C_eq=C_eq, d_eq=d_eq)
+    inactive = [i for i in range(p) if i not in active]
+    poly = multiplier_polyhedron(problem.jac_y_g(x, y), problem.grad_y_f(x, y), inactive)
     vf = poly.vertices()
     return MultiplierPolyhedron(
         x=x,

@@ -16,7 +16,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -809,9 +809,14 @@ def classify(problem: ParametricProblem, x, y, u, tol_act: float = DEFAULT_TOL_A
     x = _as_vector(x, problem.n, "x")
     y = _as_vector(y, problem.m, "y")
     u = _as_vector(u, problem.p, "u", allow_empty=True)
-    g = problem.eval_g(x, y)
+    return partition_of(problem.eval_g(x, y), u, tol_act)
+
+
+def partition_of(g, u, tol_act: float = DEFAULT_TOL_ACT) -> Partition:
+    """The partition of constraint values g and multipliers u; with
+    ``tol_act=0`` on exact data every index is decided exactly."""
     eta, theta, nu, amb = [], [], [], []
-    for i in range(problem.p):
+    for i in range(len(u)):
         active = abs(g[i]) <= tol_act
         inactive = g[i] < -tol_act
         u_zero = abs(u[i]) <= tol_act
@@ -830,24 +835,46 @@ def classify(problem: ParametricProblem, x, y, u, tol_act: float = DEFAULT_TOL_A
 
 @dataclass
 class KktPoint:
+    """A point (x, y, u) with its Lagrangian blocks, index partition and
+    KKT residual; built by :func:`kkt_point`."""
+
     x: np.ndarray
     y: np.ndarray
     u: np.ndarray
     partition: Partition
     kkt_residual: float
+    lag: LagrangianEval
 
 
 def kkt_residual(problem: ParametricProblem, x, y, u) -> float:
     """Worst violation of stationarity, feasibility, sign and complementarity."""
-    lag = differentiate(problem, x, y, u)
-    g = lag.g_values
-    u = lag.u
-    pieces = [float(np.max(np.abs(lag.grad_y_L))) if problem.m else 0.0]
-    if problem.p:
+    return _residual(differentiate(problem, x, y, u))
+
+
+def _residual(lag: LagrangianEval) -> float:
+    g, u = lag.g_values, lag.u
+    pieces = [float(np.max(np.abs(lag.grad_y_L)))]
+    if u.size:
         pieces.append(float(max(0.0, np.max(g))))
         pieces.append(float(max(0.0, np.max(-u))))
         pieces.append(float(np.max(np.abs(u * g))))
     return max(pieces)
+
+
+def kkt_point(
+    problem: ParametricProblem, x, y, u, tol_act: float = DEFAULT_TOL_ACT
+) -> KktPoint:
+    """The point (x, y, u) with its Lagrangian evaluated once; the
+    partition and the residual are read off those blocks."""
+    lag = differentiate(problem, x, y, u)
+    return KktPoint(
+        x=lag.x,
+        y=lag.y,
+        u=lag.u,
+        partition=partition_of(lag.g_values, lag.u, tol_act),
+        kkt_residual=_residual(lag),
+        lag=lag,
+    )
 
 
 def make_kkt(
@@ -858,19 +885,13 @@ def make_kkt(
     tol_kkt: float = DEFAULT_TOL_KKT,
     tol_act: float = DEFAULT_TOL_ACT,
 ) -> KktPoint:
-    res = kkt_residual(problem, x, y, u)
-    if res > tol_kkt:
+    """:func:`kkt_point`, validated against the residual tolerance."""
+    kkt = kkt_point(problem, x, y, u, tol_act)
+    if kkt.kkt_residual > tol_kkt:
         raise KktValidationError(
-            f"KKT residual {res:.3e} exceeds tolerance {tol_kkt:.1e}"
+            f"KKT residual {kkt.kkt_residual:.3e} exceeds tolerance {tol_kkt:.1e}"
         )
-    part = classify(problem, x, y, u, tol_act=tol_act)
-    return KktPoint(
-        x=_as_vector(x, problem.n, "x"),
-        y=_as_vector(y, problem.m, "y"),
-        u=_as_vector(u, problem.p, "u", allow_empty=True),
-        partition=part,
-        kkt_residual=res,
-    )
+    return kkt
 
 
 # ---------------------------------------------------------------------------
@@ -974,6 +995,38 @@ def problem_to_json(problem: ParametricProblem) -> dict:
     return data
 
 
+def _quadratic_shape(problem: ParametricProblem):
+    """(f concave in x, f and every g convex in y) for a problem whose
+    expressions all have total degree <= 2 in x and in y jointly, read off
+    the constant Hessian blocks; None when some expression is not such a
+    quadratic."""
+    exprs = [problem.f, *problem.g]
+    quadratic = all(
+        (degree_in(e, "x") is not None and degree_in(e, "y") is not None)
+        and degree_in(e, "x") + degree_in(e, "y") <= 2
+        for e in exprs
+    )
+    if not quadratic:
+        return None
+    x0 = [0.0] * problem.n
+    y0 = [0.0] * problem.m
+    tab = problem._dtable()
+    fxx = problem.eval_matrix(tab["fxx"], x0, y0)
+    concave_x = bool(np.all(np.linalg.eigvalsh(fxx) <= 1e-12))
+    convex_y = True
+    for block in [tab["fyy"], *[tab["gyy"][i] for i in range(problem.p)]]:
+        mat = problem.eval_matrix(block, x0, y0)
+        if mat.size and not np.all(np.linalg.eigvalsh(mat) >= -1e-12):
+            convex_y = False
+    return concave_x, convex_y
+
+
+def _flag_verdict(problem: ParametricProblem, flag: str) -> str:
+    if flag in problem.flags:
+        return "asserted" if problem.flags[flag] else "failed"
+    return "unknown"
+
+
 def verify_concave_convex(problem: ParametricProblem) -> str:
     """Check the concave-in-x / convex-in-y shape when that is decidable.
 
@@ -981,29 +1034,10 @@ def verify_concave_convex(problem: ParametricProblem) -> str:
     symbolically; everything else falls back to the asserted flag.
     Returns one of 'verified', 'failed', 'asserted', 'unknown'.
     """
-    exprs = [problem.f, *problem.g]
-    quadratic = all(
-        (degree_in(e, "x") is not None and degree_in(e, "y") is not None)
-        and degree_in(e, "x") + degree_in(e, "y") <= 2
-        for e in exprs
-    )
-    if quadratic:
-        x0 = [0.0] * problem.n
-        y0 = [0.0] * problem.m
-        tab = problem._dtable()
-        fxx = problem.eval_matrix(tab["fxx"], x0, y0) if problem.n else np.zeros((0, 0))
-        ok = True
-        if problem.n:
-            ok &= bool(np.all(np.linalg.eigvalsh(fxx) <= 1e-12))
-        blocks = [tab["fyy"], *[tab["gyy"][i] for i in range(problem.p)]]
-        for block in blocks:
-            mat = problem.eval_matrix(block, x0, y0)
-            if mat.size and not np.all(np.linalg.eigvalsh(mat) >= -1e-12):
-                ok = False
-        return "verified" if ok else "failed"
-    if "concave_convex" in problem.flags:
-        return "asserted" if problem.flags["concave_convex"] else "failed"
-    return "unknown"
+    shape = _quadratic_shape(problem)
+    if shape is None:
+        return _flag_verdict(problem, "concave_convex")
+    return "verified" if all(shape) else "failed"
 
 
 def verify_convex_in_y(problem: ParametricProblem) -> str:
@@ -1014,22 +1048,7 @@ def verify_convex_in_y(problem: ParametricProblem) -> str:
     semidefinite.  Returns 'verified', 'failed', 'asserted', or
     'unknown'.
     """
-    exprs = [problem.f, *problem.g]
-    quadratic = all(
-        (degree_in(e, "x") is not None and degree_in(e, "y") is not None)
-        and degree_in(e, "x") + degree_in(e, "y") <= 2
-        for e in exprs
-    )
-    if quadratic:
-        x0 = [0.0] * problem.n
-        y0 = [0.0] * problem.m
-        tab = problem._dtable()
-        blocks = [tab["fyy"], *[tab["gyy"][i] for i in range(problem.p)]]
-        for block in blocks:
-            mat = problem.eval_matrix(block, x0, y0)
-            if mat.size and not np.all(np.linalg.eigvalsh(mat) >= -1e-12):
-                return "failed"
-        return "verified"
-    if "convex_in_y" in problem.flags:
-        return "asserted" if problem.flags["convex_in_y"] else "failed"
-    return "unknown"
+    shape = _quadratic_shape(problem)
+    if shape is None:
+        return _flag_verdict(problem, "convex_in_y")
+    return "verified" if shape[1] else "failed"

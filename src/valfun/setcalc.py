@@ -33,7 +33,6 @@ is combinatorial and will warn rather than fail above that.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -701,7 +700,7 @@ def _num(v):
     return int(f) if f.is_integer() and abs(f) < 1e15 else f
 
 
-def _lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+def _lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, options=None):
     return linprog(
         c,
         A_ub=A_ub,
@@ -710,6 +709,7 @@ def _lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
         b_eq=b_eq,
         bounds=bounds if bounds is not None else [(None, None)] * len(c),
         method="highs",
+        options=options,
     )
 
 
@@ -1019,13 +1019,24 @@ def _piece_range(pc: Piece, i: int):
 
 
 def _lp_range(pc: Piece, i: int):
-    """``_piece_range`` by two LPs, for pieces too large to enumerate."""
+    """``_piece_range`` by two LPs, for pieces too large to enumerate.
+
+    "Infeasible" on a piece that has a feasible point is a contradiction
+    (HiGHS presolve reports it for some unbounded LPs): the LP is solved
+    again without presolve, and a second contradiction raises."""
     row, off = _as_float(pc.A[i]), float(pc.b[i])
     rows = pc.poly._lp_rows()
     lo, hi = float("inf"), float("-inf")
     for sign in (1.0, -1.0):
         res = _lp(sign * row, **rows)
         _check_status(res, "coordinate range")
+        if res.status == 2:
+            if pc.poly.is_empty():
+                return float("inf"), float("-inf")
+            res = _lp(sign * row, **rows, options={"presolve": False})
+            if res.status == 2:
+                raise LpStatusError("coordinate range LP calls a nonempty piece infeasible")
+            _check_status(res, "coordinate range")
         if res.status == 3:
             if sign > 0:
                 lo = float("-inf")

@@ -194,6 +194,43 @@ def test_lp_fallback_matches_enumeration(monkeypatch):
     assert [P.is_bounded(), ray.is_bounded()] == [True, False]
 
 
+def test_lp_range_keeps_unbounded_side_on_false_infeasible(monkeypatch):
+    # HiGHS presolve calls min y3 infeasible on this nonempty piece, though
+    # y3 is unbounded below on it; the range must not shrink to a point
+    P = Polyhedron(3, C=[[0, 1, 0], [0, 0, 1], [1, 1, 1], [-1, -1, -1]], d=[0, 0, 0, 1])
+    S = PolySet(3, [Piece(P, np.eye(3), np.zeros(3), "wedge")])
+    assert S.coord_range(2) == (-np.inf, 0.0)
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
+    P = Polyhedron(3, C=[[0, 1, 0], [0, 0, 1], [1, 1, 1], [-1, -1, -1]], d=[0, 0, 0, 1])
+    S = PolySet(3, [Piece(P, np.eye(3), np.zeros(3), "wedge")])
+    assert P.feasible_point() is not None
+    assert S.coord_range(2) == (-np.inf, 0.0)
+
+
+def test_lp_range_of_empty_piece_stays_empty(monkeypatch):
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
+    P = Polyhedron(1, C=[[1.0], [-1.0]], d=[0.0, -1.0])
+    S = PolySet(1, [Piece(P, np.eye(1), np.zeros(1), "empty")])
+    assert S.coord_range(0) == (np.inf, -np.inf)
+
+
+def test_lp_range_contradiction_raises(monkeypatch):
+    # an LP that keeps calling a nonempty piece infeasible cannot decide
+    class _Infeasible:
+        status, message, x, fun = 2, "infeasible", None, None
+
+    real = setcalc.linprog
+
+    def infeasible_unless_feasibility(c, **kwargs):
+        return real(c, **kwargs) if not np.any(c) else _Infeasible()
+
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
+    monkeypatch.setattr(setcalc, "linprog", infeasible_unless_feasibility)
+    S = PolySet(1, [Piece(Polyhedron.from_box([(0.0, 1.0)]), np.eye(1), np.zeros(1), "box")])
+    with pytest.raises(LpStatusError):
+        S.coord_range(0)
+
+
 def test_empty_polyhedron_detected():
     P = Polyhedron(
         1,
