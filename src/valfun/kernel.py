@@ -358,17 +358,16 @@ def multiplier_polyhedron(gy, fy, inactive) -> Polyhedron:
     dtype = object if exact else float
     p = gy.shape[0]
     eye = np.full((p, p), zero, dtype=dtype)
-    unit = np.full((len(inactive), p), zero, dtype=dtype)
     for i in range(p):
         eye[i, i] = one
-    for r, i in enumerate(inactive):
-        unit[r, i] = one
     return Polyhedron(
         p,
         C=-eye,
         d=np.full(p, zero, dtype=dtype),
-        C_eq=np.vstack([gy.T, unit]),
-        d_eq=np.concatenate([-np.asarray(fy, dtype=dtype), np.full(len(inactive), zero, dtype=dtype)]),
+        C_eq=np.vstack([gy.T, eye[list(inactive)]]),
+        d_eq=np.concatenate(
+            [-np.asarray(fy, dtype=dtype), np.full(len(inactive), zero, dtype=dtype)]
+        ),
     )
 
 
