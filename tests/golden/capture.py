@@ -10,8 +10,12 @@ covector at branch cap 200; ``theorems.json`` holds
 ``THEOREM_CALLS``, which reach the theorem paths and multi-generator modes
 the battery queries do not (composed single-single, both hull modes,
 selection over several minimizers, the multiplier-vertex union) and the
-coderivative estimates at the points of ``test_coderiv.py``.
-``test_golden.py`` replays all three in-process and requires
+coderivative estimates at the points of ``test_coderiv.py``;
+``solve.json`` holds, for every battery instance not affine in y, the
+``repr`` of the value and of each minimizer from ``kernel.solve_value``
+(SLSQP multistart) at each named point with its pinned minimizers
+ignored, and at ``SOLVE_PERTURBATIONS`` seeded k/4096 perturbations of it.
+``test_golden.py`` replays all four in-process and requires
 byte-identical output, so regenerate only when a change of output is
 intended, and say why in the change log.
 """
@@ -21,11 +25,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 INSTANCES = HERE.parent / "instances"
 BRANCH_CAP = 200
+SOLVE_PERTURBATIONS = 3
+PERTURB_DEN = 4096
 
 
 def run_cli(argv):
@@ -153,6 +162,37 @@ def theorem_json(call_id):
     return json.dumps(THEOREM_CALLS[call_id]().to_json(), sort_keys=True)
 
 
+def solve_points():
+    """(id, instance, x) for every multistart golden: the named points of
+    the instances not affine in y, and seeded perturbations of each."""
+    from valfun.model import load_problem
+
+    out = []
+    for path in sorted(INSTANCES.glob("*.json")):
+        prob = load_problem(path)
+        if prob.affine_in_y():
+            continue
+        for point in sorted(prob.points):
+            base = prob.points[point].x
+            out.append((f"{path.stem}/{point}", path.stem, base))
+            rng = np.random.default_rng(list(f"{path.stem}/{point}".encode()))
+            for k in range(SOLVE_PERTURBATIONS):
+                ks = rng.integers(-PERTURB_DEN // 4, PERTURB_DEN // 4 + 1, size=base.shape[0])
+                out.append((f"{path.stem}/{point}/{k}", path.stem, base + ks / PERTURB_DEN))
+    return out
+
+
+def solve_json(name, x):
+    """``kernel.solve_value`` at x with the instance's pins dropped, as reprs."""
+    from valfun import kernel
+
+    prob = replace(_instance(name), points={})
+    res = kernel.solve_value(prob, x)
+    return {"x": [repr(v) for v in x.tolist()], "certificate": res.certificate,
+            "value": repr(res.value),
+            "minimizers": [[repr(v) for v in y.tolist()] for y in res.minimizers]}
+
+
 def capture():
     from valfun import firstorder
     from valfun.model import load_problem
@@ -183,5 +223,7 @@ if __name__ == "__main__":
     (HERE / "hessian.json").write_text(json.dumps(queries, indent=1) + "\n")
     theorems = {k: theorem_json(k) for k in THEOREM_CALLS}
     (HERE / "theorems.json").write_text(json.dumps(theorems, indent=1, sort_keys=True) + "\n")
+    solves = {sid: solve_json(name, x) for sid, name, x in solve_points()}
+    (HERE / "solve.json").write_text(json.dumps(solves, indent=1, sort_keys=True) + "\n")
     print(f"{len(reports)} reports, {len(queries)} hessian queries, "
-          f"{len(theorems)} theorem-path calls")
+          f"{len(theorems)} theorem-path calls, {len(solves)} multistart solves")
