@@ -109,10 +109,12 @@ def danskin(
     )
 
 
-def _lagrangian_image_piece(problem, xbar, y, provenance) -> tuple:
+def _lagrangian_image_piece(problem, xbar, y, provenance, mult=None) -> tuple:
     """The set { grad_x f + gx^T u : u in Lambda(xbar, y) } as one piece,
-    plus the generator points at multiplier vertices."""
-    mult = kernel.multipliers(problem, xbar, y)
+    plus the generator points at multiplier vertices; ``mult`` is
+    Lambda(xbar, y) when the caller already has it."""
+    if mult is None:
+        mult = kernel.multipliers(problem, xbar, y)
     fx = problem.grad_x_f(xbar, y)
     gx = problem.jac_x_g(xbar, y)
     if problem.p == 0:
@@ -134,19 +136,22 @@ def _no_multiplier_record(where: str) -> HypothesisRecord:
 
 
 def convex_mfcq_subdiff(
-    problem: ParametricProblem, xbar, y=None, minimizers=None
+    problem: ParametricProblem, xbar, y=None, minimizers=None, multipliers=None
 ) -> SubdiffEstimate:
     """Multiplier-polyhedron image estimate for problems convex in y.
 
     One minimizer suffices (for convex problems the image does not depend
     on the chosen minimizer).  MFCQ is verified; convexity in y comes
-    from the quadratic check or the problem flag.
+    from the quadratic check or the problem flag.  ``multipliers``, when
+    given, holds the multiplier set at each of ``minimizers``.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     hyps = []
+    mult = None
     if y is None:
         mins, _ = kernel.minimizers_at(problem, xbar, minimizers)
         y = mins[0]
+        mult = multipliers[0] if multipliers else None
     y = np.atleast_1d(np.asarray(y, float))
     mfcq = kernel.check_mfcq(problem, xbar, y)
     hyps.append(
@@ -167,7 +172,7 @@ def convex_mfcq_subdiff(
         hyps.append(HypothesisRecord("convex-in-y", ASSERTED, "problem flag"))
     else:
         hyps.append(HypothesisRecord("convex-in-y", ASSUMED, "no flag supplied"))
-    piece, gens, mult = _lagrangian_image_piece(problem, xbar, y, "convex-mfcq")
+    piece, gens, mult = _lagrangian_image_piece(problem, xbar, y, "convex-mfcq", mult)
     if mult.empty:
         hyps.append(_no_multiplier_record("the minimizer"))
     if not mult.bounded:
@@ -183,12 +188,13 @@ def convex_mfcq_subdiff(
 
 
 def gauvin_dubeau(
-    problem: ParametricProblem, xbar, minimizers=None
+    problem: ParametricProblem, xbar, minimizers=None, multipliers=None
 ) -> SubdiffEstimate:
     """MFCQ estimate: union over minimizers of multiplier-image pieces.
 
     A singleton solution map gives the equality-type estimate; otherwise
-    the union is an inclusion and is tagged so.
+    the union is an inclusion and is tagged so.  ``multipliers``, when
+    given, holds the multiplier set at each of ``minimizers``.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     mins, under = kernel.minimizers_at(problem, xbar, minimizers)
@@ -199,7 +205,8 @@ def gauvin_dubeau(
         if not mfcq.holds:
             raise HypothesisError(f"MFCQ fails at minimizer {idx}")
         piece, g, mult = _lagrangian_image_piece(
-            problem, xbar, y, f"gauvin-dubeau[y{idx}]"
+            problem, xbar, y, f"gauvin-dubeau[y{idx}]",
+            multipliers[idx] if multipliers else None,
         )
         if mult.empty:
             hyps.append(_no_multiplier_record(f"minimizer {idx}"))
@@ -230,12 +237,17 @@ def gauvin_dubeau(
     )
 
 
-def auto_estimate(problem: ParametricProblem, xbar, minimizers=None) -> SubdiffEstimate:
-    """Pick the most structured applicable estimate."""
+def auto_estimate(
+    problem: ParametricProblem, xbar, minimizers=None, multipliers=None
+) -> SubdiffEstimate:
+    """Pick the most structured applicable estimate.  ``multipliers``, when
+    given, holds the multiplier set at each of ``minimizers``, so the
+    multiplier estimates do not enumerate them again."""
     if problem.constraints_x_free():
         return danskin(problem, xbar, minimizers=minimizers)
     cc = verify_concave_convex(problem)
     if cc == "verified" or problem.flags.get("convex_in_y"):
-        return convex_mfcq_subdiff(problem, xbar, minimizers=minimizers)
-    return gauvin_dubeau(problem, xbar, minimizers=minimizers)
+        return convex_mfcq_subdiff(problem, xbar, minimizers=minimizers,
+                                   multipliers=multipliers)
+    return gauvin_dubeau(problem, xbar, minimizers=minimizers, multipliers=multipliers)
 

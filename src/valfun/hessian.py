@@ -893,7 +893,7 @@ def lp_cost_parametric_data(problem: ParametricProblem):
         return None
     zx = [Fraction(0)] * problem.n
     zy = [Fraction(0)] * problem.m
-    b = [-Fraction(problem.eval_expr(gi, zx, zy)) for gi in problem.g]
+    b = [-Fraction(v) for v in problem.eval_g_exact(zx, zy)]
     return np.array(A, dtype=object), np.array(b, dtype=object)
 
 
@@ -913,13 +913,12 @@ def lp_rhs_parametric_data(problem: ParametricProblem):
         return None
     zx = [Fraction(0)] * problem.n
     zy = [Fraction(0)] * problem.m
-    for gi in problem.g:
-        if Fraction(problem.eval_expr(gi, zx, zy)) != 0:
-            return None
+    if any(Fraction(v) != 0 for v in problem.eval_g_exact(zx, zy)):
+        return None
     if not all(isinstance(e, Const) and e.value == 0 for e in tab["fx"]):
         return None
     cost = _const_matrix([tab["fy"]])
-    if cost is None or Fraction(problem.eval_expr(problem.f, zx, zy)) != 0:
+    if cost is None or Fraction(problem.eval_f(zx, zy)) != 0:
         return None
     return np.array(A, dtype=object), np.array(cost[0], dtype=object)
 
@@ -988,7 +987,8 @@ def compute(
                                   branch_cap=branch_cap)
 
     mins = info.get("minimizers")
-    fo = firstorder.auto_estimate(problem, _fvec(query.xbar), minimizers=mins)
+    fo = firstorder.auto_estimate(problem, _fvec(query.xbar), minimizers=mins,
+                                  multipliers=info.get("multipliers"))
     verdict = fo.member(_fvec(query.xund), MEMBERSHIP_TOL)
     if verdict.status == "outside":
         raise HypothesisError(

@@ -5,7 +5,9 @@ Two solve paths:
 * exact path for problems affine in y: the feasible set is materialized
   as { y : A y <= b } with rational data at the given parameter, vertices
   are enumerated exactly, and the minimum is taken over them;
-* heuristic path otherwise: SLSQP multistart over the problem's y_box.
+* heuristic path otherwise: SLSQP multistart over the problem's y_box,
+  each local solve with g <= 0 as one vector constraint, evaluated with
+  its y-Jacobian from the problem's compiled blocks.
 
 The heuristic path can miss global minimizers; results carry an
 ``under_enumerated`` flag so downstream estimates can report that unions
@@ -30,12 +32,13 @@ from .errors import (
     ProblemFormatError,
     UnboundedProblemError,
 )
-from .model import DEFAULT_TOL_ACT, ParametricProblem
+from .model import DEFAULT_TOL_ACT, ParametricProblem, per_problem
 from .setcalc import Polyhedron, linprog, matrix_rank_generic
 
 VALUE_TIE_TOL = 1e-7
 MINIMIZER_DEDUP_TOL = 1e-6
 PIN_MATCH_TOL = 1e-12
+MAX_STARTS = 64
 
 
 def minimize(*args, **kwargs):
@@ -72,13 +75,11 @@ def materialize_lp(problem: ParametricProblem, x) -> LpData:
         raise ProblemFormatError("problem is not affine in y")
     xq = [Fraction(v) if not isinstance(v, Fraction) else v for v in np.atleast_1d(x)]
     y0 = [Fraction(0)] * problem.m
-    tab = problem._dtable()
-    c = [Fraction(problem.eval_expr(e, xq, y0)) for e in tab["fy"]]
-    c0 = Fraction(problem.eval_expr(problem.f, xq, y0))
-    A = [
-        [Fraction(problem.eval_expr(tab["gy"][i][j], xq, y0)) for j in range(problem.m)]
-        for i in range(problem.p)
-    ]
+    m = problem.m
+    c = [Fraction(v) for v in problem.eval_block("fy", xq, y0)]
+    c0 = Fraction(problem.eval_f(xq, y0))
+    gy = [Fraction(v) for v in problem.eval_block("gy", xq, y0)]
+    A = [gy[i * m:(i + 1) * m] for i in range(problem.p)]
     b = [-Fraction(v) for v in problem.eval_g_exact(xq, y0)]
     return LpData(A=A, b=b, c=c, c0=c0)
 
@@ -215,7 +216,7 @@ def _solve_multistart(problem, x):
         raise ProblemFormatError(
             "heuristic solve requires a y_box in the problem file"
         )
-    starts = _grid_starts(problem.y_box)
+    starts = _grid_starts(problem)
     best, candidates = None, []
     for y0 in starts:
         y = _local_solve(problem, x, y0)
@@ -246,17 +247,21 @@ def _solve_multistart(problem, x):
     )
 
 
-def _grid_starts(y_box, cap: int = 64):
-    m = len(y_box)
+@per_problem
+def _grid_starts(problem):
+    """The multistart grid over the y_box, at most ``MAX_STARTS`` points;
+    read-only, as every solve of the problem shares it."""
+    m = problem.m
     k = 5 if m <= 2 else (3 if m <= 4 else 2)
-    axes = [np.linspace(lo, hi, k) for lo, hi in y_box]
+    axes = [np.linspace(lo, hi, k) for lo, hi in problem.y_box]
     grid = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grid], axis=1)
-    if pts.shape[0] > cap:
+    if pts.shape[0] > MAX_STARTS:
         rng = np.random.default_rng(0)
-        idx = rng.choice(pts.shape[0], size=cap, replace=False)
+        idx = rng.choice(pts.shape[0], size=MAX_STARTS, replace=False)
         idx.sort()
         pts = pts[idx]
+    pts.flags.writeable = False
     return [pts[i] for i in range(pts.shape[0])]
 
 
@@ -267,7 +272,6 @@ def local_solve(problem, x, y0):
 
 def _local_solve(problem, x, y0):
     x = np.atleast_1d(np.asarray(x, float))
-    tab = problem._dtable()
 
     def fun(y):
         return problem.eval_f(x, y)
@@ -275,19 +279,15 @@ def _local_solve(problem, x, y0):
     def jac(y):
         return problem.grad_y_f(x, y)
 
-    cons = []
-    for i in range(problem.p):
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": (lambda y, i=i: -problem.eval_expr(problem.g[i], x, y)),
-                "jac": (
-                    lambda y, i=i: -np.array(
-                        [problem.eval_expr(e, x, y) for e in tab["gy"][i]], float
-                    )
-                ),
-            }
-        )
+    # one vector constraint g(x, y) <= 0: scipy stacks its rows in the
+    # order of g, as it would stack p scalar constraints
+    cons = [
+        {
+            "type": "ineq",
+            "fun": lambda y: -problem.eval_g(x, y),
+            "jac": lambda y: -problem.jac_y_g(x, y),
+        }
+    ] if problem.p else []
     bounds = problem.y_box
     try:
         res = minimize(

@@ -6,12 +6,19 @@ A parametric program is
 
 with parameter x in R^n and decision y in R^m.  Expressions are small
 polynomial-style trees over the variables x1..xn, y1..ym; they are
-parsed from strings, differentiated exactly, and compiled to plain
-Python functions for fast evaluation.
+parsed from strings and differentiated exactly.  Each table a problem
+evaluates (f, g, their first derivatives, and the second-order blocks of
+the Lagrangian) is compiled once, on first use, into one plain Python
+function ``fn(x, y) -> [e1, ..., ek]`` per arithmetic mode (float, or
+exact on Fraction inputs), so a callback evaluates a whole table in one
+call.  The problem never changes after construction, so these functions
+and the structure probes (affine in y, x-free constraints, the quadratic
+shape) are cached on it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -338,7 +345,17 @@ def compile_expr(e: Expr, exact: bool = False) -> Callable:
     With ``exact=True`` rational constants are emitted as Fractions so the
     function is exact on Fraction inputs; otherwise constants become floats.
     """
-    src = f"def _fn(x, y):\n    return {e._emit(exact)}\n"
+    return _compile(e._emit(exact))
+
+
+def compile_block(exprs: Sequence[Expr], exact: bool = False) -> Callable:
+    """Compile expressions to one ``fn(x, y) -> [e1, ..., ek]``; entry i is
+    the value ``compile_expr(exprs[i], exact)`` computes."""
+    return _compile("[" + ", ".join(e._emit(exact) for e in exprs) + "]")
+
+
+def _compile(body: str) -> Callable:
+    src = f"def _fn(x, y):\n    return {body}\n"
     ns = {"F": Fraction}
     exec(compile(src, "<expr>", "exec"), ns)
     return ns["_fn"]
@@ -353,8 +370,23 @@ def evaluate(e: Expr, x: Sequence, y: Sequence):
 
 
 def _wants_exact(x, y) -> bool:
-    probe = list(x) + list(y)
-    return any(isinstance(v, Fraction) for v in probe)
+    # a float (np.float64 included) is never a Fraction: skip the ABC check
+    return any(not isinstance(v, float) and isinstance(v, Fraction) for v in (*x, *y))
+
+
+def _flat(table) -> list:
+    return [e for t in table for e in _flat(t)] if isinstance(table, list) else [table]
+
+
+def per_problem(fn):
+    """Cache ``fn(problem)`` on the problem, which never changes after
+    construction."""
+
+    @functools.wraps(fn)
+    def cached(problem):
+        return problem._memo(fn, lambda: fn(problem))
+
+    return cached
 
 
 def degree_in(e: Expr, kind: str):
@@ -605,95 +637,116 @@ class ParametricProblem:
             for lo, hi in self.y_box:
                 if not lo < hi:
                     raise ProblemFormatError("y_box intervals must satisfy lo < hi")
-        self._fn_cache: dict = {}
+        self._cache: dict = {}
 
     @property
     def p(self) -> int:
         return len(self.g)
 
+    def _memo(self, key, build):
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build()
+            return value
+
     # -- compiled evaluation ------------------------------------------------
 
-    def _fn(self, e: Expr, exact: bool = False) -> Callable:
-        key = (e.key(), exact)
-        fn = self._fn_cache.get(key)
-        if fn is None:
-            fn = compile_expr(e, exact)
-            self._fn_cache[key] = fn
-        return fn
-
     def eval_expr(self, e: Expr, x, y):
+        """One expression at (x, y); tables go through :meth:`eval_block`."""
         exact = _wants_exact(x, y)
+        fn = self._memo(("expr", e.key(), exact), lambda: compile_expr(e, exact))
         try:
-            return self._fn(e, exact)(list(x), list(y))
+            return fn(list(x), list(y))
         except ZeroDivisionError as exc:
             raise EvaluationError(f"division by zero while evaluating {e}") from exc
 
+    def eval_block(self, key, x, y) -> list:
+        """Every entry of table ``key`` at (x, y), row by row, from one call
+        of its compiled block.  ``key`` is 'f', 'g', a key of
+        :meth:`_dtable`, or (key, i) for constraint i of a 'g..' table.
+        Fraction inputs select exact constants, as in :meth:`eval_expr`."""
+        x, y = list(x), list(y)
+        exact = _wants_exact(x, y)
+        fn = self._memo(("block", key, exact),
+                        lambda: compile_block(_flat(self._table(key)), exact))
+        try:
+            return fn(x, y)
+        except ZeroDivisionError:
+            for e in _flat(self._table(key)):  # raise the first failing entry's error
+                self.eval_expr(e, x, y)
+            raise
+
+    def eval_array(self, key, x, y) -> np.ndarray:
+        """Table ``key`` at (x, y) as a float array of the table's shape:
+        one axis per constraint for a whole 'g' table, then one per
+        derivative letter (n for x, m for y)."""
+        return np.array(self.eval_block(key, x, y), float).reshape(
+            self._memo(("shape", key), lambda: self._shape(key)))
+
+    def _shape(self, key) -> tuple:
+        name = key if isinstance(key, str) else key[0]
+        lead = (self.p,) if name[0] == "g" and isinstance(key, str) else ()
+        return lead + tuple(self.n if c == "x" else self.m for c in name[1:])
+
     def eval_f(self, x, y) -> float:
-        return self.eval_expr(self.f, x, y)
+        return self.eval_block("f", x, y)[0]
 
     def eval_g(self, x, y) -> np.ndarray:
-        return np.array([self.eval_expr(gi, x, y) for gi in self.g], dtype=float)
+        return self.eval_array("g", x, y)
 
     def eval_g_exact(self, x, y) -> list:
-        return [self.eval_expr(gi, x, y) for gi in self.g]
-
-    # -- derivative trees (built lazily, cached) ----------------------------
-
-    def _dtable(self):
-        tab = getattr(self, "_dtable_cache", None)
-        if tab is None:
-            fx = [self.f.diff("x", j) for j in range(self.n)]
-            fy = [self.f.diff("y", k) for k in range(self.m)]
-            gx = [[gi.diff("x", j) for j in range(self.n)] for gi in self.g]
-            gy = [[gi.diff("y", k) for k in range(self.m)] for gi in self.g]
-            tab = {
-                "fx": fx,
-                "fy": fy,
-                "gx": gx,
-                "gy": gy,
-                "fxx": [[e.diff("x", j) for j in range(self.n)] for e in fx],
-                "fxy": [[e.diff("y", k) for k in range(self.m)] for e in fx],
-                "fyy": [[e.diff("y", k) for k in range(self.m)] for e in fy],
-                "fyx": [[e.diff("x", j) for j in range(self.n)] for e in fy],
-                "gxx": [[[e.diff("x", j) for j in range(self.n)] for e in row] for row in gx],
-                "gxy": [[[e.diff("y", k) for k in range(self.m)] for e in row] for row in gx],
-                "gyy": [[[e.diff("y", k) for k in range(self.m)] for e in row] for row in gy],
-                "gyx": [[[e.diff("x", j) for j in range(self.n)] for e in row] for row in gy],
-            }
-            self._dtable_cache = tab
-        return tab
-
-    def eval_matrix(self, rows, x, y) -> np.ndarray:
-        if len(rows) == 0:
-            return np.zeros((0, 0))
-        return np.array(
-            [[self.eval_expr(e, x, y) for e in row] for row in rows], dtype=float
-        )
+        return self.eval_block("g", x, y)
 
     def grad_x_f(self, x, y) -> np.ndarray:
-        return np.array([self.eval_expr(e, x, y) for e in self._dtable()["fx"]], float)
+        return self.eval_array("fx", x, y)
 
     def grad_y_f(self, x, y) -> np.ndarray:
-        return np.array([self.eval_expr(e, x, y) for e in self._dtable()["fy"]], float)
+        return self.eval_array("fy", x, y)
 
     def jac_x_g(self, x, y) -> np.ndarray:
-        tab = self._dtable()["gx"]
-        if self.p == 0:
-            return np.zeros((0, self.n))
-        return np.array([[self.eval_expr(e, x, y) for e in row] for row in tab], float)
+        return self.eval_array("gx", x, y)
 
     def jac_y_g(self, x, y) -> np.ndarray:
-        tab = self._dtable()["gy"]
-        if self.p == 0:
-            return np.zeros((0, self.m))
-        return np.array([[self.eval_expr(e, x, y) for e in row] for row in tab], float)
+        return self.eval_array("gy", x, y)
+
+    # -- derivative trees (built once, cached) ------------------------------
+
+    @per_problem
+    def _dtable(self):
+        fx = [self.f.diff("x", j) for j in range(self.n)]
+        fy = [self.f.diff("y", k) for k in range(self.m)]
+        gx = [[gi.diff("x", j) for j in range(self.n)] for gi in self.g]
+        gy = [[gi.diff("y", k) for k in range(self.m)] for gi in self.g]
+        return {
+            "f": self.f,
+            "g": list(self.g),
+            "fx": fx,
+            "fy": fy,
+            "gx": gx,
+            "gy": gy,
+            "fxx": [[e.diff("x", j) for j in range(self.n)] for e in fx],
+            "fxy": [[e.diff("y", k) for k in range(self.m)] for e in fx],
+            "fyy": [[e.diff("y", k) for k in range(self.m)] for e in fy],
+            "gxx": [[[e.diff("x", j) for j in range(self.n)] for e in row] for row in gx],
+            "gxy": [[[e.diff("y", k) for k in range(self.m)] for e in row] for row in gx],
+            "gyy": [[[e.diff("y", k) for k in range(self.m)] for e in row] for row in gy],
+        }
+
+    def _table(self, key):
+        if isinstance(key, str):
+            return self._dtable()[key]
+        name, i = key
+        return self._dtable()[name][i]
 
     # -- structure probes ----------------------------------------------------
 
+    @per_problem
     def constraints_x_free(self) -> bool:
         """True when no constraint mentions any x-variable."""
         return all(not depends_on(gi, "x") for gi in self.g)
 
+    @per_problem
     def affine_in_y(self) -> bool:
         return is_affine_in(self.f, "y") and all(is_affine_in(gi, "y") for gi in self.g)
 
@@ -731,32 +784,24 @@ def differentiate(problem: ParametricProblem, x, y, u) -> LagrangianEval:
     x = _as_vector(x, problem.n, "x")
     y = _as_vector(y, problem.m, "y")
     u = _as_vector(u, problem.p, "u", allow_empty=True)
-    tab = problem._dtable()
 
-    def vec(rows):
-        return np.array([problem.eval_expr(e, x, y) for e in rows], float)
+    def arr(key):
+        return problem.eval_array(key, x, y)
 
-    def mat(rows, cols, table):
-        out = np.zeros((rows, cols))
-        for j in range(rows):
-            for k in range(cols):
-                out[j, k] = problem.eval_expr(table[j][k], x, y)
-        return out
-
-    fx = vec(tab["fx"])
-    fy = vec(tab["fy"])
+    fx = arr("fx")
+    fy = arr("fy")
     gx = problem.jac_x_g(x, y)
     gy = problem.jac_y_g(x, y)
 
-    Lxx = mat(problem.n, problem.n, tab["fxx"])
-    Lxy = mat(problem.n, problem.m, tab["fxy"])
-    Lyy = mat(problem.m, problem.m, tab["fyy"])
+    Lxx = arr("fxx")
+    Lxy = arr("fxy")
+    Lyy = arr("fyy")
     for i in range(problem.p):
         if u[i] == 0.0:
             continue
-        Lxx += u[i] * mat(problem.n, problem.n, tab["gxx"][i])
-        Lxy += u[i] * mat(problem.n, problem.m, tab["gxy"][i])
-        Lyy += u[i] * mat(problem.m, problem.m, tab["gyy"][i])
+        Lxx += u[i] * arr(("gxx", i))
+        Lxy += u[i] * arr(("gxy", i))
+        Lyy += u[i] * arr(("gyy", i))
 
     grad_x_L = fx + (gx.T @ u if problem.p else np.zeros(problem.n))
     grad_y_L = fy + (gy.T @ u if problem.p else np.zeros(problem.m))
@@ -995,6 +1040,7 @@ def problem_to_json(problem: ParametricProblem) -> dict:
     return data
 
 
+@per_problem
 def _quadratic_shape(problem: ParametricProblem):
     """(f concave in x, f and every g convex in y) for a problem whose
     expressions all have total degree <= 2 in x and in y jointly, read off
@@ -1010,12 +1056,11 @@ def _quadratic_shape(problem: ParametricProblem):
         return None
     x0 = [0.0] * problem.n
     y0 = [0.0] * problem.m
-    tab = problem._dtable()
-    fxx = problem.eval_matrix(tab["fxx"], x0, y0)
+    fxx = problem.eval_array("fxx", x0, y0)
     concave_x = bool(np.all(np.linalg.eigvalsh(fxx) <= 1e-12))
     convex_y = True
-    for block in [tab["fyy"], *[tab["gyy"][i] for i in range(problem.p)]]:
-        mat = problem.eval_matrix(block, x0, y0)
+    for key in ["fyy", *[("gyy", i) for i in range(problem.p)]]:
+        mat = problem.eval_array(key, x0, y0)
         if mat.size and not np.all(np.linalg.eigvalsh(mat) >= -1e-12):
             convex_y = False
     return concave_x, convex_y

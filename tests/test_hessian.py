@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from valfun import kernel
 from valfun.errors import CaseRoutingError, DegeneracyError, HypothesisError
 from valfun.hessian import (
     HessianQuery,
@@ -387,6 +388,25 @@ def test_compute_rejects_mismatched_case():
     prob = load_instance("shiftbox")
     with pytest.raises(CaseRoutingError):
         compute(prob, HessianQuery([1.0], [-2.0], [1.0], case="unperturbed"))
+
+
+@pytest.mark.parametrize("name, xbar, xund, case", [
+    ("shiftbox", [1.0], [-2.0], "single-single"),
+    ("multiS", [1.0, 0.0], [-1.0, -2.0], "single-lambda"),
+])
+def test_compute_enumerates_each_multiplier_set_once(monkeypatch, name, xbar, xund, case):
+    # route's multiplier sets serve the first-order precheck and the case
+    points = []
+    real = kernel.multipliers
+
+    def count(problem, x, y, *args, **kwargs):
+        points.append(tuple(np.asarray(y, float)))
+        return real(problem, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "multipliers", count)
+    est = compute(load_instance(name), HessianQuery(xbar, xund, [1.0] + [0.0] * (len(xbar) - 1)))
+    assert est.case == case
+    assert len(points) == len(set(points))
 
 
 def test_estimates_scale_with_the_covector():

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from valfun import kernel
 from valfun.errors import InfeasibleParameterError, ProblemFormatError
 from valfun.kernel import (
     check_licq,
@@ -107,6 +109,72 @@ def test_materialize_lp_freezes_parameter():
     lp = materialize_lp(prob, [Fraction(1)])
     assert lp.c == [Fraction(1)]
     assert lp.b == [Fraction(1), Fraction(1)]  # y <= x, -y <= 2 - x
+
+
+# ---------------------------------------------------------------------------
+# SLSQP local solves
+# ---------------------------------------------------------------------------
+
+
+def test_local_solve_passes_one_vector_constraint(monkeypatch):
+    seen = []
+    real = kernel.minimize
+
+    def record(*args, **kwargs):
+        seen.append(kwargs["constraints"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "minimize", record)
+    quad = load_instance("quad2d")
+    kernel._local_solve(quad, quad.points["base"].x, np.zeros(2))
+    free = parse_problem({"n": 1, "m": 1, "f": "(y1 - x1)^2", "g": [], "y_box": [[-1, 1]]})
+    kernel._local_solve(free, [0.5], np.zeros(1))
+    assert [[c["type"] for c in cons] for cons in seen] == [["ineq"], []]
+
+
+def _scalar_callback_solve(prob, x, y0):
+    """One SLSQP descent with a scalar callback per constraint and per
+    entry, each evaluating one expression."""
+    from scipy.optimize import minimize
+
+    x = np.atleast_1d(np.asarray(x, float))
+    fy = [prob.f.diff("y", k) for k in range(prob.m)]
+    gy = [[gi.diff("y", k) for k in range(prob.m)] for gi in prob.g]
+    cons = [
+        {
+            "type": "ineq",
+            "fun": lambda y, i=i: -prob.eval_expr(prob.g[i], x, y),
+            "jac": lambda y, i=i: -np.array([prob.eval_expr(e, x, y) for e in gy[i]], float),
+        }
+        for i in range(prob.p)
+    ]
+    res = minimize(
+        lambda y: prob.eval_expr(prob.f, x, y),
+        np.asarray(y0, float),
+        jac=lambda y: np.array([prob.eval_expr(e, x, y) for e in fy], float),
+        bounds=prob.y_box,
+        constraints=cons,
+        method="SLSQP",
+        options={"maxiter": 200, "ftol": 1e-12},
+    )
+    if not res.success and res.status != 8:
+        return None
+    return np.clip(res.x, [lo for lo, _ in prob.y_box], [hi for _, hi in prob.y_box])
+
+
+@pytest.mark.parametrize("name, point", [
+    ("quad2d", "base"), ("quarticshift", "base"), ("bilinear2d", "interior")])
+def test_local_solve_matches_scalar_callbacks_bit_for_bit(name, point):
+    prob = load_instance(name)
+    if prob.y_box is None:
+        prob = replace(prob, y_box=[(-2.0, 2.0)] * prob.m)
+    base = prob.points[point].x
+    for x in (base, base + 3 / 4096):
+        for y0 in kernel._grid_starts(prob):
+            got = kernel._local_solve(prob, x, y0)
+            want = _scalar_callback_solve(prob, x, y0)
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want), (x, y0, got, want)
 
 
 # ---------------------------------------------------------------------------

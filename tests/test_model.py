@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import operator
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from valfun.errors import KktValidationError, ParseError, ProblemFormatError
+from valfun.errors import EvaluationError, KktValidationError, ParseError, ProblemFormatError
 from valfun.model import (
+    Add,
+    Const,
+    Div,
+    Mul,
+    Pow,
+    Sub,
+    Var,
     classify,
     differentiate,
     evaluate,
@@ -213,6 +224,121 @@ def test_lagrangian_includes_multiplier_terms():
     # grad_x L = u1 * d(y - x)/dx = -2
     assert lag.grad_x_L == pytest.approx([-2.0])
     assert lag.grad_y_L == pytest.approx([0.0])
+
+
+# ---------------------------------------------------------------------------
+# Compiled blocks against a tree-walking interpreter
+# ---------------------------------------------------------------------------
+
+#: A problem with divisions and a negative power, beside the battery.
+RATIONAL = {
+    "n": 2, "m": 2,
+    "f": "x1*y2/(1 + y1^2) - y2^-2 + 0.3*x2",
+    "g": ["y1/(x1 - 4) - 1/3", "(y1 - x2)^3 * y2", "-y1 - 1"],
+}
+BLOCK_PROBLEMS = [*BATTERY, "rational"]
+BLOCK_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+_BINOPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _block_problem(name):
+    return parse_problem(RATIONAL) if name == "rational" else load_instance(name)
+
+
+def _interpret(e, x, y, exact):
+    """The value of ``e`` by walking its tree, with the constants the
+    compiled code uses: ints, then Fractions (exact) or floats."""
+    if isinstance(e, Const):
+        v = e.value
+        return v.numerator if v.denominator == 1 else (v if exact else float(v))
+    if isinstance(e, Var):
+        return (x if e.kind == "x" else y)[e.index]
+    if isinstance(e, Pow):
+        return _interpret(e.base, x, y, exact) ** e.exponent
+    a = _interpret(e.a, x, y, exact)
+    return _BINOPS[type(e)](a, _interpret(e.b, x, y, exact))
+
+
+def _expected_tables(prob):
+    """Every table key with its expressions, row by row, derived here from
+    f and g rather than read from the problem's derivative table."""
+    xs = [("x", j) for j in range(prob.n)]
+    ys = [("y", k) for k in range(prob.m)]
+
+    def d(e, *wrt):
+        for v in wrt:
+            e = e.diff(*v)
+        return e
+
+    def second(e, first, then):
+        return [d(e, a, b) for a in first for b in then]
+
+    tables = {"f": [prob.f], "g": list(prob.g),
+              "fx": [d(prob.f, v) for v in xs], "fy": [d(prob.f, v) for v in ys],
+              "gx": [d(gi, v) for gi in prob.g for v in xs],
+              "gy": [d(gi, v) for gi in prob.g for v in ys],
+              "fxx": second(prob.f, xs, xs), "fxy": second(prob.f, xs, ys),
+              "fyy": second(prob.f, ys, ys)}
+    for name, first, then in (("gxx", xs, xs), ("gxy", xs, ys), ("gyy", ys, ys)):
+        tables[name] = []
+        for i, gi in enumerate(prob.g):
+            tables[(name, i)] = second(gi, first, then)
+            tables[name] += tables[(name, i)]
+    return tables
+
+
+def _check_blocks(prob, x, y, exact):
+    for key, exprs in _expected_tables(prob).items():
+        try:
+            want = [_interpret(e, list(x), list(y), exact) for e in exprs]
+        except ZeroDivisionError:
+            with pytest.raises(EvaluationError):
+                prob.eval_block(key, x, y)
+            continue
+        got = prob.eval_block(key, x, y)
+        assert len(got) == len(want), key
+        for a, b in zip(got, want):
+            assert type(a) is type(b), (key, a, b)
+            if exact:
+                assert a == b, (key, a, b)
+            else:
+                assert struct.pack("<d", a) == struct.pack("<d", b), (key, a, b)
+
+
+def _points(draw, prob, values):
+    x = [draw(values) for _ in range(prob.n)]
+    y = [draw(values) for _ in range(prob.m)]
+    return x, y
+
+
+@pytest.mark.parametrize("name", BLOCK_PROBLEMS)
+@BLOCK_SETTINGS
+@given(data=st.data())
+def test_float_blocks_match_the_interpreter(name, data):
+    prob = _block_problem(name)
+    x, y = _points(data.draw, prob, st.floats(-3, 3))
+    with np.errstate(all="ignore"):
+        _check_blocks(prob, np.array(x), np.array(y), exact=False)
+
+
+@pytest.mark.parametrize("name", BLOCK_PROBLEMS)
+@BLOCK_SETTINGS
+@given(data=st.data())
+def test_exact_blocks_match_the_interpreter(name, data):
+    prob = _block_problem(name)
+    x, y = _points(data.draw, prob, st.fractions(-3, 3, max_denominator=12))
+    _check_blocks(prob, x, y, exact=True)
+
+
+@pytest.mark.parametrize("zero", [1.0, Fraction(1, 3)])
+def test_block_division_by_zero_names_the_entry(zero):
+    prob = parse_problem({"n": 1, "m": 1, "f": "1/(y1 - x1)", "g": ["y1 - 2/(y1 - x1)"]})
+    x, y = [zero], [zero]
+    for evaluate_table in (prob.eval_f, prob.eval_g, prob.grad_y_f, prob.jac_x_g):
+        with pytest.raises(EvaluationError, match="division by zero while evaluating"):
+            evaluate_table(x, y)
+    with pytest.raises(EvaluationError, match=r"evaluating y1 - 2 / \(y1 - x1\)"):
+        prob.eval_g_exact(x, y)
 
 
 # ---------------------------------------------------------------------------
