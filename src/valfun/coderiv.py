@@ -35,7 +35,7 @@ import numpy as np
 
 from . import kernel
 from .errors import BranchCapError, HypothesisError
-from .model import KktPoint, ParametricProblem, Partition, kkt_point, verify_concave_convex
+from .model import KktPoint, ParametricProblem, Partition, kkt_point, verify_convex_in_y
 from .reporting import ASSERTED, ASSUMED, FAILED, VERIFIED, HypothesisRecord
 from .setcalc import Piece, Polyhedron, PolySet, _as_float
 
@@ -358,9 +358,11 @@ def coderivative_S(
     hyps.append(HypothesisRecord("mfcq", VERIFIED if mfcq.holds else FAILED))
     if not mfcq.holds:
         raise HypothesisError("MFCQ fails at (xbar, ybar)")
-    cc = verify_concave_convex(problem)
-    if cc == "verified":
+    cy = verify_convex_in_y(problem)
+    if cy == "verified":
         hyps.append(HypothesisRecord("convex-in-y", VERIFIED, "quadratic shape check"))
+    elif cy == "failed":
+        hyps.append(HypothesisRecord("convex-in-y", FAILED, "quadratic shape check"))
     elif problem.flags.get("convex_in_y"):
         hyps.append(HypothesisRecord("convex-in-y", ASSERTED, "problem flag"))
     else:

@@ -3,6 +3,8 @@ solution maps, checked against hand-derived sets."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from valfun.coderiv import (
 )
 from valfun.errors import BranchCapError, HypothesisError
 from valfun.model import Partition, classify, make_kkt, parse_problem
+from valfun.reporting import FAILED, VERIFIED
 from valfun.setcalc import Piece, PolySet
 
 from conftest import load_instance
@@ -254,6 +257,26 @@ def test_solution_coderivative_needs_mfcq():
     )
     with pytest.raises(HypothesisError):
         coderivative_S(prob, [0.0], [0.0], [1.0])
+
+
+def _convex_in_y_record(est):
+    return next((h.status, h.detail) for h in est.hypotheses if h.name == "convex-in-y")
+
+
+@pytest.mark.parametrize("flags", [{"convex_in_y": True}, {}])
+def test_solution_coderivative_checks_convexity_in_y_only(flags):
+    # f = x1^2 is convex, not concave, in x: only the y-blocks decide, so
+    # the flagless copy is verified too
+    prob = replace(load_instance("constantobj"), flags=flags)
+    est = coderivative_S(prob, [0.5], [0.0], [1.0])
+    assert _convex_in_y_record(est) == (VERIFIED, "quadratic shape check")
+
+
+def test_solution_coderivative_records_a_nonconvex_y_shape():
+    prob = parse_problem({"n": 1, "m": 1, "f": "-y1^2", "g": ["y1 - 1", "-y1 - 1"],
+                          "flags": {"convex_in_y": True}})
+    est = coderivative_S(prob, [0.0], [1.0], [1.0])
+    assert _convex_in_y_record(est) == (FAILED, "quadratic shape check")
 
 
 def test_lipschitz_like_certificate():
