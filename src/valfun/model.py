@@ -6,14 +6,10 @@ A parametric program is
 
 with parameter x in R^n and decision y in R^m.  Expressions are small
 polynomial-style trees over the variables x1..xn, y1..ym; they are
-parsed from strings and differentiated exactly.  Each table a problem
-evaluates (f, g, their first derivatives, and the second-order blocks of
-the Lagrangian) is compiled once, on first use, into one plain Python
-function ``fn(x, y) -> [e1, ..., ek]`` per arithmetic mode (float, or
-exact on Fraction inputs), so a callback evaluates a whole table in one
-call.  The problem never changes after construction, so these functions
-and the structure probes (affine in y, x-free constraints, the quadratic
-shape) are cached on it.
+parsed from strings and differentiated exactly.  Each table (f, g, their
+derivatives) is compiled once per problem and arithmetic mode into one
+Python function ``fn(x, y) -> [e1, ..., ek]``; these functions and the
+structure probes are cached on the problem, which never changes.
 """
 
 from __future__ import annotations
@@ -339,32 +335,22 @@ def pow_(base: Expr, exponent: int) -> Expr:
     return Pow(base, exponent)
 
 
-def compile_expr(e: Expr, exact: bool = False) -> Callable:
-    """Compile an expression to ``fn(x, y) -> number``.
+def compile_block(exprs: Sequence[Expr], exact: bool = False) -> Callable:
+    """Compile expressions to one ``fn(x, y) -> [e1, ..., ek]``.
 
     With ``exact=True`` rational constants are emitted as Fractions so the
-    function is exact on Fraction inputs; otherwise constants become floats.
+    entries are exact on Fraction inputs; otherwise constants become floats.
     """
-    return _compile(e._emit(exact))
-
-
-def compile_block(exprs: Sequence[Expr], exact: bool = False) -> Callable:
-    """Compile expressions to one ``fn(x, y) -> [e1, ..., ek]``; entry i is
-    the value ``compile_expr(exprs[i], exact)`` computes."""
-    return _compile("[" + ", ".join(e._emit(exact) for e in exprs) + "]")
-
-
-def _compile(body: str) -> Callable:
-    src = f"def _fn(x, y):\n    return {body}\n"
+    body = ", ".join(e._emit(exact) for e in exprs)
     ns = {"F": Fraction}
-    exec(compile(src, "<expr>", "exec"), ns)
+    exec(compile(f"def _fn(x, y):\n    return [{body}]\n", "<expr>", "exec"), ns)
     return ns["_fn"]
 
 
 def evaluate(e: Expr, x: Sequence, y: Sequence):
-    """Evaluate without compiling (used for one-off checks)."""
+    """Evaluate without caching the compiled code (for one-off checks)."""
     try:
-        return compile_expr(e, exact=_wants_exact(x, y))(x, y)
+        return compile_block([e], exact=_wants_exact(x, y))(x, y)[0]
     except ZeroDivisionError as exc:
         raise EvaluationError(f"division by zero while evaluating {e}") from exc
 
@@ -379,8 +365,7 @@ def _flat(table) -> list:
 
 
 def per_problem(fn):
-    """Cache ``fn(problem)`` on the problem, which never changes after
-    construction."""
+    """Cache ``fn(problem)`` on the problem, which never changes."""
 
     @functools.wraps(fn)
     def cached(problem):
@@ -655,25 +640,25 @@ class ParametricProblem:
     def eval_expr(self, e: Expr, x, y):
         """One expression at (x, y); tables go through :meth:`eval_block`."""
         exact = _wants_exact(x, y)
-        fn = self._memo(("expr", e.key(), exact), lambda: compile_expr(e, exact))
+        fn = self._memo(("expr", e.key(), exact), lambda: compile_block([e], exact))
         try:
-            return fn(list(x), list(y))
+            return fn(list(x), list(y))[0]
         except ZeroDivisionError as exc:
             raise EvaluationError(f"division by zero while evaluating {e}") from exc
 
     def eval_block(self, key, x, y) -> list:
         """Every entry of table ``key`` at (x, y), row by row, from one call
-        of its compiled block.  ``key`` is 'f', 'g', a key of
-        :meth:`_dtable`, or (key, i) for constraint i of a 'g..' table.
+        of its compiled block.  ``key`` is a key of :meth:`_dtable`: 'f',
+        'g', a derivative table, or (name, i) for row i of a 'g..' table.
         Fraction inputs select exact constants, as in :meth:`eval_expr`."""
         x, y = list(x), list(y)
         exact = _wants_exact(x, y)
         fn = self._memo(("block", key, exact),
-                        lambda: compile_block(_flat(self._table(key)), exact))
+                        lambda: compile_block(_flat(self._dtable()[key]), exact))
         try:
             return fn(x, y)
         except ZeroDivisionError:
-            for e in _flat(self._table(key)):  # raise the first failing entry's error
+            for e in _flat(self._dtable()[key]):  # raise the first failing entry's error
                 self.eval_expr(e, x, y)
             raise
 
@@ -718,7 +703,7 @@ class ParametricProblem:
         fy = [self.f.diff("y", k) for k in range(self.m)]
         gx = [[gi.diff("x", j) for j in range(self.n)] for gi in self.g]
         gy = [[gi.diff("y", k) for k in range(self.m)] for gi in self.g]
-        return {
+        tab = {
             "f": self.f,
             "g": list(self.g),
             "fx": fx,
@@ -732,12 +717,9 @@ class ParametricProblem:
             "gxy": [[[e.diff("y", k) for k in range(self.m)] for e in row] for row in gx],
             "gyy": [[[e.diff("y", k) for k in range(self.m)] for e in row] for row in gy],
         }
-
-    def _table(self, key):
-        if isinstance(key, str):
-            return self._dtable()[key]
-        name, i = key
-        return self._dtable()[name][i]
+        for name in ("gxx", "gxy", "gyy"):
+            tab.update({(name, i): rows for i, rows in enumerate(tab[name])})
+        return tab
 
     # -- structure probes ----------------------------------------------------
 
@@ -784,24 +766,20 @@ def differentiate(problem: ParametricProblem, x, y, u) -> LagrangianEval:
     x = _as_vector(x, problem.n, "x")
     y = _as_vector(y, problem.m, "y")
     u = _as_vector(u, problem.p, "u", allow_empty=True)
-
-    def arr(key):
-        return problem.eval_array(key, x, y)
-
-    fx = arr("fx")
-    fy = arr("fy")
+    fx = problem.grad_x_f(x, y)
+    fy = problem.grad_y_f(x, y)
     gx = problem.jac_x_g(x, y)
     gy = problem.jac_y_g(x, y)
 
-    Lxx = arr("fxx")
-    Lxy = arr("fxy")
-    Lyy = arr("fyy")
+    Lxx = problem.eval_array("fxx", x, y)
+    Lxy = problem.eval_array("fxy", x, y)
+    Lyy = problem.eval_array("fyy", x, y)
     for i in range(problem.p):
         if u[i] == 0.0:
             continue
-        Lxx += u[i] * arr(("gxx", i))
-        Lxy += u[i] * arr(("gxy", i))
-        Lyy += u[i] * arr(("gyy", i))
+        Lxx += u[i] * problem.eval_array(("gxx", i), x, y)
+        Lxy += u[i] * problem.eval_array(("gxy", i), x, y)
+        Lyy += u[i] * problem.eval_array(("gyy", i), x, y)
 
     grad_x_L = fx + (gx.T @ u if problem.p else np.zeros(problem.n))
     grad_y_L = fy + (gy.T @ u if problem.p else np.zeros(problem.m))
