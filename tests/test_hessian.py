@@ -406,7 +406,7 @@ def test_compute_enumerates_each_multiplier_set_once(monkeypatch, name, xbar, xu
     monkeypatch.setattr(kernel, "multipliers", count)
     est = compute(load_instance(name), HessianQuery(xbar, xund, [1.0] + [0.0] * (len(xbar) - 1)))
     assert est.case == case
-    assert len(points) == len(set(points))
+    assert points and len(points) == len(set(points))
 
 
 def test_estimates_scale_with_the_covector():
