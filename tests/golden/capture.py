@@ -10,7 +10,12 @@ covector at branch cap 200; ``theorems.json`` holds
 ``THEOREM_CALLS``, which reach the theorem paths and multi-generator modes
 the battery queries do not (composed single-single, both hull modes,
 selection over several minimizers, the multiplier-vertex union) and the
-coderivative estimates at the points of ``test_coderiv.py``;
+coderivative estimates at the points of ``test_coderiv.py``, plus the
+exact LP cases: ``hessian.compute`` for every battery query of
+``hessian.json`` that routes to ``lp-lhs`` or ``lp-lhs-rhs``, and direct
+``lp_lhs_hessian``/``lp_lhs_rhs_hessian`` calls that reach flavor C, an
+unbounded multiplier set, a fan point, several inner multiplier vertices,
+the centroid and anchor of a complementary face, and the empty estimates;
 ``solve.json`` holds, for every battery instance not affine in y, the
 ``repr`` of the value and of each minimizer from ``kernel.solve_value``
 (SLSQP multistart) at each named point with its pinned minimizers
@@ -26,6 +31,7 @@ import contextlib
 import io
 import json
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +126,37 @@ def _kkt_of(name, point):
     return lambda: _pinned_kkt(name, point)
 
 
+def _lp(fn, *data, query, **kw):
+    from valfun import hessian
+
+    return getattr(hessian, fn)(*data, hessian.HessianQuery(*query), **kw)
+
+
+def _compute(name, point, xund, xstar):
+    from valfun import hessian
+
+    prob = _instance(name)
+    query = hessian.HessianQuery(prob.points[point].x, [float(t) for t in xund.split(",")],
+                                 [float(t) for t in xstar.split(",")])
+    return hessian.compute(prob, query, branch_cap=BRANCH_CAP)
+
+
+def lp_battery_calls():
+    """id -> ``hessian.compute`` call for each battery query of
+    ``hessian.json`` whose instance routes to an exact LP case."""
+    from valfun import hessian
+
+    calls = {}
+    for q in json.loads((HERE / "hessian.json").read_text()):
+        if hessian.route(_instance(q["instance"]))[0].startswith("lp-"):
+            args = (q["instance"], q["point"], q["xund"], q["xstar"])
+            calls["compute/" + "-".join(args)] = lambda args=args: _compute(*args)
+    return calls
+
+
+_BOX = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+
+
 #: id -> zero-argument call whose result has ``to_json``.
 THEOREM_CALLS = {
     "single-single-composed/quadfit-1": lambda: _hessian(
@@ -155,6 +192,36 @@ THEOREM_CALLS = {
         "quarticshift", [0.0], [0.0], [0.0]),
     "coderivative_S/twoactive-0": lambda: _dS("twoactive", [0.0], [0.0], [0.8]),
     "coderivative_S/constantobj-0.5": lambda: _dS("constantobj", [0.5], [0.0], [1.0]),
+    "lp_lhs_hessian/box-fan": lambda: _lp(
+        "lp_lhs_hessian", _BOX, [1, 1, 0, 0], query=([0.0, 1.0], [0.0, 0.0], [0.0, 1.0])),
+    "lp_lhs_hessian/box-fan-C": lambda: _lp(
+        "lp_lhs_hessian", _BOX, [1, 1, 0, 0], query=([0.0, 1.0], [0.0, 0.0], [0.0, 1.0]),
+        flavor="C"),
+    "lp_lhs_hessian/box-vertex": lambda: _lp(
+        "lp_lhs_hessian", _BOX, [1, 1, 0, 0], query=([1.0, 2.0], [0.0, 0.0], [1.0, 1.0])),
+    "lp_lhs_hessian/unbounded-multipliers": lambda: _lp(
+        "lp_lhs_hessian", [[1], [-1]], [0, 0], query=([0.5], [0.0], [1.0])),
+    "lp_lhs_rhs_hessian/box-face-centroid": lambda: _lp(
+        "lp_lhs_rhs_hessian", _BOX, query=([1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 1])),
+    "lp_lhs_rhs_hessian/box-face-centroid-C": lambda: _lp(
+        "lp_lhs_rhs_hessian", _BOX, query=([1, 1, 0, 0], [0, 0, 0, -1], [1, 0, 0, 1]),
+        cost=[0, 1], flavor="C"),
+    "lp_lhs_rhs_hessian/two-inner-vertices": lambda: _lp(
+        "lp_lhs_rhs_hessian", [[1], [-1], [-1]], query=([1, 0, 0], [0, -1, 0], [1, 1, 0])),
+    "lp_lhs_rhs_hessian/non-pointed-face": lambda: _lp(
+        "lp_lhs_rhs_hessian", [[0, 1]], query=([1.0], [-1.0], [1.0])),
+    "lp_lhs_rhs_hessian/rational-query": lambda: _lp(
+        "lp_lhs_rhs_hessian", [[1], [-1]],
+        query=tuple(np.array([Fraction(v) for v in vec], dtype=object)
+                    for vec in (["2", "1"], ["0", "-1"], ["1/3", "1"]))),
+    "lp_lhs_rhs_hessian/bad-covector": lambda: _lp(
+        "lp_lhs_rhs_hessian", [[1], [-1]], query=([2.0, 1.0], [0.5, -1.0], [1.0, 1.0])),
+    "lp_lhs_rhs_hessian/inconsistent-cost": lambda: _lp(
+        "lp_lhs_rhs_hessian", [[1], [-1]], query=([2.0, 1.0], [0.0, -1.0], [1.0, 1.0]),
+        cost=[2]),
+    "lp_lhs_rhs_hessian/empty-face": lambda: _lp(
+        "lp_lhs_rhs_hessian", [[1], [-1]], query=([2.0, 1.0], [-1.0, -1.0], [1.0, 0.0])),
+    **lp_battery_calls(),
 }
 
 

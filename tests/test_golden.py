@@ -1,7 +1,9 @@
 """Golden CLI outputs: ``valfun report`` for every battery instance and the
 text of ``valfun hessian`` (coordinate ranges included) for every battery
 query must stay byte-identical, and so must the JSON of the theorem-path
-calls in ``THEOREM_CALLS`` and the multistart solves of ``solve_points``.  The references were captured by
+calls in ``THEOREM_CALLS`` (the exact LP cases among them, through
+``hessian.compute`` for the battery queries that route there) and the
+multistart solves of ``solve_points``.  The references were captured by
 ``golden/capture.py``; CLI runs are in-process through ``cli.main``."""
 
 from __future__ import annotations
