@@ -190,18 +190,33 @@ def branch_family(
     return build_branch_family(kkt.lag.gy, kkt.partition, u_star, flavor, branch_cap)
 
 
-def coderivative_map_matrix(lag) -> np.ndarray:
-    """(n+m) x (m+p) matrix of (a, c) -> (Lxy a + gx^T c, Lyy a + gy^T c)."""
-    n, m = lag.Lxy.shape
-    p = lag.gx.shape[0]
-    M = np.zeros((n + m, m + p))
-    M[:n, :m] = lag.Lxy
-    if p:
-        M[:n, m:] = lag.gx.T
-    M[n:, :m] = lag.Lyy
-    if p:
-        M[n:, m:] = lag.gy.T
-    return M
+def coderivative_map_matrix(Lxy, gx, Lyy, gy) -> np.ndarray:
+    """(n+m) x (m+p) matrix of (a, c) -> (Lxy a + gx^T c, Lyy a + gy^T c),
+    of float blocks or, exactly, of Fraction blocks."""
+    return np.block([[Lxy, gx.T], [Lyy, gy.T]])
+
+
+def slice_pieces(fam: BranchFamily, M, ystar, off, label) -> list[Piece]:
+    """Pieces of  { M[:n] z + off : M[n:] z = -ystar, z in a branch of fam },
+    n = len(off); ``label(branch)`` names each piece."""
+    n = len(off)
+    return [Piece(br.poly.with_eqs(M[n:], -ystar), M[:n], off, label(br))
+            for br in fam.branches]
+
+
+def chain_pieces(outer: Branch, M, inner, v, off, label) -> list[Piece]:
+    """Pieces of  M[:n] z + M_k[:n] w + off  over z in the branch ``outer``
+    and w in a branch of the k-th inner family, linked by
+    M[n:] z + M_k[n:] w = -v.  ``inner`` lists the pairs (M_k, family k)
+    in order, n = len(off), and ``label(k, branch)`` names each piece."""
+    n = len(off)
+    pieces = []
+    for k, (Mk, fam) in enumerate(inner):
+        link, value = np.hstack([M[n:], Mk[n:]]), np.hstack([M[:n], Mk[:n]])
+        for br in fam.branches:
+            prod = outer.poly.product(br.poly).with_eqs(link, -v)
+            pieces.append(Piece(prod, value, off, label(k, br)))
+    return pieces
 
 
 @dataclass
@@ -240,7 +255,8 @@ def check_cq_lambda(
 ) -> CqReport:
     """Evaluate both qualification conditions at the zero covector."""
     fam = branch_family(problem, kkt, np.zeros(problem.p), flavor, branch_cap)
-    return _cq_report(fam, coderivative_map_matrix(kkt.lag))
+    lag = kkt.lag
+    return _cq_report(fam, coderivative_map_matrix(lag.Lxy, lag.gx, lag.Lyy, lag.gy))
 
 
 def _cq_report(fam: BranchFamily, M) -> CqReport:
@@ -299,7 +315,8 @@ def coderivative_lambda(
     """
     u_star = np.atleast_1d(np.asarray(u_star, dtype=float))
     fam = branch_family(problem, kkt, u_star, flavor, branch_cap)
-    M = coderivative_map_matrix(kkt.lag)
+    lag = kkt.lag
+    M = coderivative_map_matrix(lag.Lxy, lag.gx, lag.Lyy, lag.gy)
     pieces = [
         Piece(br.poly, M, np.zeros(M.shape[0]), f"dlambda[{br.label}]")
         for br in fam.branches
@@ -388,13 +405,10 @@ def coderivative_S(
     for k, u in enumerate(multiplier_vertices):
         kkt = kkt_point(problem, xbar, ybar, u)
         fam = branch_family(problem, kkt, np.zeros(p), flavor, branch_cap)
-        M = coderivative_map_matrix(kkt.lag)
-        x_rows, y_rows = M[:n], M[n:]
-        for br in fam.branches:
-            sliced = br.poly.with_eqs(y_rows, -ystar)
-            pieces.append(
-                Piece(sliced, x_rows, np.zeros(n), f"dS[u{k}|{br.label}]")
-            )
+        lag = kkt.lag
+        M = coderivative_map_matrix(lag.Lxy, lag.gx, lag.Lyy, lag.gy)
+        pieces.extend(slice_pieces(fam, M, ystar, np.zeros(n),
+                                   lambda br: f"dS[u{k}|{br.label}]"))
         # the zero-covector family doubles as the one the CQ check needs
         if not _cq_report(fam, M).only_zero_preimage:
             cq_all = False

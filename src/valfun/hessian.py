@@ -40,9 +40,11 @@ from .coderiv import (
     FiniteGeneratorMap,
     branch_family,
     build_branch_family,
+    chain_pieces,
     coderivative_map_matrix,
     coderivative_S,
     hull_coderivative,
+    slice_pieces,
 )
 from .errors import (
     CaseRoutingError,
@@ -295,24 +297,23 @@ def _compose_pieces(gen, j, xstar, js, tag):
     lag = kkt.lag
     ustar_in = lag.gx @ xstar if problem.p else np.zeros(0)
     fam = branch_family(problem, kkt, ustar_in, gen.flavor, gen.branch_cap)
-    M = coderivative_map_matrix(lag)
-    Mx, My = M[:n], M[n:]
+    M = coderivative_map_matrix(lag.Lxy, lag.gx, lag.Lyy, lag.gy)
     base = lag.Lxx @ xstar
     v_const = lag.Lyx @ xstar
     sens = gen.tangent(js)
     if sens is not None:
-        A = Mx + sens.ds.T @ My
+        A = M[:n] + sens.ds.T @ M[n:]
         off = base + sens.ds.T @ v_const
         return [Piece(br.poly, A, off, f"{tag}[{br.label}]") for br in fam.branches]
     pieces = []
     for br in fam.branches:
-        for k2, j2 in enumerate(js):
-            M2 = coderivative_map_matrix(gen.kkt(j2).lag)
-            for br2 in gen.family0(j2).branches:
-                prod = br.poly.product(br2.poly)
-                prod = prod.with_eqs(np.hstack([My, M2[n:]]), -v_const)
-                pieces.append(Piece(prod, np.hstack([Mx, M2[:n]]), base,
-                                    f"{tag}[{br.label}|u{k2}:{br2.label}]"))
+        inner = []
+        for j2 in js:
+            lag2 = gen.kkt(j2).lag
+            inner.append((coderivative_map_matrix(lag2.Lxy, lag2.gx, lag2.Lyy, lag2.gy),
+                          gen.family0(j2)))
+        pieces.extend(chain_pieces(br, M, inner, v_const, base,
+                                   lambda k2, br2: f"{tag}[{br.label}|u{k2}:{br2.label}]"))
     return pieces
 
 
@@ -646,34 +647,9 @@ def hessian_single_lambda(
 # ---------------------------------------------------------------------------
 
 
-def _frac_vec(v) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(v, dtype=object))
-    return np.array([Fraction(x) for x in arr], dtype=object)
-
-
-def _frac_mat(M) -> np.ndarray:
-    M = np.asarray(M, dtype=object)
-    if M.ndim != 2:
-        raise ValueError("matrix expected")
-    return np.array([[Fraction(v) for v in row] for row in M], dtype=object)
-
-
-def _ozeros(r, c) -> np.ndarray:
-    return np.full((r, c), Fraction(0), dtype=object)
-
-
-def _oeye(k) -> np.ndarray:
-    out = _ozeros(k, k)
-    for i in range(k):
-        out[i, i] = Fraction(1)
-    return out
-
-
-def _omatvec(M, v) -> np.ndarray:
-    return np.array(
-        [sum((M[i, j] * v[j] for j in range(len(v))), Fraction(0)) for i in range(M.shape[0])],
-        dtype=object,
-    )
+def _frac(v) -> np.ndarray:
+    """v as an object array of Fractions, at least one-dimensional."""
+    return np.vectorize(Fraction, otypes=[object])(np.atleast_1d(np.asarray(v, dtype=object)))
 
 
 def _exact_estimate(query, case, result, hyps, under=False) -> HessianEstimate:
@@ -692,18 +668,21 @@ def lp_lhs_hessian(
 
     The base gradient is a minimizer of the program at xbar; the query is
     checked by exact rational feasibility and multiplier enumeration, and
-    the estimate is the union over multiplier vertices of the branch
-    images  { a : (a, c) in branches, A^T c = -xstar }.
+    the estimate is the union over multiplier vertices of the solution-map
+    slices with the constant blocks Lxy = I, gx = 0, Lyy = 0, gy = A:
+    { a : (a, c) in branches, A^T c = -xstar }.
     """
-    A = _frac_mat(A)
-    b = _frac_vec(b)
+    A = _frac(A)
+    if A.ndim != 2:
+        raise ValueError("matrix expected")
+    b = _frac(b)
     p, m = A.shape
-    xbar = _frac_vec(query.xbar)
-    ybar = _frac_vec(query.xund)
-    xstar = _frac_vec(query.xstar)
+    xbar = _frac(query.xbar)
+    ybar = _frac(query.xund)
+    xstar = _frac(query.xstar)
     if len(xbar) != m or len(b) != p:
         raise ValueError("query/length mismatch with the program data")
-    g = _omatvec(A, ybar) - b
+    g = A @ ybar - b
     if any(gi > 0 for gi in g):
         raise HypothesisError("base gradient is not feasible for the program (exact)")
     inactive = [i for i in range(p) if g[i] < 0]
@@ -724,18 +703,14 @@ def lp_lhs_hessian(
                 "multiplier-vertex-union", ASSUMED, "unbounded multiplier set; vertices only"
             )
         )
-    slice_rows = np.hstack([_ozeros(m, m), A.T])
-    proj = np.hstack([_oeye(m), _ozeros(m, p)])
-    zeros_m = np.array([Fraction(0)] * m, dtype=object)
+    M = coderivative_map_matrix(_frac(np.eye(m)), _frac(np.zeros((p, m))),
+                                _frac(np.zeros((m, m))), A)
+    zero_p, zero_m = _frac(np.zeros(p)), _frac(np.zeros(m))
     pieces = []
     for j, u in enumerate(vf.vertices):
-        part = partition_of(g, u, 0)
-        fam = build_branch_family(
-            A, part, np.array([Fraction(0)] * p, dtype=object), flavor, branch_cap
-        )
-        for br in fam.branches:
-            sliced = br.poly.with_eqs(slice_rows, -xstar)
-            pieces.append(Piece(sliced, proj, zeros_m, f"lp-lhs[u{j}|{br.label}]"))
+        fam = build_branch_family(A, partition_of(g, u, 0), zero_p, flavor, branch_cap)
+        pieces.extend(slice_pieces(fam, M, xstar, zero_m,
+                                   lambda br: f"lp-lhs[u{j}|{br.label}]"))
     return _exact_estimate(query, "lp-lhs", PolySet(m, pieces), hyps, under)
 
 
@@ -754,22 +729,26 @@ def lp_lhs_rhs_hessian(
     an honest consistency check against the problem data.  If -xund is
     not a valid multiplier, or no minimizer is complementary to it, the
     estimate is empty and the failure is recorded as a diagnostic rather
-    than raised.
+    than raised.  The estimate chains the multiplier-map branches at each
+    minimizer of the complementary face with the solution map, for the
+    constant blocks Lxy = 0, gx = -I, Lyy = 0, gy = A.
     """
-    A = _frac_mat(A)
+    A = _frac(A)
+    if A.ndim != 2:
+        raise ValueError("matrix expected")
     p, m = A.shape
-    xbar = _frac_vec(query.xbar)
-    xstar = _frac_vec(query.xstar)
-    u = -_frac_vec(query.xund)
+    xbar = _frac(query.xbar)
+    xstar = _frac(query.xstar)
+    u = -_frac(query.xund)
     n = p
     if len(xbar) != p:
         raise ValueError("parameter length must match the constraint count")
     inferred = cost is None
-    cost_eff = -_omatvec(A.T, u) if inferred else _frac_vec(cost)
+    cost_eff = -(A.T @ u) if inferred else _frac(cost)
     if len(cost_eff) != m:
         raise ValueError("cost length must match the variable count")
     hyps = []
-    stat = _omatvec(A.T, u) + cost_eff
+    stat = A.T @ u + cost_eff
     if any(ui < 0 for ui in u) or any(si != 0 for si in stat):
         hyps.append(
             HypothesisRecord(
@@ -789,17 +768,12 @@ def lp_lhs_rhs_hessian(
         )
     )
     supp = [i for i in range(p) if u[i] > 0]
-    face_eq_rows = np.array([list(A[i]) for i in supp], dtype=object) if supp else None
-    face_eq_rhs = np.array([xbar[i] for i in supp], dtype=object) if supp else None
-    face = Polyhedron(m, C=A, d=xbar, C_eq=face_eq_rows, d_eq=face_eq_rhs)
+    face = Polyhedron(m, C=A, d=xbar, C_eq=A[supp] if supp else None,
+                      d_eq=xbar[supp] if supp else None)
     vf = face.vertices()
     ys = list(vf.vertices)
     if len(ys) > 1:
-        mid = np.array(
-            [sum((y[j] for y in ys), Fraction(0)) / len(ys) for j in range(m)],
-            dtype=object,
-        )
-        ys.append(mid)
+        ys.append(sum(ys) / len(ys))
         hyps.append(
             HypothesisRecord(
                 "complementary-face",
@@ -825,39 +799,22 @@ def lp_lhs_rhs_hessian(
             )
         )
         return _exact_estimate(query, "lp-lhs-rhs", PolySet.empty(n), hyps)
-    # Lagrangian blocks for the fixed-cost objective: Lyy = 0, Lxy = 0,
-    # gy = A, gx = -I.
-    Mx = np.hstack([_ozeros(n, m), -_oeye(p)])
-    My = np.hstack([_ozeros(m, m), A.T])
-    v_const = np.array([Fraction(0)] * m, dtype=object)
-    link = np.hstack([My, My])
-    value_map = np.hstack([Mx, Mx])
-    zeros_n = np.array([Fraction(0)] * n, dtype=object)
-    neg_xstar = np.array([-v for v in xstar], dtype=object)
-    zero_cov = np.array([Fraction(0)] * p, dtype=object)
+    M = coderivative_map_matrix(_frac(np.zeros((n, m))), _frac(-np.eye(p)),
+                                _frac(np.zeros((m, m))), A)
+    zero_p, zero_m = _frac(np.zeros(p)), _frac(np.zeros(m))
     pieces = []
     for k, y in enumerate(ys):
-        g = _omatvec(A, y) - xbar
-        part = partition_of(g, u, 0)
-        fam1 = build_branch_family(A, part, neg_xstar, flavor, branch_cap)
+        g = A @ y - xbar
+        fam1 = build_branch_family(A, partition_of(g, u, 0), -xstar, flavor, branch_cap)
         # inner families: one per multiplier vertex at this minimizer
         inactive = [i for i in range(p) if g[i] < 0]
         uvf = kernel.multiplier_polyhedron(A, cost_eff, inactive).vertices()
         for j, u2 in enumerate(uvf.vertices):
-            part2 = partition_of(g, u2, 0)
-            fam2 = build_branch_family(A, part2, zero_cov, flavor, branch_cap)
+            fam2 = build_branch_family(A, partition_of(g, u2, 0), zero_p, flavor, branch_cap)
             for br1 in fam1.branches:
-                for br2 in fam2.branches:
-                    prod = br1.poly.product(br2.poly)
-                    prod = prod.with_eqs(link, -v_const)
-                    pieces.append(
-                        Piece(
-                            prod,
-                            value_map,
-                            zeros_n,
-                            f"lp-lhs-rhs[y{k}u{j}|{br1.label}|{br2.label}]",
-                        )
-                    )
+                pieces.extend(chain_pieces(
+                    br1, M, [(M, fam2)], zero_m, zero_p,
+                    lambda _, br2: f"lp-lhs-rhs[y{k}u{j}|{br1.label}|{br2.label}]"))
     return _exact_estimate(query, "lp-lhs-rhs", PolySet(n, pieces), hyps, under)
 
 
