@@ -36,7 +36,7 @@ import numpy as np
 from . import kernel
 from .errors import BranchCapError, HypothesisError
 from .model import KktPoint, ParametricProblem, Partition, kkt_point, verify_convex_in_y
-from .reporting import ASSERTED, ASSUMED, FAILED, VERIFIED, HypothesisRecord
+from .reporting import ASSUMED, FAILED, VERIFIED, HypothesisRecord, convex_in_y_record
 from .setcalc import Piece, Polyhedron, PolySet, _as_float
 
 DEFAULT_BRANCH_CAP = 8
@@ -375,17 +375,7 @@ def coderivative_S(
     hyps.append(HypothesisRecord("mfcq", VERIFIED if mfcq.holds else FAILED))
     if not mfcq.holds:
         raise HypothesisError("MFCQ fails at (xbar, ybar)")
-    cy = verify_convex_in_y(problem)
-    if cy == "verified":
-        hyps.append(HypothesisRecord("convex-in-y", VERIFIED, "quadratic shape check"))
-    elif cy == "failed":
-        hyps.append(HypothesisRecord("convex-in-y", FAILED, "quadratic shape check"))
-    elif problem.flags.get("convex_in_y"):
-        hyps.append(HypothesisRecord("convex-in-y", ASSERTED, "problem flag"))
-    else:
-        hyps.append(
-            HypothesisRecord("convex-in-y", ASSUMED, "no flag; estimate used as-is")
-        )
+    hyps.append(convex_in_y_record(verify_convex_in_y(problem), "no flag; estimate used as-is"))
     if multiplier_vertices is None:
         mult = kernel.multipliers(problem, xbar, ybar)
         if mult.empty:

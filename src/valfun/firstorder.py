@@ -25,7 +25,14 @@ import numpy as np
 from . import kernel
 from .errors import HypothesisError
 from .model import ParametricProblem, verify_concave_convex, verify_convex_in_y
-from .reporting import ASSERTED, ASSUMED, FAILED, NOT_CHECKED, VERIFIED, HypothesisRecord
+from .reporting import (
+    ASSERTED,
+    FAILED,
+    SHAPE_STATUS,
+    VERIFIED,
+    HypothesisRecord,
+    convex_in_y_record,
+)
 from .setcalc import MemberVerdict, Piece, Polyhedron, PolySet
 
 
@@ -81,13 +88,7 @@ def danskin(
         hyps.append(HypothesisRecord("feasible-set-x-independent", VERIFIED))
     else:
         raise HypothesisError("danskin estimate needs an x-independent feasible set")
-    cc = verify_concave_convex(problem)
-    cc_status = {
-        "verified": VERIFIED,
-        "asserted": ASSERTED,
-        "failed": FAILED,
-        "unknown": NOT_CHECKED,
-    }[cc]
+    cc_status = SHAPE_STATUS[verify_concave_convex(problem)]
     hyps.append(HypothesisRecord("concave-convex", cc_status))
     if hull is None:
         hull = cc_status in (VERIFIED, ASSERTED)
@@ -163,15 +164,7 @@ def convex_mfcq_subdiff(
     )
     if not mfcq.holds:
         raise HypothesisError("MFCQ fails at the supplied minimizer")
-    cy = verify_convex_in_y(problem)
-    if cy == "verified":
-        hyps.append(HypothesisRecord("convex-in-y", VERIFIED, "quadratic shape check"))
-    elif cy == "failed":
-        hyps.append(HypothesisRecord("convex-in-y", FAILED, "quadratic shape check"))
-    elif problem.flags.get("convex_in_y"):
-        hyps.append(HypothesisRecord("convex-in-y", ASSERTED, "problem flag"))
-    else:
-        hyps.append(HypothesisRecord("convex-in-y", ASSUMED, "no flag supplied"))
+    hyps.append(convex_in_y_record(verify_convex_in_y(problem), "no flag supplied"))
     piece, gens, mult = _lagrangian_image_piece(problem, xbar, y, "convex-mfcq", mult)
     if mult.empty:
         hyps.append(_no_multiplier_record("the minimizer"))

@@ -62,10 +62,9 @@ from .model import (
     verify_concave_convex,
 )
 from .reporting import (
-    ASSERTED,
     ASSUMED,
     FAILED,
-    NOT_CHECKED,
+    SHAPE_STATUS,
     VERIFIED,
     HypothesisRecord,
 )
@@ -555,11 +554,7 @@ def _general(problem, query, case, minimizers=None, mults=None, mode="auto",
                 )
         cc = verify_concave_convex(problem)
         hyps.append(
-            HypothesisRecord(
-                "concave-convex-shape",
-                VERIFIED if cc == "verified" else (ASSERTED if cc == "asserted" else NOT_CHECKED),
-                f"shape check: {cc}",
-            )
+            HypothesisRecord("concave-convex-shape", SHAPE_STATUS[cc], f"shape check: {cc}")
         )
     if case in ("single-single", "single-s"):
         mode = "single" if case == "single-single" else "union"

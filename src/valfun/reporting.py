@@ -15,6 +15,11 @@ ASSUMED = "assumed"
 FAILED = "failed"
 NOT_CHECKED = "not-checked"
 
+#: Record status of each verdict of the quadratic shape checks
+#: (``model.verify_concave_convex`` and ``model.verify_convex_in_y``).
+SHAPE_STATUS = {"verified": VERIFIED, "asserted": ASSERTED, "failed": FAILED,
+                "unknown": NOT_CHECKED}
+
 
 @dataclass
 class HypothesisRecord:
@@ -33,3 +38,13 @@ def worst_status(records) -> str:
         if order.index(r.status) > order.index(worst):
             worst = r.status
     return worst
+
+
+def convex_in_y_record(verdict: str, assumed: str) -> HypothesisRecord:
+    """The ``convex-in-y`` record of a ``verify_convex_in_y`` verdict.  With
+    neither a quadratic shape nor a flag the hypothesis is assumed, and
+    ``assumed`` says on what terms."""
+    if verdict == "unknown":
+        return HypothesisRecord("convex-in-y", ASSUMED, assumed)
+    detail = "problem flag" if verdict == "asserted" else "quadratic shape check"
+    return HypothesisRecord("convex-in-y", SHAPE_STATUS[verdict], detail)

@@ -3,10 +3,13 @@ and the exact linear-program routes, all against hand-computed values."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from valfun import kernel
+from valfun.firstorder import danskin
 from valfun.errors import CaseRoutingError, DegeneracyError, HypothesisError
 from valfun.hessian import (
     HessianQuery,
@@ -23,6 +26,7 @@ from valfun.hessian import (
     sensitivity_system,
 )
 from valfun.model import make_kkt
+from valfun.reporting import ASSERTED, FAILED, NOT_CHECKED
 
 from conftest import load_instance
 
@@ -219,6 +223,23 @@ def test_single_lambda_hull_mode():
     )
     assert est.theorem == "single-lambda-hull"
     assert est.result.member([0.0, -2.0])
+
+
+@pytest.mark.parametrize("flags, status", [
+    ({"concave_convex": True}, ASSERTED),
+    ({"concave_convex": False}, FAILED),
+    ({}, NOT_CHECKED),
+])
+def test_single_lambda_records_the_concave_convex_verdict(flags, status):
+    # -x1*y1^2 is cubic, so the verdict is the flag's: a flag set to false
+    # is a failed hypothesis, as in the danskin estimate
+    prob = replace(load_instance("multiS"), flags=flags)
+    est = hessian_single_lambda(prob, HessianQuery([1.0, 0.0], [-1.0, -2.0], [1.0, 0.0]))
+    rec = next(h for h in est.hypotheses if h.name == "concave-convex-shape")
+    assert rec.status == status
+    free = replace(load_instance("multiSxfree"), flags=flags)
+    cc = next(h for h in danskin(free, [1.0]).hypotheses if h.name == "concave-convex")
+    assert cc.status == status
 
 
 def test_single_lambda_selection_needs_match():
