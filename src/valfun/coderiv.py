@@ -353,7 +353,6 @@ def coderivative_S(
     ystar,
     flavor: str = "M",
     branch_cap: int = DEFAULT_BRANCH_CAP,
-    multiplier_vertices=None,
 ) -> CoderivEstimate:
     """Upper estimate of the solution-map coderivative D*S(xbar|ybar)(ystar).
 
@@ -376,23 +375,21 @@ def coderivative_S(
     if not mfcq.holds:
         raise HypothesisError("MFCQ fails at (xbar, ybar)")
     hyps.append(convex_in_y_record(verify_convex_in_y(problem), "no flag; estimate used as-is"))
-    if multiplier_vertices is None:
-        mult = kernel.multipliers(problem, xbar, ybar)
-        if mult.empty:
-            raise HypothesisError("no multiplier exists at (xbar, ybar)")
-        multiplier_vertices = mult.vertices
-        if not mult.bounded:
-            hyps.append(HypothesisRecord("bounded-multiplier-set", FAILED))
+    mult = kernel.multipliers(problem, xbar, ybar)
+    if mult.empty:
+        raise HypothesisError("no multiplier exists at (xbar, ybar)")
+    if not mult.bounded:
+        hyps.append(HypothesisRecord("bounded-multiplier-set", FAILED))
     hyps.append(
         HypothesisRecord(
             "multiplier-vertex-union",
             ASSUMED,
-            f"union over {len(multiplier_vertices)} polytope vertices only",
+            f"union over {len(mult.vertices)} polytope vertices only",
         )
     )
     pieces = []
     cq_all = True
-    for k, u in enumerate(multiplier_vertices):
+    for k, u in enumerate(mult.vertices):
         kkt = kkt_point(problem, xbar, ybar, u)
         fam = branch_family(problem, kkt, np.zeros(p), flavor, branch_cap)
         lag = kkt.lag
@@ -486,7 +483,6 @@ def hull_coderivative(
 
     pieces_out: list[Piece] = []
     seen = set()
-    result = PolySet.empty(gen_map.target_dim)
     for size in range(1, min(len(gens), d + 1) + 1):
         for support in itertools.combinations(range(len(gens)), size):
             W = Polyhedron(
@@ -526,10 +522,9 @@ def hull_coderivative(
                 "ybar is not a convex combination of the generators",
             )
         )
-    result = PolySet(gen_map.target_dim, pieces_out)
     return CoderivEstimate(
         kind="hull",
         covector=ystar,
-        result=result,
+        result=PolySet(gen_map.target_dim, pieces_out),
         hypotheses=hyps,
     )

@@ -93,21 +93,14 @@ def _gauss(A_rows, b_vec, exact: bool):
     """Row-reduce [A | b].  Returns (particular, nullspace_basis) where
     ``particular`` is None when the system is inconsistent.
 
-    A_rows may be empty (whole space).  Pure Python so the same code path
-    serves exact Fractions and floats; sizes here are tiny by design.
+    With no rows the column count is unknown and the result is ([], []);
+    ``_null_space`` covers the whole space.  Pure Python so the same code
+    path serves exact Fractions and floats; sizes here are tiny by design.
     """
-    rows = [list(r) + [b_vec[i]] for i, r in enumerate(A_rows)]
-    ncols = len(A_rows[0]) if A_rows else 0
     if not A_rows:
-        zero = Fraction(0) if exact else 0.0
-        one = Fraction(1) if exact else 1.0
-        basis = []
-        for j in range(ncols):
-            v = [zero] * ncols
-            v[j] = one
-            basis.append(v)
-        return [zero] * ncols, basis
-
+        return [], []
+    rows = [list(r) + [b_vec[i]] for i, r in enumerate(A_rows)]
+    ncols = len(A_rows[0])
     tol = 0 if exact else RANK_TOL * max(1.0, max(abs(v) for r in rows for v in r))
     nrows = len(rows)
     pivots = []  # (row, col)
@@ -175,15 +168,7 @@ def solve_linear(A, b, exact: bool | None = None):
     if A.size == 0 and A.ndim == 2 and A.shape[1] > 0:
         # no rows: everything solves
         ncols = A.shape[1]
-        zero = Fraction(0) if exact else 0.0
-        one = Fraction(1) if exact else 1.0
-        z0 = [zero] * ncols
-        basis = []
-        for j in range(ncols):
-            v = [zero] * ncols
-            v[j] = one
-            basis.append(v)
-        return z0, basis
+        return [Fraction(0) if exact else 0.0] * ncols, _null_space([], ncols, exact)
     bl = list(b)
     if exact:
         bl = [Fraction(v) if not isinstance(v, Fraction) else v for v in bl]
