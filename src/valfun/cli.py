@@ -18,20 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import firstorder, hessian, kernel, oracle
-from .errors import (
-    BranchCapError,
-    CaseRoutingError,
-    DegeneracyError,
-    EvaluationError,
-    HypothesisError,
-    InfeasibleParameterError,
-    KktValidationError,
-    ParseError,
-    ProblemFormatError,
-    UnboundedProblemError,
-    UsageError,
-    ValfunError,
-)
+from .coderiv import DEFAULT_BRANCH_CAP
+from .errors import ParseError, ProblemFormatError, UsageError, ValfunError
 from .hessian import CASES, HessianQuery
 from .model import (
     DEFAULT_TOL_ACT,
@@ -371,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="diagnose the inner problem at a point")
     common(pa)
     pa.add_argument("--tol-act", type=float, default=DEFAULT_TOL_ACT)
-    pa.add_argument("--tol-kkt", type=float, default=DEFAULT_TOL_KKT)
     pa.set_defaults(func=_cmd_analyze)
 
     pf = sub.add_parser("first-order", help="gradient set estimate at a point")
@@ -386,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--case", choices=CASES, default="auto")
     ph.add_argument("--flavor", choices=("M", "C"), default="M",
                     help="branch family flavor: M (three-case) or C (two-case hull)")
-    ph.add_argument("--branch-cap", type=int, default=8)
+    ph.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
     ph.add_argument("--rational", action="store_true",
                     help="parse query vectors as exact rationals")
     ph.set_defaults(func=_cmd_hessian)
@@ -403,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--xstar")
     pr.add_argument("--case", choices=CASES, default="auto")
     pr.add_argument("--flavor", choices=("M", "C"), default="M")
-    pr.add_argument("--branch-cap", type=int, default=8)
+    pr.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
     pr.add_argument("--rational", action="store_true")
     pr.add_argument("--out", help="write the report to a file instead of stdout")
     pr.set_defaults(func=_cmd_report)
@@ -421,18 +408,6 @@ def main(argv=None) -> int:
     except (ParseError, ProblemFormatError) as exc:
         print(f"valfun: bad problem file: {exc}", file=sys.stderr)
         return 64
-    except (
-        HypothesisError,
-        KktValidationError,
-        DegeneracyError,
-        CaseRoutingError,
-        BranchCapError,
-        InfeasibleParameterError,
-        UnboundedProblemError,
-        EvaluationError,
-    ) as exc:
-        print(f"valfun: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except ValfunError as exc:
         print(f"valfun: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -134,6 +134,20 @@ def test_hypothesis_failure_exits_two():
     assert "HypothesisError" in proc.stderr
 
 
+def test_every_package_error_exits_two(monkeypatch, capsys):
+    from valfun import cli, hessian
+    from valfun.errors import LpStatusError
+
+    def undecided(*args, **kwargs):
+        raise LpStatusError("LP ended with status 4")
+
+    monkeypatch.setattr(hessian, "compute", undecided)
+    rc = cli.main(["hessian", "--problem", str(instance_path("shiftbox")), "--point", "base",
+                   "--xund=-2", "--xstar=1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "valfun: LpStatusError: LP ended with status 4\n"
+
+
 def test_infeasible_parameter_exits_two():
     proc = run_cli(
         "analyze", "--problem", instance_path("lp_simplex"), "--xbar", "1e30,1"
