@@ -375,7 +375,8 @@ def per_problem(fn):
 
 
 def degree_in(e: Expr, kind: str):
-    """Total polynomial degree of ``e`` in the x- or y-variables.
+    """Total polynomial degree of ``e`` in the variables whose kind is one
+    of the letters of ``kind``: "x", "y", or "xy" for the joint degree.
 
     Returns None when ``e`` is not polynomial in those variables (some
     denominator depends on them).
@@ -383,7 +384,7 @@ def degree_in(e: Expr, kind: str):
     if isinstance(e, Const):
         return 0
     if isinstance(e, Var):
-        return 1 if e.kind == kind else 0
+        return 1 if e.kind in kind else 0
     if isinstance(e, (Add, Sub)):
         da, db = degree_in(e.a, kind), degree_in(e.b, kind)
         if da is None or db is None:
@@ -1021,16 +1022,10 @@ def problem_to_json(problem: ParametricProblem) -> dict:
 @per_problem
 def _quadratic_shape(problem: ParametricProblem):
     """(f concave in x, f and every g convex in y) for a problem whose
-    expressions all have total degree <= 2 in x and in y jointly, read off
-    the constant Hessian blocks; None when some expression is not such a
+    expressions all have joint total degree <= 2 in (x, y), read off the
+    constant Hessian blocks; None when some expression is not such a
     quadratic."""
-    exprs = [problem.f, *problem.g]
-    quadratic = all(
-        (degree_in(e, "x") is not None and degree_in(e, "y") is not None)
-        and degree_in(e, "x") + degree_in(e, "y") <= 2
-        for e in exprs
-    )
-    if not quadratic:
+    if not all(degree_in(e, "xy") in (0, 1, 2) for e in [problem.f, *problem.g]):
         return None
     x0 = [0.0] * problem.n
     y0 = [0.0] * problem.m
@@ -1053,7 +1048,7 @@ def _flag_verdict(problem: ParametricProblem, flag: str) -> str:
 def verify_concave_convex(problem: ParametricProblem) -> str:
     """Check the concave-in-x / convex-in-y shape when that is decidable.
 
-    Only quadratics (total degree <= 2 in x and in y jointly) are checked
+    Only quadratics (joint total degree <= 2 in x and y) are checked
     symbolically; everything else falls back to the asserted flag.
     Returns one of 'verified', 'failed', 'asserted', 'unknown'.
     """

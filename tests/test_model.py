@@ -425,3 +425,50 @@ def test_verify_convex_in_y_statuses():
          "flags": {"convex_in_y": True}}
     )
     assert verify_convex_in_y(quartic) == "asserted"
+
+
+def test_shape_checks_read_the_joint_degree():
+    # (y1 - x1)^2 is jointly quadratic though of degree 2 in x and in y
+    shifted = parse_problem({"n": 1, "m": 1, "f": "(y1 - x1)^2", "g": ["y1 - 1"]})
+    assert verify_convex_in_y(shifted) == "verified"
+    # a decidable check overrides the flag it contradicts
+    flagged = parse_problem({"n": 1, "m": 1, "f": "x1*y1 - y1^2", "g": ["y1 - 1"],
+                             "flags": {"convex_in_y": True}})
+    assert verify_convex_in_y(flagged) == "failed"
+
+
+@st.composite
+def joint_quadratics(draw):
+    """(n, m, Hessians, linear terms) of a random jointly quadratic f and
+    p <= 2 constraints g over z = (x, y): symmetric integer Hessians."""
+    n, m, p = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    k = n + m
+    hessians, linear = [], []
+    for _ in range(1 + p):
+        upper = np.triu([[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(k)])
+        hessians.append(upper + np.triu(upper, 1).T)
+        linear.append([draw(st.integers(-2, 2)) for _ in range(k)])
+    return n, m, hessians, linear
+
+
+def _quadratic_text(H, c, names):
+    """1/2 z^T H z + c.z over the variables ``names``."""
+    k = len(names)
+    terms = [f"({H[i][i] / 2})*{names[i]}^2" for i in range(k)]
+    terms += [f"({H[i][j]})*{names[i]}*{names[j]}" for i in range(k) for j in range(i + 1, k)]
+    terms += [f"({c[i]})*{names[i]}" for i in range(k)]
+    return " + ".join(terms)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(joint_quadratics())
+def test_shape_verdicts_match_hessian_eigenvalues(case):
+    # integer Hessians have eigenvalues either exactly 0 or far from it
+    n, m, hessians, linear = case
+    names = [f"x{i + 1}" for i in range(n)] + [f"y{j + 1}" for j in range(m)]
+    texts = [_quadratic_text(H, c, names) for H, c in zip(hessians, linear)]
+    prob = parse_problem({"n": n, "m": m, "f": texts[0], "g": texts[1:]})
+    concave_x = bool(np.all(np.linalg.eigvalsh(hessians[0][:n, :n]) <= 1e-9))
+    convex_y = all(np.all(np.linalg.eigvalsh(H[n:, n:]) >= -1e-9) for H in hessians)
+    assert verify_convex_in_y(prob) == ("verified" if convex_y else "failed")
+    assert verify_concave_convex(prob) == ("verified" if concave_x and convex_y else "failed")
