@@ -644,7 +644,8 @@ def hessian_single_lambda(
 
 def _frac(v) -> np.ndarray:
     """v as an object array of Fractions, at least one-dimensional."""
-    return np.vectorize(Fraction, otypes=[object])(np.atleast_1d(np.asarray(v, dtype=object)))
+    arr = np.atleast_1d(np.asarray(v, dtype=object))
+    return np.array([Fraction(x) for x in arr.flat], dtype=object).reshape(arr.shape)
 
 
 def _exact_estimate(query, case, result, hyps, under=False) -> HessianEstimate:
