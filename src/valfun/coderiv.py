@@ -204,17 +204,17 @@ def slice_pieces(fam: BranchFamily, M, ystar, off, label) -> list[Piece]:
             for br in fam.branches]
 
 
-def chain_pieces(outer: Branch, M, inner, v, off, label) -> list[Piece]:
+def chain_pieces(outer: Branch, M, inner, ystar, off, label) -> list[Piece]:
     """Pieces of  M[:n] z + M_k[:n] w + off  over z in the branch ``outer``
     and w in a branch of the k-th inner family, linked by
-    M[n:] z + M_k[n:] w = -v.  ``inner`` lists the pairs (M_k, family k)
+    M[n:] z + M_k[n:] w = -ystar.  ``inner`` lists the pairs (M_k, family k)
     in order, n = len(off), and ``label(k, branch)`` names each piece."""
     n = len(off)
     pieces = []
     for k, (Mk, fam) in enumerate(inner):
         link, value = np.hstack([M[n:], Mk[n:]]), np.hstack([M[:n], Mk[:n]])
         for br in fam.branches:
-            prod = outer.poly.product(br.poly).with_eqs(link, -v)
+            prod = outer.poly.product(br.poly).with_eqs(link, -ystar)
             pieces.append(Piece(prod, value, off, label(k, br)))
     return pieces
 
