@@ -29,13 +29,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import kernel
 from .errors import BranchCapError, HypothesisError
-from .model import KktPoint, ParametricProblem, Partition, kkt_point, verify_convex_in_y
+from .model import KktPoint, ParametricProblem, Partition, kkt_point
 from .reporting import ASSUMED, FAILED, VERIFIED, HypothesisRecord, convex_in_y_record
 from .setcalc import Piece, Polyhedron, PolySet, _as_float
 
@@ -281,6 +282,66 @@ def _cq_report(fam: BranchFamily, M) -> CqReport:
     )
 
 
+# ---------------------------------------------------------------------------
+# Point contexts: what every estimate at one minimizer reads
+# ---------------------------------------------------------------------------
+
+
+class PointContext:
+    """A minimizer y at the parameter x, with the data the estimates there
+    share, each item built on first use and then reused: the multiplier
+    set, the MFCQ report, and per multiplier vertex j the KKT point, the
+    map matrix and, per flavor and branch cap, the zero-covector branch
+    family and its CQ report."""
+
+    def __init__(self, problem: ParametricProblem, x, y):
+        self.problem = problem
+        self.x = np.atleast_1d(np.asarray(x, dtype=float))
+        self.y = np.atleast_1d(np.asarray(y, dtype=float))
+        self._items = {}
+
+    @cached_property
+    def mult(self) -> kernel.MultiplierPolyhedron:
+        return kernel.multipliers(self.problem, self.x, self.y)
+
+    @cached_property
+    def mfcq(self) -> kernel.MfcqReport:
+        return kernel.check_mfcq(self.problem, self.x, self.y)
+
+    def _item(self, key, build):
+        if key not in self._items:
+            self._items[key] = build()
+        return self._items[key]
+
+    def kkt(self, j) -> KktPoint:
+        return self._item(("kkt", j), lambda: kkt_point(
+            self.problem, self.x, self.y, self.mult.vertices[j]))
+
+    def map_matrix(self, j) -> np.ndarray:
+        lag = self.kkt(j).lag
+        return self._item(("map", j), lambda: coderivative_map_matrix(
+            lag.Lxy, lag.gx, lag.Lyy, lag.gy))
+
+    def family0(self, j, flavor, branch_cap) -> BranchFamily:
+        return self._item(("family0", j, flavor, branch_cap), lambda: branch_family(
+            self.problem, self.kkt(j), np.zeros(self.problem.p), flavor, branch_cap))
+
+    def cq(self, j, flavor, branch_cap) -> CqReport:
+        return self._item(("cq", j, flavor, branch_cap), lambda: _cq_report(
+            self.family0(j, flavor, branch_cap), self.map_matrix(j)))
+
+
+def point_contexts(problem: ParametricProblem, x, minimizers=None, contexts=None):
+    """(contexts, under_enumerated): ``contexts`` as given, else one per
+    point of ``minimizers``, else one per minimizer of a fresh solve at x."""
+    if contexts is not None:
+        return contexts, False
+    if minimizers is not None:
+        return [PointContext(problem, x, y) for y in minimizers], False
+    res = kernel.solve_value(problem, x)
+    return [PointContext(problem, res.x, y) for y in res.minimizers], res.under_enumerated
+
+
 @dataclass
 class CoderivEstimate:
     kind: str  # "lambda" | "S" | "hull"
@@ -321,7 +382,11 @@ def coderivative_lambda(
         Piece(br.poly, M, np.zeros(M.shape[0]), f"dlambda[{br.label}]")
         for br in fam.branches
     ]
-    cq = check_cq_lambda(problem, kkt, flavor, branch_cap) if with_cq else None
+    cq = None
+    if with_cq:
+        # at u* = 0 the family just built is the one the CQ check needs
+        cq = check_cq_lambda(problem, kkt, flavor, branch_cap) if np.any(u_star) else \
+            _cq_report(fam, M)
     hyps = [
         HypothesisRecord(
             "kkt-point",
@@ -346,18 +411,18 @@ def coderivative_lambda(
     )
 
 
-def coderivative_S(
-    problem: ParametricProblem,
-    xbar,
-    ybar,
-    ystar,
-    flavor: str = "M",
-    branch_cap: int = DEFAULT_BRANCH_CAP,
-) -> CoderivEstimate:
-    """Upper estimate of the solution-map coderivative D*S(xbar|ybar)(ystar).
+def coderivative_S(problem: ParametricProblem, xbar, ybar, ystar, flavor: str = "M",
+                   branch_cap: int = DEFAULT_BRANCH_CAP) -> CoderivEstimate:
+    """Upper estimate of the solution-map coderivative D*S(xbar|ybar)(ystar);
+    see :func:`solution_coderivative`."""
+    return solution_coderivative(PointContext(problem, xbar, ybar), ystar, flavor, branch_cap)
 
-    Union over multiplier vertices u of the x-block images of the
-    zero-covector branch family, sliced where the y-block equals -ystar:
+
+def solution_coderivative(ctx: PointContext, ystar, flavor: str = "M",
+                          branch_cap: int = DEFAULT_BRANCH_CAP) -> CoderivEstimate:
+    """D*S at the context's point: the union over multiplier vertices u of
+    the x-block images of the zero-covector branch family, sliced where the
+    y-block equals -ystar:
 
         { Lxy a + gx^T c : ystar + Lyy a + gy^T c = 0, (a, c) in branches }.
 
@@ -365,17 +430,13 @@ def coderivative_S(
     quadratic check or the problem flag and logged.  Only multiplier
     vertices enter the union (logged as a possible under-enumeration).
     """
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     ystar = np.atleast_1d(np.asarray(ystar, dtype=float))
-    n, p = problem.n, problem.p
-    hyps = []
-    mfcq = kernel.check_mfcq(problem, xbar, ybar)
-    hyps.append(HypothesisRecord("mfcq", VERIFIED if mfcq.holds else FAILED))
-    if not mfcq.holds:
+    n = ctx.problem.n
+    hyps = [HypothesisRecord("mfcq", VERIFIED if ctx.mfcq.holds else FAILED)]
+    if not ctx.mfcq.holds:
         raise HypothesisError("MFCQ fails at (xbar, ybar)")
-    hyps.append(convex_in_y_record(verify_convex_in_y(problem), "no flag; estimate used as-is"))
-    mult = kernel.multipliers(problem, xbar, ybar)
+    hyps.append(convex_in_y_record(ctx.problem, "no flag; estimate used as-is"))
+    mult = ctx.mult
     if mult.empty:
         raise HypothesisError("no multiplier exists at (xbar, ybar)")
     if not mult.bounded:
@@ -388,17 +449,11 @@ def coderivative_S(
         )
     )
     pieces = []
-    cq_all = True
-    for k, u in enumerate(mult.vertices):
-        kkt = kkt_point(problem, xbar, ybar, u)
-        fam = branch_family(problem, kkt, np.zeros(p), flavor, branch_cap)
-        lag = kkt.lag
-        M = coderivative_map_matrix(lag.Lxy, lag.gx, lag.Lyy, lag.gy)
-        pieces.extend(slice_pieces(fam, M, ystar, np.zeros(n),
-                                   lambda br: f"dS[u{k}|{br.label}]"))
-        # the zero-covector family doubles as the one the CQ check needs
-        if not _cq_report(fam, M).only_zero_preimage:
-            cq_all = False
+    for k in range(len(mult.vertices)):
+        pieces.extend(slice_pieces(ctx.family0(k, flavor, branch_cap), ctx.map_matrix(k), ystar,
+                                   np.zeros(n), lambda br: f"dS[u{k}|{br.label}]"))
+    cq_all = all(ctx.cq(k, flavor, branch_cap).only_zero_preimage
+                 for k in range(len(mult.vertices)))
     hyps.append(
         HypothesisRecord(
             "branch-map-injective-at-zero",
@@ -406,13 +461,7 @@ def coderivative_S(
             "required for validity of the solution-map estimate",
         )
     )
-    return CoderivEstimate(
-        kind="S",
-        covector=ystar,
-        result=PolySet(n, pieces),
-        cq=None,
-        hypotheses=hyps,
-    )
+    return CoderivEstimate(kind="S", covector=ystar, result=PolySet(n, pieces), hypotheses=hyps)
 
 
 def solution_map_lipschitz_like(
@@ -421,14 +470,9 @@ def solution_map_lipschitz_like(
     """True when the zero-image qualification holds at every multiplier
     vertex, certifying the Lipschitz-like property and hence
     D*S(xbar|ybar)(0) = {0}."""
-    mult = kernel.multipliers(problem, xbar, ybar)
-    if mult.empty:
-        return False
-    for u in mult.vertices:
-        kkt = kkt_point(problem, xbar, ybar, u)
-        if not check_cq_lambda(problem, kkt, "M", branch_cap).image_vanishes:
-            return False
-    return True
+    ctx = PointContext(problem, xbar, ybar)
+    return not ctx.mult.empty and all(
+        ctx.cq(j, "M", branch_cap).image_vanishes for j in range(len(ctx.mult.vertices)))
 
 
 # ---------------------------------------------------------------------------

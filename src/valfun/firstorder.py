@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
+from .coderiv import PointContext, point_contexts
 from .errors import HypothesisError
-from .model import ParametricProblem, verify_concave_convex, verify_convex_in_y
+from .model import ParametricProblem, verify_concave_convex
 from .reporting import (
     ASSERTED,
     FAILED,
@@ -69,18 +70,12 @@ class SubdiffEstimate:
         }
 
 
-def danskin(
-    problem: ParametricProblem,
-    xbar,
-    minimizers=None,
-    hull: bool | None = None,
-) -> SubdiffEstimate:
+def danskin(problem: ParametricProblem, xbar, minimizers=None) -> SubdiffEstimate:
     """Subdifferential generators for an x-independent feasible set.
 
     Requires every constraint to be free of x (checked structurally).
-    With ``hull`` (default: on when the concave-convex shape is verified
-    or asserted) the result is the convex hull of the generators,
-    otherwise their plain union.
+    When the concave-convex shape is verified or asserted the result is
+    the convex hull of the generators, otherwise their plain union.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     hyps = []
@@ -90,11 +85,9 @@ def danskin(
         raise HypothesisError("danskin estimate needs an x-independent feasible set")
     cc_status = SHAPE_STATUS[verify_concave_convex(problem)]
     hyps.append(HypothesisRecord("concave-convex", cc_status))
-    if hull is None:
-        hull = cc_status in (VERIFIED, ASSERTED)
-    mins, under = kernel.minimizers_at(problem, xbar, minimizers)
-    gens = kernel._dedup_points([problem.grad_x_f(xbar, y) for y in mins])
-    if hull:
+    ctxs, under = point_contexts(problem, xbar, minimizers)
+    gens = kernel._dedup_points([problem.grad_x_f(xbar, c.y) for c in ctxs])
+    if cc_status in (VERIFIED, ASSERTED):
         result = PolySet.from_hull(gens, provenance="danskin")
         formula = "danskin"
     else:
@@ -110,119 +103,96 @@ def danskin(
     )
 
 
-def _lagrangian_image_piece(problem, xbar, y, provenance, mult=None) -> tuple:
-    """The set { grad_x f + gx^T u : u in Lambda(xbar, y) } as one piece,
-    plus the generator points at multiplier vertices; ``mult`` is
-    Lambda(xbar, y) when the caller already has it."""
-    if mult is None:
-        mult = kernel.multipliers(problem, xbar, y)
-    fx = problem.grad_x_f(xbar, y)
-    gx = problem.jac_x_g(xbar, y)
+def _lagrangian_image_piece(ctx: PointContext, provenance) -> tuple:
+    """The set { grad_x f + gx^T u : u in Lambda(x, y) } at the context's
+    point as one piece, plus the generator points at multiplier vertices."""
+    problem, mult = ctx.problem, ctx.mult
+    fx = problem.grad_x_f(ctx.x, ctx.y)
     if problem.p == 0:
         piece = Piece(Polyhedron.whole(0), np.zeros((problem.n, 0)), fx, provenance)
-        gens = [fx] if mult.vertices else []
-        return piece, gens, mult
-    piece = Piece(mult.poly, gx.T, fx, provenance)
-    gens = [fx + gx.T @ u for u in mult.vertices]
-    return piece, gens, mult
+        return piece, [fx] if mult.vertices else []
+    gx = problem.jac_x_g(ctx.x, ctx.y)
+    return Piece(mult.poly, gx.T, fx, provenance), [fx + gx.T @ u for u in mult.vertices]
 
 
-def _no_multiplier_record(where: str) -> HypothesisRecord:
-    # an empty multiplier set leaves an empty image piece: the estimate
-    # must not read as a clean (empty) answer
-    return HypothesisRecord(
-        "kkt-multiplier-exists", FAILED,
-        f"no KKT multiplier at {where}; its piece of the estimate is empty",
-    )
+def _multiplier_records(mult, where: str, bounded_detail: str = "") -> list[HypothesisRecord]:
+    hyps = []
+    if mult.empty:
+        # an empty multiplier set leaves an empty image piece: the estimate
+        # must not read as a clean (empty) answer
+        hyps.append(HypothesisRecord(
+            "kkt-multiplier-exists", FAILED,
+            f"no KKT multiplier at {where}; its piece of the estimate is empty",
+        ))
+    if not mult.bounded:
+        hyps.append(HypothesisRecord("bounded-multiplier-set", FAILED, bounded_detail))
+    return hyps
 
 
 def convex_mfcq_subdiff(
-    problem: ParametricProblem, xbar, y=None, minimizers=None, multipliers=None
+    problem: ParametricProblem, xbar, y=None, minimizers=None, contexts=None
 ) -> SubdiffEstimate:
     """Multiplier-polyhedron image estimate for problems convex in y.
 
     One minimizer suffices (for convex problems the image does not depend
-    on the chosen minimizer).  MFCQ is verified; convexity in y comes
-    from the quadratic check or the problem flag.  ``multipliers``, when
-    given, holds the multiplier set at each of ``minimizers``.
+    on the chosen minimizer): ``y``, else the first of ``contexts``, of
+    ``minimizers`` or of a fresh solve.  MFCQ is verified; convexity in y
+    comes from the quadratic check or the problem flag.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    hyps = []
-    mult = None
     if y is None:
-        mins, _ = kernel.minimizers_at(problem, xbar, minimizers)
-        y = mins[0]
-        mult = multipliers[0] if multipliers else None
-    y = np.atleast_1d(np.asarray(y, float))
-    mfcq = kernel.check_mfcq(problem, xbar, y)
-    hyps.append(
-        HypothesisRecord(
-            "mfcq",
-            VERIFIED if mfcq.holds else FAILED,
-            f"active={list(mfcq.active)}",
-        )
-    )
-    if not mfcq.holds:
+        ctx = point_contexts(problem, xbar, minimizers, contexts)[0][0]
+    else:
+        ctx = PointContext(problem, xbar, y)
+    hyps = [HypothesisRecord("mfcq", VERIFIED if ctx.mfcq.holds else FAILED,
+                             f"active={list(ctx.mfcq.active)}")]
+    if not ctx.mfcq.holds:
         raise HypothesisError("MFCQ fails at the supplied minimizer")
-    hyps.append(convex_in_y_record(verify_convex_in_y(problem), "no flag supplied"))
-    piece, gens, mult = _lagrangian_image_piece(problem, xbar, y, "convex-mfcq", mult)
-    if mult.empty:
-        hyps.append(_no_multiplier_record("the minimizer"))
-    if not mult.bounded:
-        hyps.append(HypothesisRecord("bounded-multiplier-set", FAILED))
-    result = PolySet(problem.n, [piece])
+    hyps.append(convex_in_y_record(problem, "no flag supplied"))
+    piece, gens = _lagrangian_image_piece(ctx, "convex-mfcq")
+    hyps.extend(_multiplier_records(ctx.mult, "the minimizer"))
     return SubdiffEstimate(
         xbar=xbar,
         formula="convex-mfcq",
-        result=result,
+        result=PolySet(problem.n, [piece]),
         generators=gens,
         hypotheses=hyps,
     )
 
 
 def gauvin_dubeau(
-    problem: ParametricProblem, xbar, minimizers=None, multipliers=None
+    problem: ParametricProblem, xbar, minimizers=None, contexts=None
 ) -> SubdiffEstimate:
-    """MFCQ estimate: union over minimizers of multiplier-image pieces.
+    """MFCQ estimate: union over minimizers (``contexts``, else
+    ``minimizers``, else a fresh solve) of multiplier-image pieces.
 
     A singleton solution map gives the equality-type estimate; otherwise
-    the union is an inclusion and is tagged so.  ``multipliers``, when
-    given, holds the multiplier set at each of ``minimizers``.
+    the union is an inclusion and is tagged so.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    mins, under = kernel.minimizers_at(problem, xbar, minimizers)
+    ctxs, under = point_contexts(problem, xbar, minimizers, contexts)
     hyps = []
     pieces, gens = [], []
-    for idx, y in enumerate(mins):
-        mfcq = kernel.check_mfcq(problem, xbar, y)
-        if not mfcq.holds:
+    for idx, ctx in enumerate(ctxs):
+        if not ctx.mfcq.holds:
             raise HypothesisError(f"MFCQ fails at minimizer {idx}")
-        piece, g, mult = _lagrangian_image_piece(
-            problem, xbar, y, f"gauvin-dubeau[y{idx}]",
-            multipliers[idx] if multipliers else None,
-        )
-        if mult.empty:
-            hyps.append(_no_multiplier_record(f"minimizer {idx}"))
-        if not mult.bounded:
-            hyps.append(
-                HypothesisRecord("bounded-multiplier-set", FAILED, f"minimizer {idx}")
-            )
+        piece, g = _lagrangian_image_piece(ctx, f"gauvin-dubeau[y{idx}]")
+        hyps.extend(_multiplier_records(ctx.mult, f"minimizer {idx}", f"minimizer {idx}"))
         pieces.append(piece)
         gens.extend(g)
-    hyps.insert(0, HypothesisRecord("mfcq", VERIFIED, f"{len(mins)} minimizer(s)"))
-    singleton = len(mins) == 1
+    hyps.insert(0, HypothesisRecord("mfcq", VERIFIED, f"{len(ctxs)} minimizer(s)"))
+    singleton = len(ctxs) == 1
     hyps.append(
         HypothesisRecord(
             "solution-map-singleton",
             VERIFIED if singleton else FAILED,
-            f"{len(mins)} minimizers found",
+            f"{len(ctxs)} minimizers found",
         )
     )
-    result = PolySet(problem.n, pieces)
     return SubdiffEstimate(
         xbar=xbar,
         formula="gauvin-dubeau" if singleton else "gauvin-dubeau-nohull",
-        result=result,
+        result=PolySet(problem.n, pieces),
         generators=kernel._dedup_points(gens),
         hypotheses=hyps,
         inclusion_only=not singleton,
@@ -231,16 +201,13 @@ def gauvin_dubeau(
 
 
 def auto_estimate(
-    problem: ParametricProblem, xbar, minimizers=None, multipliers=None
+    problem: ParametricProblem, xbar, minimizers=None, contexts=None
 ) -> SubdiffEstimate:
-    """Pick the most structured applicable estimate.  ``multipliers``, when
-    given, holds the multiplier set at each of ``minimizers``, so the
-    multiplier estimates do not enumerate them again."""
+    """Pick the most structured applicable estimate at the minimizers
+    (``contexts``, else ``minimizers``, else a fresh solve)."""
     if problem.constraints_x_free():
-        return danskin(problem, xbar, minimizers=minimizers)
+        return danskin(problem, xbar, [c.y for c in contexts] if contexts is not None else minimizers)
     cc = verify_concave_convex(problem)
     if cc == "verified" or problem.flags.get("convex_in_y"):
-        return convex_mfcq_subdiff(problem, xbar, minimizers=minimizers,
-                                   multipliers=multipliers)
-    return gauvin_dubeau(problem, xbar, minimizers=minimizers, multipliers=multipliers)
-
+        return convex_mfcq_subdiff(problem, xbar, minimizers=minimizers, contexts=contexts)
+    return gauvin_dubeau(problem, xbar, minimizers=minimizers, contexts=contexts)

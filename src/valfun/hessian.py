@@ -38,13 +38,15 @@ from . import firstorder, kernel
 from .coderiv import (
     DEFAULT_BRANCH_CAP,
     FiniteGeneratorMap,
+    PointContext,
     branch_family,
     build_branch_family,
     chain_pieces,
     coderivative_map_matrix,
-    coderivative_S,
     hull_coderivative,
+    point_contexts,
     slice_pieces,
+    solution_coderivative,
 )
 from .errors import (
     CaseRoutingError,
@@ -57,7 +59,6 @@ from .model import (
     ParametricProblem,
     Var,
     differentiate,
-    kkt_point,
     partition_of,
     verify_concave_convex,
 )
@@ -214,37 +215,21 @@ def sensitivity_system(problem: ParametricProblem, kkt: KktPoint) -> Sensitivity
 
 
 class _Generator:
-    """Minimizer k at xbar as a generator of a general case.
+    """Minimizer k, given by its point context, as a generator of a general
+    case; the smooth sensitivity at each multiplier vertex is computed
+    once.  Its gradient is grad_x f in the unperturbed case, else the
+    Lagrangian gradient at the first multiplier vertex."""
 
-    Its multiplier set is handed in by ``route`` or computed on first use;
-    the KKT point, the smooth sensitivity and the zero-covector branch
-    family at each multiplier vertex are built once.  Its gradient is
-    grad_x f in the unperturbed case, else the Lagrangian gradient at the
-    first multiplier vertex.
-    """
-
-    def __init__(self, problem, xbar, k, y, case, mult, flavor, branch_cap):
-        self.problem, self.xbar, self.k, self.y, self.case = problem, xbar, k, y, case
+    def __init__(self, ctx, k, case, flavor, branch_cap):
+        self.ctx, self.k, self.case = ctx, k, case
         self.flavor, self.branch_cap = flavor, branch_cap
-        self._mult = mult
-        self._kkt, self._sens, self._fam0 = {}, {}, {}
-
-    @property
-    def mult(self):
-        if self._mult is None:
-            self._mult = kernel.multipliers(self.problem, self.xbar, self.y)
-        return self._mult
-
-    def kkt(self, j) -> KktPoint:
-        if j not in self._kkt:
-            self._kkt[j] = kkt_point(self.problem, self.xbar, self.y, self.mult.vertices[j])
-        return self._kkt[j]
+        self._sens = {}
 
     def sensitivity(self, j):
         """The SensitivityResult at vertex j, or the DegeneracyError refusing it."""
         if j not in self._sens:
             try:
-                self._sens[j] = sensitivity_system(self.problem, self.kkt(j))
+                self._sens[j] = sensitivity_system(self.ctx.problem, self.ctx.kkt(j))
             except DegeneracyError as exc:
                 self._sens[j] = exc
         return self._sens[j]
@@ -257,27 +242,21 @@ class _Generator:
                 return sens
         return None
 
-    def family0(self, j):
-        if j not in self._fam0:
-            self._fam0[j] = branch_family(
-                self.problem, self.kkt(j), np.zeros(self.problem.p), self.flavor, self.branch_cap
-            )
-        return self._fam0[j]
-
     @cached_property
     def lag0(self):
         """Lagrangian blocks at u = 0, i.e. the objective's; a zero
         multiplier vertex's KKT point already holds them."""
-        for j, u in enumerate(self.mult.vertices):
+        ctx = self.ctx
+        for j, u in enumerate(ctx.mult.vertices):
             if not np.any(u):
-                return self.kkt(j).lag
-        return differentiate(self.problem, self.xbar, self.y, np.zeros(self.problem.p))
+                return ctx.kkt(j).lag
+        return differentiate(ctx.problem, ctx.x, ctx.y, np.zeros(ctx.problem.p))
 
     @cached_property
     def gradient(self) -> np.ndarray:
         if self.case == "unperturbed":
-            return self.problem.grad_x_f(self.xbar, self.y)
-        return self.kkt(0).lag.grad_x_L
+            return self.ctx.problem.grad_x_f(self.ctx.x, self.ctx.y)
+        return self.ctx.kkt(0).lag.grad_x_L
 
 
 def _compose_pieces(gen, j, xstar, js, tag):
@@ -291,12 +270,12 @@ def _compose_pieces(gen, j, xstar, js, tag):
     family at each vertex of js is chained in product space with the
     linking equality that the inner covector match -(zeta_y + Lyx x*).
     """
-    problem, n = gen.problem, gen.problem.n
-    kkt = gen.kkt(j)
-    lag = kkt.lag
-    ustar_in = lag.gx @ xstar if problem.p else np.zeros(0)
-    fam = branch_family(problem, kkt, ustar_in, gen.flavor, gen.branch_cap)
-    M = coderivative_map_matrix(lag.Lxy, lag.gx, lag.Lyy, lag.gy)
+    ctx = gen.ctx
+    kkt = ctx.kkt(j)
+    lag, n = kkt.lag, ctx.problem.n
+    ustar_in = lag.gx @ xstar if ctx.problem.p else np.zeros(0)
+    fam = branch_family(ctx.problem, kkt, ustar_in, gen.flavor, gen.branch_cap)
+    M = ctx.map_matrix(j)
     base = lag.Lxx @ xstar
     v_const = lag.Lyx @ xstar
     sens = gen.tangent(js)
@@ -306,11 +285,7 @@ def _compose_pieces(gen, j, xstar, js, tag):
         return [Piece(br.poly, A, off, f"{tag}[{br.label}]") for br in fam.branches]
     pieces = []
     for br in fam.branches:
-        inner = []
-        for j2 in js:
-            lag2 = gen.kkt(j2).lag
-            inner.append((coderivative_map_matrix(lag2.Lxy, lag2.gx, lag2.Lyy, lag2.gy),
-                          gen.family0(j2)))
+        inner = [(ctx.map_matrix(j2), ctx.family0(j2, gen.flavor, gen.branch_cap)) for j2 in js]
         pieces.extend(chain_pieces(br, M, inner, v_const, base,
                                    lambda k2, br2: f"{tag}[{br.label}|u{k2}:{br2.label}]"))
     return pieces
@@ -329,10 +304,11 @@ def _local_derivative(gen, w, hyps=None, frozen=None):
     differentiated with its minimizer frozen and its index is recorded.
     The records of an unperturbed fallback go to ``hyps``.
     """
-    problem, k = gen.problem, gen.k
+    ctx, k = gen.ctx, gen.k
+    n = ctx.problem.n
     if gen.case == "unperturbed":
         lag0 = gen.lag0
-        sens = gen.tangent(range(len(gen.mult.vertices)))
+        sens = gen.tangent(range(len(ctx.mult.vertices)))
         if sens is not None:
             tag = "unperturbed-smooth" if frozen is None else f"gen{k}"
             return PolySet.from_point(lag0.Lxx @ w + sens.ds.T @ (lag0.Lyx @ w), tag), True
@@ -340,7 +316,7 @@ def _local_derivative(gen, w, hyps=None, frozen=None):
             if k not in frozen:
                 frozen.append(k)
             return PolySet.from_point(lag0.Lxx @ w, f"gen{k}-frozen"), False
-        if gen.mult.empty:
+        if ctx.mult.empty:
             raise HypothesisError("no multiplier exists at a minimizer; MFCQ fails there")
         hyps.append(
             HypothesisRecord(
@@ -349,24 +325,24 @@ def _local_derivative(gen, w, hyps=None, frozen=None):
                 "KKT system degenerate at the minimizer; composed estimate used",
             )
         )
-        est = coderivative_S(problem, gen.xbar, gen.y, lag0.Lyx @ w, gen.flavor, gen.branch_cap)
+        est = solution_coderivative(ctx, lag0.Lyx @ w, gen.flavor, gen.branch_cap)
         hyps.extend(est.hypotheses)
-        return est.result.map(np.eye(problem.n), lag0.Lxx @ w), False
+        return est.result.map(np.eye(n), lag0.Lxx @ w), False
     if gen.case == "single-s":
-        js = range(len(gen.mult.vertices))
+        js = range(len(ctx.mult.vertices))
         tags = [f"sS[y{k}u{j}]" for j in js]
     else:
         sens = gen.sensitivity(0)
         if isinstance(sens, SensitivityResult):
-            lag = gen.kkt(0).lag
-            H = lag.Lxx + sens.ds.T @ lag.Lyx + (sens.du.T @ lag.gx if problem.p else 0.0)
+            lag = ctx.kkt(0).lag
+            H = lag.Lxx + sens.ds.T @ lag.Lyx + (sens.du.T @ lag.gx if ctx.problem.p else 0.0)
             tag = "single-single" if gen.case == "single-single" else f"sl[y{k}]"
             return PolySet.from_point(H @ w, tag), True
         js, tags = [0], ["ss" if gen.case == "single-single" else f"sl[y{k}]"]
     pieces = []
     for j, tag in zip(js, tags):
         pieces.extend(_compose_pieces(gen, j, w, js, tag))
-    return PolySet(problem.n, pieces), False
+    return PolySet(n, pieces), False
 
 
 def _combine(case, gens, query, mode, hyps, under) -> HessianEstimate:
@@ -375,7 +351,7 @@ def _combine(case, gens, query, mode, hyps, under) -> HessianEstimate:
     whose gradient matches the base gradient) or "hull" (supports of the
     base gradient among the generator gradients, weighted)."""
     xund, xstar = _fvec(query.xund), _fvec(query.xstar)
-    n = gens[0].problem.n
+    n = gens[0].ctx.problem.n
     supports = None
     equality = False
     if mode == "hull":
@@ -465,28 +441,24 @@ _MODE_NAMES = {
 }
 
 
-def _general(problem, query, case, minimizers=None, mults=None, mode="auto",
-             flavor="M", branch_cap=DEFAULT_BRANCH_CAP) -> HessianEstimate:
-    """One general case: its generators (the minimizers, with ``mults``
-    their multiplier sets when known), the case's own hypotheses, and the
-    mode that combines the generators ("auto" picks it)."""
+def _general(problem, query, case, ctxs, under, mode="auto", flavor="M",
+             branch_cap=DEFAULT_BRANCH_CAP) -> HessianEstimate:
+    """One general case: its generators (the point contexts ``ctxs`` of
+    the minimizers, ``under`` whether they may be incomplete), the case's
+    own hypotheses, and the mode that combines the generators ("auto"
+    picks it)."""
     if case == "unperturbed" and not problem.constraints_x_free():
         raise CaseRoutingError("unperturbed case requires constraints free of x")
-    xbar, xund = _fvec(query.xbar), _fvec(query.xund)
-    mins, under = kernel.minimizers_at(problem, xbar, minimizers)
-    if not mins:
+    if not ctxs:
         raise HypothesisError("no minimizer available at xbar")
-    gens = [
-        _Generator(problem, xbar, k, y, case, mults[k] if mults else None, flavor, branch_cap)
-        for k, y in enumerate(mins)
-    ]
+    gens = [_Generator(ctx, k, case, flavor, branch_cap) for k, ctx in enumerate(ctxs)]
     hyps = []
     if case == "unperturbed":
         hyps.append(
             HypothesisRecord(
                 "minimizer-enumeration",
                 ASSUMED if under else VERIFIED,
-                f"{len(mins)} minimizer(s), "
+                f"{len(ctxs)} minimizer(s), "
                 + ("heuristic search" if under else "exact/pinned"),
             )
         )
@@ -494,22 +466,22 @@ def _general(problem, query, case, minimizers=None, mults=None, mode="auto",
         hyps.append(
             HypothesisRecord(
                 "solution-single-valued",
-                VERIFIED if len(mins) == 1 else FAILED,
-                f"{len(mins)} minimizer(s) found (pointwise check)",
+                VERIFIED if len(ctxs) == 1 else FAILED,
+                f"{len(ctxs)} minimizer(s) found (pointwise check)",
             )
         )
     if case == "single-single":
-        gen = gens[0]
-        if gen.mult.empty:
+        mult = ctxs[0].mult
+        if mult.empty:
             raise HypothesisError("no multiplier exists at (xbar, ybar)")
         hyps.append(
             HypothesisRecord(
                 "multiplier-single-valued",
-                VERIFIED if gen.mult.is_singleton() else FAILED,
-                f"{len(gen.mult.vertices)} multiplier vertex(es)",
+                VERIFIED if mult.is_singleton() else FAILED,
+                f"{len(mult.vertices)} multiplier vertex(es)",
             )
         )
-        sens = gen.sensitivity(0)
+        sens = gens[0].sensitivity(0)
         if isinstance(sens, SensitivityResult):
             hyps.append(
                 HypothesisRecord(
@@ -520,36 +492,33 @@ def _general(problem, query, case, minimizers=None, mults=None, mode="auto",
             )
         else:
             hyps.append(HypothesisRecord("kkt-system-regular", FAILED, str(sens)))
-            mfcq = kernel.check_mfcq(problem, xbar, gen.y)
-            hyps.append(HypothesisRecord("mfcq", VERIFIED if mfcq.holds else FAILED))
-    for gen in gens if case == "single-s" else ():
-        k = gen.k
-        mfcq = kernel.check_mfcq(problem, xbar, gen.y)
-        hyps.append(HypothesisRecord(f"mfcq[y{k}]", VERIFIED if mfcq.holds else FAILED))
-        if not mfcq.holds:
+            hyps.append(HypothesisRecord("mfcq", VERIFIED if ctxs[0].mfcq.holds else FAILED))
+    for k, ctx in enumerate(ctxs if case == "single-s" else ()):
+        hyps.append(HypothesisRecord(f"mfcq[y{k}]", VERIFIED if ctx.mfcq.holds else FAILED))
+        if not ctx.mfcq.holds:
             raise HypothesisError("MFCQ fails at a minimizer")
-        if gen.mult.empty:
+        if ctx.mult.empty:
             raise HypothesisError("no multiplier exists at a minimizer")
-        if not gen.mult.bounded:
+        if not ctx.mult.bounded:
             hyps.append(HypothesisRecord(f"bounded-multipliers[y{k}]", FAILED))
-        if not gen.mult.is_singleton():
+        if not ctx.mult.is_singleton():
             hyps.append(
                 HypothesisRecord(
                     f"multiplier-vertex-union[y{k}]",
                     ASSUMED,
-                    f"union over {len(gen.mult.vertices)} polytope vertices only",
+                    f"union over {len(ctx.mult.vertices)} polytope vertices only",
                 )
             )
     if case == "single-lambda":
-        for gen in gens:
-            if gen.mult.empty:
+        for k, ctx in enumerate(ctxs):
+            if ctx.mult.empty:
                 raise HypothesisError("no multiplier exists at a minimizer")
-            if not gen.mult.is_singleton():
+            if not ctx.mult.is_singleton():
                 hyps.append(
                     HypothesisRecord(
-                        f"multiplier-single-valued[y{gen.k}]",
+                        f"multiplier-single-valued[y{k}]",
                         FAILED,
-                        f"{len(gen.mult.vertices)} vertices; first vertex used",
+                        f"{len(ctx.mult.vertices)} vertices; first vertex used",
                     )
                 )
         cc = verify_concave_convex(problem)
@@ -562,13 +531,17 @@ def _general(problem, query, case, minimizers=None, mults=None, mode="auto",
         if case == "unperturbed" and len(gens) == 1:
             mode = "single"
         else:
-            mode = "selection" if _selected(gens, xund) else "hull"
+            mode = "selection" if _selected(gens, _fvec(query.xund)) else "hull"
     else:
         label, names = _MODE_NAMES[case]
         if mode not in names:
             raise ValueError(f"unknown {label} {mode!r}")
         mode = names[mode]
     return _combine(case, gens, query, mode, hyps, under)
+
+
+def _contexts(problem, query, minimizers=None):
+    return point_contexts(problem, _fvec(query.xbar), minimizers)
 
 
 def hessian_unperturbed(
@@ -586,7 +559,8 @@ def hessian_unperturbed(
     gradient), "caratheodory" (hull treatment with supports of at most
     n+1 minimizers, for base gradients strictly inside the hull).
     """
-    return _general(problem, query, "unperturbed", minimizers, None, smode, flavor, branch_cap)
+    return _general(problem, query, "unperturbed", *_contexts(problem, query, minimizers), smode,
+                    flavor, branch_cap)
 
 
 def hessian_single_single(
@@ -600,8 +574,8 @@ def hessian_single_single(
     single matrix  Lxx + ds^T Lyx + du^T gx  applied to xstar whenever
     the KKT system is regular; otherwise the composed branch estimate
     with the same multiplier."""
-    return _general(problem, query, "single-single", minimizers, None, "auto", flavor,
-                    branch_cap)
+    return _general(problem, query, "single-single", *_contexts(problem, query, minimizers),
+                    "auto", flavor, branch_cap)
 
 
 def hessian_single_s(
@@ -615,7 +589,8 @@ def hessian_single_s(
     multiplier vertices of the composed branch estimates, with the inner
     derivative realized by a solution tangent when one exists and by the
     zero-covector branch families otherwise."""
-    return _general(problem, query, "single-s", minimizers, None, "auto", flavor, branch_cap)
+    return _general(problem, query, "single-s", *_contexts(problem, query, minimizers), "auto",
+                    flavor, branch_cap)
 
 
 def hessian_single_lambda(
@@ -634,7 +609,8 @@ def hessian_single_lambda(
     n+1 Lagrangian gradients and the per-minimizer derivatives are
     Minkowski-summed with the combination weights.
     """
-    return _general(problem, query, "single-lambda", minimizers, None, mode, flavor, branch_cap)
+    return _general(problem, query, "single-lambda", *_contexts(problem, query, minimizers), mode,
+                    flavor, branch_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +856,9 @@ def route(problem: ParametricProblem, query: HessianQuery | None = None):
     """Pick a case from problem structure; returns (case, info).
 
     The info dict carries anything expensive that was computed along the
-    way (the solve's minimizers, their multiplier sets and counts) so
-    ``compute`` can hand it to the case.
+    way (a point context per minimizer of the solve, holding its
+    multiplier set, and the multiplier counts) so ``compute`` can hand it
+    to the first-order precheck and the case.
     """
     lp1 = lp_cost_parametric_data(problem)
     if lp1 is not None:
@@ -894,11 +871,10 @@ def route(problem: ParametricProblem, query: HessianQuery | None = None):
     if query is None:
         return "single-s", {}
     res = kernel.solve_value(problem, _fvec(query.xbar))
-    mults = [kernel.multipliers(problem, _fvec(query.xbar), y) for y in res.minimizers]
-    counts = [0 if mult.empty else len(mult.vertices) for mult in mults]
-    info = {"minimizers": res.minimizers, "under": res.under_enumerated,
-            "multipliers": mults, "multiplier_counts": counts}
-    if len(res.minimizers) == 1 and not res.non_singleton:
+    ctxs = [PointContext(problem, res.x, y) for y in res.minimizers]
+    counts = [0 if ctx.mult.empty else len(ctx.mult.vertices) for ctx in ctxs]
+    info = {"contexts": ctxs, "under": res.under_enumerated, "multiplier_counts": counts}
+    if len(ctxs) == 1 and not res.non_singleton:
         return ("single-single" if counts[0] == 1 else "single-s"), info
     if all(c == 1 for c in counts):
         return "single-lambda", info
@@ -939,17 +915,17 @@ def compute(
         return lp_lhs_rhs_hessian(data[0], query, cost=data[1], flavor=flavor,
                                   branch_cap=branch_cap)
 
-    mins = info.get("minimizers")
-    fo = firstorder.auto_estimate(problem, _fvec(query.xbar), minimizers=mins,
-                                  multipliers=info.get("multipliers"))
+    ctxs, under = info.get("contexts"), info.get("under")
+    if ctxs is None:
+        ctxs, under = _contexts(problem, query)
+    fo = firstorder.auto_estimate(problem, _fvec(query.xbar), contexts=ctxs)
     verdict = fo.member(_fvec(query.xund), MEMBERSHIP_TOL)
     if verdict.status == "outside":
         raise HypothesisError(
             f"base gradient is not in the first-order estimate "
             f"({fo.formula}); distance at least {verdict.distance:.3e}"
         )
-    est = _general(problem, query, case, mins, info.get("multipliers"), "auto", flavor,
-                   branch_cap)
+    est = _general(problem, query, case, ctxs, under, "auto", flavor, branch_cap)
     if info.get("doubly_set_valued"):
         est.hypotheses.append(
             HypothesisRecord(
@@ -963,6 +939,4 @@ def compute(
         VERIFIED,
         f"{verdict.status} of the {fo.formula} estimate",
     ))
-    if info.get("under"):
-        est.under_enumerated = True
     return est

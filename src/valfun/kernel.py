@@ -33,7 +33,7 @@ from .errors import (
     UnboundedProblemError,
 )
 from .model import DEFAULT_TOL_ACT, ParametricProblem, per_problem
-from .setcalc import Polyhedron, linprog, matrix_rank_generic
+from .setcalc import Polyhedron, _check_status, linprog, matrix_rank_generic
 
 VALUE_TIE_TOL = 1e-7
 MINIMIZER_DEDUP_TOL = 1e-6
@@ -131,15 +131,6 @@ def solve_value(problem: ParametricProblem, x, rational: bool = False) -> SolveR
     if rational:
         raise ProblemFormatError("rational solve is only available for problems affine in y")
     return _solve_multistart(problem, x)
-
-
-def minimizers_at(problem: ParametricProblem, x, minimizers=None):
-    """(minimizers, under_enumerated): the given ones as float vectors, or
-    those of a fresh solve at x."""
-    if minimizers is not None:
-        return [np.atleast_1d(np.asarray(y, float)) for y in minimizers], False
-    res = solve_value(problem, x)
-    return res.minimizers, res.under_enumerated
 
 
 def _pinned_minimizers(problem, x):
@@ -476,8 +467,8 @@ def _mfcq_lp(gy, active, m) -> MfcqReport:
     b_ub = np.zeros(len(active))
     bounds = [(-1, 1)] * m + [(None, 1)]
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status != 0:
-        return MfcqReport(holds=False, active=active, witness=None)
+    # feasible (d = 0, t = 0) and bounded: only an optimum decides
+    _check_status(res, "MFCQ", decided=(0,))
     t = -res.fun
     if t > 1e-9:
         return MfcqReport(holds=True, active=active, witness=res.x[:m])

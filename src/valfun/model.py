@@ -349,10 +349,25 @@ def compile_block(exprs: Sequence[Expr], exact: bool = False) -> Callable:
 
 def evaluate(e: Expr, x: Sequence, y: Sequence):
     """Evaluate without caching the compiled code (for one-off checks)."""
+    x, y = _values(x), _values(y)
+    return _entry(compile_block([e], exact=_wants_exact(x, y)), e, x, y)
+
+
+def _values(v) -> list:
+    """v as a list of Python numbers: numpy floats would turn a division by
+    zero or an overflow into inf instead of raising."""
+    return v.tolist() if isinstance(v, np.ndarray) else list(v)
+
+
+def _entry(fn, e, x, y):
+    """The value of the one-entry block ``fn`` of ``e``, or the
+    EvaluationError naming ``e`` and how it failed."""
     try:
-        return compile_block([e], exact=_wants_exact(x, y))(x, y)[0]
+        return fn(x, y)[0]
     except ZeroDivisionError as exc:
         raise EvaluationError(f"division by zero while evaluating {e}") from exc
+    except OverflowError as exc:
+        raise EvaluationError(f"overflow while evaluating {e}") from exc
 
 
 def _wants_exact(x, y) -> bool:
@@ -640,25 +655,23 @@ class ParametricProblem:
 
     def eval_expr(self, e: Expr, x, y):
         """One expression at (x, y); tables go through :meth:`eval_block`."""
+        x, y = _values(x), _values(y)
         exact = _wants_exact(x, y)
-        fn = self._memo(("expr", e.key(), exact), lambda: compile_block([e], exact))
-        try:
-            return fn(list(x), list(y))[0]
-        except ZeroDivisionError as exc:
-            raise EvaluationError(f"division by zero while evaluating {e}") from exc
+        return _entry(self._memo(("expr", e.key(), exact), lambda: compile_block([e], exact)),
+                      e, x, y)
 
     def eval_block(self, key, x, y) -> list:
         """Every entry of table ``key`` at (x, y), row by row, from one call
         of its compiled block.  ``key`` is a key of :meth:`_dtable`: 'f',
         'g', a derivative table, or (name, i) for row i of a 'g..' table.
         Fraction inputs select exact constants, as in :meth:`eval_expr`."""
-        x, y = list(x), list(y)
+        x, y = _values(x), _values(y)
         exact = _wants_exact(x, y)
         fn = self._memo(("block", key, exact),
                         lambda: compile_block(_flat(self._dtable()[key]), exact))
         try:
             return fn(x, y)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             for e in _flat(self._dtable()[key]):  # raise the first failing entry's error
                 self.eval_expr(e, x, y)
             raise

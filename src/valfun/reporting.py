@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import model
+
 VERIFIED = "verified"
 ASSERTED = "asserted"
 ASSUMED = "assumed"
@@ -40,11 +42,13 @@ def worst_status(records) -> str:
     return worst
 
 
-def convex_in_y_record(verdict: str, assumed: str) -> HypothesisRecord:
-    """The ``convex-in-y`` record of a ``verify_convex_in_y`` verdict.  With
-    neither a quadratic shape nor a flag the hypothesis is assumed, and
-    ``assumed`` says on what terms."""
+def convex_in_y_record(problem, assumed: str) -> HypothesisRecord:
+    """The ``convex-in-y`` record of ``model.verify_convex_in_y(problem)``,
+    naming the problem flag or the quadratic shape check as its source.
+    With neither the hypothesis is assumed, and ``assumed`` says on what
+    terms."""
+    verdict = model.verify_convex_in_y(problem)
     if verdict == "unknown":
         return HypothesisRecord("convex-in-y", ASSUMED, assumed)
-    detail = "problem flag" if verdict == "asserted" else "quadratic shape check"
+    detail = "problem flag" if model._quadratic_shape(problem) is None else "quadratic shape check"
     return HypothesisRecord("convex-in-y", SHAPE_STATUS[verdict], detail)

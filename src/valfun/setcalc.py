@@ -698,9 +698,10 @@ def _lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, options=None
     )
 
 
-def _check_status(res, query: str) -> None:
-    """Only an optimal, infeasible or unbounded LP may answer a query."""
-    if res.status not in DECIDED_LP_STATUSES:
+def _check_status(res, query: str, decided=DECIDED_LP_STATUSES) -> None:
+    """Raise unless the LP ended in a status of ``decided``: by default
+    optimal, infeasible or unbounded, the statuses that answer a query."""
+    if res.status not in decided:
         raise LpStatusError(f"{query} LP ended undecided: status {res.status} ({res.message})")
 
 

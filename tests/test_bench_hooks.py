@@ -17,7 +17,7 @@ from conftest import load_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-from tracer import Tracer  # noqa: E402
+from tracer import Tracer, span_totals  # noqa: E402
 
 OWNERS = (valfun, coderiv, firstorder, hessian, kernel, model, setcalc,
           setcalc.Polyhedron, setcalc.PolySet)
@@ -47,3 +47,17 @@ def test_tracer_hooks_bind_and_uninstall():
         assert tracer.keys[name], name
     names = {span[0] for span in tracer.spans}
     assert {"hessian.compute", "hessian.route", "firstorder.auto_estimate"} <= names
+
+
+def test_traced_composed_query_builds_each_point_once():
+    # the unperturbed composed estimate reads its generator's point
+    # context, through the names the tracer patches: every traced call of
+    # these two is a new point
+    prob = load_instance("constantobj")
+    query = hessian.HessianQuery(prob.points["base"].x, [1.0], [1.0])
+    with Tracer() as tracer:
+        est = hessian.compute(prob, query)
+    assert est.theorem == "unperturbed-composed"
+    calls = span_totals(tracer.spans)[0]
+    for name in ("model.differentiate", "kernel.multipliers"):
+        assert calls[name] == len(tracer.keys[name]) > 0, name

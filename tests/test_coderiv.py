@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from valfun import coderiv
 from valfun.coderiv import (
     FiniteGeneratorMap,
     build_branch_family,
@@ -19,8 +20,9 @@ from valfun.coderiv import (
     solution_map_lipschitz_like,
 )
 from valfun.errors import BranchCapError, HypothesisError
+from valfun.firstorder import convex_mfcq_subdiff
 from valfun.model import Partition, classify, make_kkt, parse_problem
-from valfun.reporting import FAILED, VERIFIED
+from valfun.reporting import ASSERTED, FAILED, VERIFIED
 from valfun.setcalc import Piece, PolySet
 
 from conftest import load_instance
@@ -180,6 +182,20 @@ def test_lambda_cq_flags_constant_image():
     assert est.result.is_zero_singleton(tol=1e-9)
 
 
+def test_lambda_zero_covector_family_serves_the_cq_check(monkeypatch):
+    prob = load_instance("quadfit")
+    kkt = _kkt(prob, "kink")
+    want = check_cq_lambda(prob, kkt)
+    built = []
+    real = coderiv.build_branch_family
+    monkeypatch.setattr(coderiv, "build_branch_family",
+                        lambda *a, **kw: built.append(a[2]) or real(*a, **kw))
+    assert coderivative_lambda(prob, kkt, [0.0, 0.0]).cq == want
+    assert len(built) == 1
+    coderivative_lambda(prob, kkt, [0.5, 0.0])
+    assert [list(u) for u in built[1:]] == [[0.5, 0.0], [0.0, 0.0]]
+
+
 def test_lambda_cq_fails_on_redundant_active_rows():
     prob = parse_problem(
         {
@@ -277,6 +293,16 @@ def test_solution_coderivative_records_a_nonconvex_y_shape():
                           "flags": {"convex_in_y": True}})
     est = coderivative_S(prob, [0.0], [1.0], [1.0])
     assert _convex_in_y_record(est) == (FAILED, "quadratic shape check")
+
+
+@pytest.mark.parametrize("flag, status", [(False, FAILED), (True, ASSERTED)])
+def test_convex_in_y_verdict_of_a_flag_names_the_flag(flag, status):
+    # a quartic is past the quadratic shape check: the flag alone decides
+    prob = parse_problem({"n": 1, "m": 1, "f": "y1^4 + x1*y1", "g": ["y1 - 1", "-y1 - 1"],
+                          "flags": {"convex_in_y": flag}})
+    for est in (convex_mfcq_subdiff(prob, [0.0], y=[0.0]),
+                coderivative_S(prob, [0.0], [0.0], [1.0])):
+        assert _convex_in_y_record(est) == (status, "problem flag")
 
 
 def test_lipschitz_like_certificate():

@@ -3,12 +3,15 @@ and the exact linear-program routes, all against hand-computed values."""
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from valfun import kernel
+from valfun import coderiv, firstorder, hessian, kernel, model
 from valfun.firstorder import danskin
 from valfun.errors import CaseRoutingError, DegeneracyError, HypothesisError
 from valfun.hessian import (
@@ -411,23 +414,67 @@ def test_compute_rejects_mismatched_case():
         compute(prob, HessianQuery([1.0], [-2.0], [1.0], case="unperturbed"))
 
 
+def _count_point_calls(monkeypatch):
+    """Calls per exact key within the test: ``kernel.multipliers`` and
+    ``kernel.check_mfcq`` per (x, y), ``model.differentiate`` per (x, y, u),
+    in every valfun module that binds them."""
+    calls = Counter()
+
+    def counted(module, name, nkey):
+        real = getattr(module, name)
+
+        def count(problem, *args, **kwargs):
+            key = tuple(tuple(np.asarray(v, float).tolist()) for v in args[:nkey])
+            calls[(name, key)] += 1
+            return real(problem, *args, **kwargs)
+
+        for mod in (coderiv, firstorder, hessian, kernel, model):
+            if vars(mod).get(name) is real:
+                monkeypatch.setattr(mod, name, count)
+
+    counted(kernel, "multipliers", 2)
+    counted(kernel, "check_mfcq", 2)
+    counted(model, "differentiate", 3)
+    return calls
+
+
+def _no_repeats(calls):
+    assert calls and {k: n for k, n in calls.items() if n > 1} == {}
+
+
 @pytest.mark.parametrize("name, xbar, xund, case", [
     ("shiftbox", [1.0], [-2.0], "single-single"),
     ("multiS", [1.0, 0.0], [-1.0, -2.0], "single-lambda"),
 ])
 def test_compute_enumerates_each_multiplier_set_once(monkeypatch, name, xbar, xund, case):
-    # route's multiplier sets serve the first-order precheck and the case
-    points = []
-    real = kernel.multipliers
-
-    def count(problem, x, y, *args, **kwargs):
-        points.append(tuple(np.asarray(y, float)))
-        return real(problem, x, y, *args, **kwargs)
-
-    monkeypatch.setattr(kernel, "multipliers", count)
+    # route's point contexts serve the first-order precheck and the case
+    calls = _count_point_calls(monkeypatch)
     est = compute(load_instance(name), HessianQuery(xbar, xund, [1.0] + [0.0] * (len(xbar) - 1)))
     assert est.case == case
-    assert points and len(points) == len(set(points))
+    _no_repeats(calls)
+
+
+def _vector(text):
+    return [float(v) for v in text.split(",")]
+
+
+GENERAL_QUERIES = sorted({
+    (q["instance"], q["point"], q["xund"], q["xstar"])
+    for q in json.loads((Path(__file__).parent / "golden" / "hessian.json").read_text())
+    if not route(load_instance(q["instance"]))[0].startswith("lp-")
+})
+
+
+@pytest.mark.parametrize("name, point, xund, xstar", GENERAL_QUERIES,
+                         ids=["-".join(q) for q in GENERAL_QUERIES])
+def test_battery_query_builds_each_point_once(monkeypatch, name, point, xund, xstar):
+    # one compute: every multiplier set, MFCQ check and Lagrangian
+    # evaluation is made once per point, whatever the case and its path
+    prob = load_instance(name)
+    calls = _count_point_calls(monkeypatch)
+    compute(prob, HessianQuery(prob.points[point].x, _vector(xund), _vector(xstar)),
+            branch_cap=200)
+    _no_repeats(calls)
 
 
 def test_estimates_scale_with_the_covector():

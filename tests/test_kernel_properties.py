@@ -7,6 +7,7 @@ drawn on purpose.  Examples are derandomized, so the run is fixed."""
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from valfun import kernel
-from valfun.errors import InfeasibleParameterError, UnboundedProblemError
+from valfun import kernel, setcalc
+from valfun.errors import InfeasibleParameterError, LpStatusError, UnboundedProblemError
 from valfun.kernel import check_mfcq, solve_value
 from valfun.model import parse_problem
 
@@ -84,6 +85,18 @@ def test_small_mfcq_needs_no_lp(monkeypatch):
     monkeypatch.setattr(kernel, "linprog", no_lp)
     assert check_mfcq(_problem([[1, 0], [1, 0], [0, 1]]), [0.0], [0.0, 0.0]).holds
     assert not check_mfcq(_problem([[1, 2], [-1, -2]]), [0.0], [0.0, 0.0]).holds
+
+
+def test_undecided_mfcq_lp_raises(monkeypatch):
+    # the MFCQ LP is feasible (d = 0, t = 0) and bounded: a status other
+    # than optimal decides nothing and must not read as "MFCQ fails"
+    def iteration_limit(*args, **kwargs):
+        return SimpleNamespace(status=4, message="numerical difficulties", fun=None, x=None)
+
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
+    monkeypatch.setattr(kernel, "linprog", iteration_limit)
+    with pytest.raises(LpStatusError, match="MFCQ LP ended undecided: status 4"):
+        check_mfcq(_problem([[1, 0], [0, 1]]), [0.0], [0.0, 0.0])
 
 
 @st.composite

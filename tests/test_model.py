@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 import struct
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -288,10 +289,14 @@ def _expected_tables(prob):
 
 
 def _check_blocks(prob, x, y, exact):
+    # arrays reach the compiled code as Python numbers, so the interpreter
+    # walks those; numpy scalars must give the same bits wherever Python
+    # floats do not raise (at a pole or on overflow)
+    xs, ys = [x.tolist() if isinstance(x, np.ndarray) else list(x) for x in (x, y)]
     for key, exprs in _expected_tables(prob).items():
         try:
-            want = [_interpret(e, list(x), list(y), exact) for e in exprs]
-        except ZeroDivisionError:
+            want = [_interpret(e, xs, ys, exact) for e in exprs]
+        except (ZeroDivisionError, OverflowError):
             with pytest.raises(EvaluationError):
                 prob.eval_block(key, x, y)
             continue
@@ -303,6 +308,11 @@ def _check_blocks(prob, x, y, exact):
                 assert a == b, (key, a, b)
             else:
                 assert struct.pack("<d", a) == struct.pack("<d", b), (key, a, b)
+        if isinstance(x, np.ndarray):
+            with np.errstate(all="ignore"):
+                scalars = [_interpret(e, list(x), list(y), exact) for e in exprs]
+            assert [struct.pack("<d", v) for v in scalars] == \
+                [struct.pack("<d", v) for v in got], key
 
 
 def _points(draw, prob, values):
@@ -317,8 +327,7 @@ def _points(draw, prob, values):
 def test_float_blocks_match_the_interpreter(name, data):
     prob = _block_problem(name)
     x, y = _points(data.draw, prob, st.floats(-3, 3))
-    with np.errstate(all="ignore"):
-        _check_blocks(prob, np.array(x), np.array(y), exact=False)
+    _check_blocks(prob, np.array(x), np.array(y), exact=False)
 
 
 @pytest.mark.parametrize("name", BLOCK_PROBLEMS)
@@ -339,6 +348,23 @@ def test_block_division_by_zero_names_the_entry(zero):
             evaluate_table(x, y)
     with pytest.raises(EvaluationError, match=r"evaluating y1 - 2 / \(y1 - x1\)"):
         prob.eval_g_exact(x, y)
+
+
+def test_numpy_inputs_raise_at_a_pole():
+    # np.float64 division by zero is inf with a warning, not an exception:
+    # arrays must reach the compiled code as Python floats
+    prob = parse_problem({"n": 1, "m": 1, "f": "1/(y1 - x1)", "g": ["y1 - 2/(y1 - x1)"]})
+    x, y = np.array([1.0]), np.array([1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: prob.eval_f(x, y), lambda: prob.eval_array("gy", x, y),
+                     lambda: differentiate(prob, x, y, np.zeros(1))):
+            with pytest.raises(EvaluationError, match="division by zero while evaluating"):
+                call()
+    assert prob.eval_f(np.array([1.0]), np.array([3.0])) == 0.5
+    near = parse_problem({"n": 1, "m": 1, "f": "y1^-2", "g": []})
+    with pytest.raises(EvaluationError, match=r"overflow while evaluating y1\^-2"):
+        near.eval_f(np.array([0.0]), np.array([1e-200]))
 
 
 # ---------------------------------------------------------------------------
