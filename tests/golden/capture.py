@@ -19,8 +19,10 @@ the centroid and anchor of a complementary face, and the empty estimates;
 ``solve.json`` holds, for every battery instance not affine in y, the
 ``repr`` of the value and of each minimizer from ``kernel.solve_value``
 (SLSQP multistart) at each named point with its pinned minimizers
-ignored, and at ``SOLVE_PERTURBATIONS`` seeded k/4096 perturbations of it.
-``test_golden.py`` replays all four in-process and requires
+ignored, and at ``SOLVE_PERTURBATIONS`` seeded k/4096 perturbations of it;
+``vform.json`` holds the vertex/ray decompositions behind the exact answers
+(see ``vform_json``).  ``test_golden.py`` replays all five in-process and
+requires
 byte-identical output, so regenerate only when a change of output is
 intended, and say why in the change log.
 """
@@ -284,6 +286,105 @@ def capture():
     return reports, queries
 
 
+def _vform(poly):
+    dec = poly._decomposition()
+    return {"points": [str(list(v)) for v in dec.points],
+            "rays": [str(list(v)) for v in dec.rays], "lineality": dec.lineality}
+
+
+def lp_call_ids():
+    """The ``THEOREM_CALLS`` that run an exact LP case."""
+    return sorted(k for k in THEOREM_CALLS if k.startswith(("lp_", "compute/")))
+
+
+def lp_vforms(call_id):
+    """Decomposition of every piece of an exact LP case's result and of
+    every branch polyhedron of the families it builds."""
+    from unittest import mock
+
+    from valfun import hessian
+
+    families = []
+
+    def record(*args, **kw):
+        families.append(build(*args, **kw))
+        return families[-1]
+
+    build = hessian.build_branch_family
+    with mock.patch.object(hessian, "build_branch_family", record):
+        est = THEOREM_CALLS[call_id]()
+    return {"pieces": [_vform(pc.poly) for pc in est.result.pieces],
+            "branches": [_vform(br.poly) for fam in families for br in fam.branches]}
+
+
+def exact_solve_points():
+    """(id, instance, x) for the rational solves: the named points of the
+    instances affine in y, and seeded k/4096 perturbations of each, as
+    Fractions."""
+    out = []
+    for path in sorted(INSTANCES.glob("*.json")):
+        prob = _instance(path.stem)
+        if not prob.affine_in_y():
+            continue
+        for point in sorted(prob.points):
+            base = [Fraction(v) for v in prob.points[point].x]
+            out.append((f"{path.stem}/{point}", path.stem, base))
+            rng = np.random.default_rng(list(f"exact/{path.stem}/{point}".encode()))
+            for k in range(SOLVE_PERTURBATIONS):
+                ks = rng.integers(-PERTURB_DEN // 4, PERTURB_DEN // 4 + 1, size=len(base))
+                out.append((f"{path.stem}/{point}/{k}", path.stem,
+                            [v + Fraction(int(kk), PERTURB_DEN) for v, kk in zip(base, ks)]))
+    return out
+
+
+def exact_solve(name, x):
+    """Exact value and minimizers of ``kernel.solve_value(rational=True)``."""
+    from valfun import kernel
+    from valfun.errors import ValfunError
+
+    try:
+        res = kernel.solve_value(_instance(name), np.array(x, dtype=object), rational=True)
+    except ValfunError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"value_exact": str(res.value_exact),
+            "minimizers_exact": None if res.minimizers_exact is None
+            else [[str(v) for v in y] for y in res.minimizers_exact]}
+
+
+def member_verdicts(name, point):
+    """First-order membership at every generator, at the generator moved by
+    half the membership tolerance, and at the generator moved by 1e-3."""
+    from valfun import firstorder
+    from valfun.hessian import MEMBERSHIP_TOL
+
+    prob = _instance(name)
+    fo = firstorder.auto_estimate(prob, prob.points[point].x)
+    out = []
+    for gen in fo.generators:
+        for shift in (0.0, MEMBERSHIP_TOL / 2, 1e-3):
+            v = fo.member(np.asarray(gen, float) + shift, MEMBERSHIP_TOL)
+            out.append({"xund": _vec(np.asarray(gen, float) + shift), "status": v.status,
+                        "piece": v.piece, "distance": f"{v.distance:.6g}"})
+    return out
+
+
+def battery_points():
+    return [(name, point) for name in sorted(p.stem for p in INSTANCES.glob("*.json"))
+            for point in sorted(_instance(name).points)]
+
+
+def vform_json():
+    """id -> JSON text: ``lp/<call>`` for ``lp_vforms``, ``exact/<point>``
+    for ``exact_solve`` and ``member/<instance>/<point>`` for
+    ``member_verdicts``."""
+    out = {f"lp/{k}": json.dumps(lp_vforms(k)) for k in lp_call_ids()}
+    out.update((f"exact/{sid}", json.dumps(exact_solve(name, x)))
+               for sid, name, x in exact_solve_points())
+    out.update((f"member/{name}/{point}", json.dumps(member_verdicts(name, point)))
+               for name, point in battery_points())
+    return out
+
+
 if __name__ == "__main__":
     reports, queries = capture()
     (HERE / "report.json").write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
@@ -292,5 +393,8 @@ if __name__ == "__main__":
     (HERE / "theorems.json").write_text(json.dumps(theorems, indent=1, sort_keys=True) + "\n")
     solves = {sid: solve_json(name, x) for sid, name, x in solve_points()}
     (HERE / "solve.json").write_text(json.dumps(solves, indent=1, sort_keys=True) + "\n")
+    vforms = vform_json()
+    (HERE / "vform.json").write_text(json.dumps(vforms, indent=1, sort_keys=True) + "\n")
     print(f"{len(reports)} reports, {len(queries)} hessian queries, "
-          f"{len(theorems)} theorem-path calls, {len(solves)} multistart solves")
+          f"{len(theorems)} theorem-path calls, {len(solves)} multistart solves, "
+          f"{len(vforms)} decomposition and membership records")

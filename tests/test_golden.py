@@ -3,7 +3,8 @@ text of ``valfun hessian`` (coordinate ranges included) for every battery
 query must stay byte-identical, and so must the JSON of the theorem-path
 calls in ``THEOREM_CALLS`` (the exact LP cases among them, through
 ``hessian.compute`` for the battery queries that route there) and the
-multistart solves of ``solve_points``.  The references were captured by
+multistart solves of ``solve_points`` and the decomposition and
+membership records of ``vform_json``.  The references were captured by
 ``golden/capture.py``; CLI runs are in-process through ``cli.main``."""
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import pytest
 
 from golden.capture import (
     THEOREM_CALLS,
+    battery_points,
+    exact_solve,
+    exact_solve_points,
     hessian_argv,
+    lp_call_ids,
+    lp_vforms,
+    member_verdicts,
     report_argv,
     run_cli,
     solve_json,
@@ -29,6 +36,8 @@ QUERIES = json.loads((GOLDEN / "hessian.json").read_text())
 THEOREMS = json.loads((GOLDEN / "theorems.json").read_text())
 SOLVES = json.loads((GOLDEN / "solve.json").read_text())
 SOLVE_POINTS = solve_points()
+VFORMS = json.loads((GOLDEN / "vform.json").read_text())
+EXACT_POINTS = exact_solve_points()
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
@@ -63,3 +72,26 @@ def test_solve_goldens_cover_every_point():
 def test_solve_golden(sid, name, x):
     assert json.dumps(solve_json(name, x), sort_keys=True) == json.dumps(
         SOLVES[sid], sort_keys=True)
+
+
+def test_vform_goldens_cover_every_record():
+    want = ([f"lp/{k}" for k in lp_call_ids()]
+            + [f"exact/{sid}" for sid, _, _ in EXACT_POINTS]
+            + [f"member/{name}/{point}" for name, point in battery_points()])
+    assert sorted(VFORMS) == sorted(want)
+
+
+@pytest.mark.parametrize("call_id", lp_call_ids())
+def test_lp_vform_golden(call_id):
+    assert json.dumps(lp_vforms(call_id)) == VFORMS[f"lp/{call_id}"]
+
+
+@pytest.mark.parametrize("sid, name, x", EXACT_POINTS, ids=[sid for sid, _, _ in EXACT_POINTS])
+def test_exact_solve_golden(sid, name, x):
+    assert json.dumps(exact_solve(name, x)) == VFORMS[f"exact/{sid}"]
+
+
+@pytest.mark.parametrize("name, point", battery_points(),
+                         ids=[f"{n}/{p}" for n, p in battery_points()])
+def test_member_golden(name, point):
+    assert json.dumps(member_verdicts(name, point)) == VFORMS[f"member/{name}/{point}"]
