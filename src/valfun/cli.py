@@ -18,13 +18,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import firstorder, hessian, kernel, oracle
-from .coderiv import DEFAULT_BRANCH_CAP
+from .coderiv import DEFAULT_BRANCH_CAP, PointContext
 from .errors import ParseError, ProblemFormatError, UsageError, ValfunError
 from .hessian import CASES, HessianQuery
 from .model import (
     DEFAULT_TOL_ACT,
     DEFAULT_TOL_KKT,
-    kkt_point,
     kkt_residual,
     load_problem,
     problem_to_json,
@@ -102,10 +101,10 @@ def _cmd_analyze(args) -> int:
         f"xbar: {_fmt_vec(xbar)}",
         f"value: {res.value:.9g}  ({res.certificate})",
     ]
-    for k, y in enumerate(res.minimizers):
-        mult = kernel.multipliers(problem, xbar, y, tol_act=args.tol_act)
+    ctxs = [PointContext(problem, xbar, y, args.tol_act) for y in res.minimizers]
+    for k, ctx in enumerate(ctxs):
+        y, mult, mfcq = ctx.y, ctx.mult, ctx.mfcq
         licq = kernel.check_licq(problem, xbar, y, tol_act=args.tol_act)
-        mfcq = kernel.check_mfcq(problem, xbar, y, tol_act=args.tol_act)
         entry = {
             "y": [float(v) for v in y],
             "multiplier_vertices": [[float(v) for v in u] for u in mult.vertices],
@@ -118,8 +117,8 @@ def _cmd_analyze(args) -> int:
             f"  multipliers: {len(mult.vertices)} vertex(es)"
             + ("" if mult.bounded else " (unbounded set)")
         )
-        for u in mult.vertices:
-            kkt = kkt_point(problem, xbar, y, u, tol_act=args.tol_act)
+        for j, u in enumerate(mult.vertices):
+            kkt = ctx.kkt(j)
             part = kkt.partition
             entry.setdefault("partitions", []).append(
                 {
@@ -139,7 +138,7 @@ def _cmd_analyze(args) -> int:
         lines.append(f"  licq: {'yes' if licq.holds else 'no'}   "
                      f"mfcq: {'yes' if mfcq.holds else 'no'}")
         doc["minimizers"].append(entry)
-    fo = firstorder.auto_estimate(problem, xbar, minimizers=res.minimizers)
+    fo = firstorder.auto_estimate(problem, xbar, contexts=ctxs)
     doc["first_order"] = fo.to_json()
     lines.append(
         f"first-order estimate ({fo.formula}): {len(fo.result.pieces)} piece(s), "

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import kernel
 from .errors import BranchCapError, HypothesisError
-from .model import KktPoint, ParametricProblem, Partition, kkt_point
+from .model import DEFAULT_TOL_ACT, KktPoint, ParametricProblem, Partition, kkt_point
 from .reporting import ASSUMED, FAILED, VERIFIED, HypothesisRecord, convex_in_y_record
 from .setcalc import Piece, Polyhedron, PolySet, _as_float
 
@@ -292,21 +292,23 @@ class PointContext:
     share, each item built on first use and then reused: the multiplier
     set, the MFCQ report, and per multiplier vertex j the KKT point, the
     map matrix and, per flavor and branch cap, the zero-covector branch
-    family and its CQ report."""
+    family and its CQ report.  ``tol_act`` decides the active constraints
+    of all of them."""
 
-    def __init__(self, problem: ParametricProblem, x, y):
+    def __init__(self, problem: ParametricProblem, x, y, tol_act: float = DEFAULT_TOL_ACT):
         self.problem = problem
         self.x = np.atleast_1d(np.asarray(x, dtype=float))
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
+        self.tol_act = tol_act
         self._items = {}
 
     @cached_property
     def mult(self) -> kernel.MultiplierPolyhedron:
-        return kernel.multipliers(self.problem, self.x, self.y)
+        return kernel.multipliers(self.problem, self.x, self.y, self.tol_act)
 
     @cached_property
     def mfcq(self) -> kernel.MfcqReport:
-        return kernel.check_mfcq(self.problem, self.x, self.y)
+        return kernel.check_mfcq(self.problem, self.x, self.y, self.tol_act)
 
     def _item(self, key, build):
         if key not in self._items:
@@ -315,7 +317,7 @@ class PointContext:
 
     def kkt(self, j) -> KktPoint:
         return self._item(("kkt", j), lambda: kkt_point(
-            self.problem, self.x, self.y, self.mult.vertices[j]))
+            self.problem, self.x, self.y, self.mult.vertices[j], self.tol_act))
 
     def map_matrix(self, j) -> np.ndarray:
         lag = self.kkt(j).lag

@@ -33,15 +33,6 @@ class HypothesisRecord:
         return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
-def worst_status(records) -> str:
-    order = [VERIFIED, ASSERTED, ASSUMED, NOT_CHECKED, FAILED]
-    worst = VERIFIED
-    for r in records:
-        if order.index(r.status) > order.index(worst):
-            worst = r.status
-    return worst
-
-
 def convex_in_y_record(problem, assumed: str) -> HypothesisRecord:
     """The ``convex-in-y`` record of ``model.verify_convex_in_y(problem)``,
     naming the problem flag or the quadratic shape check as its source.

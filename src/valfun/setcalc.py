@@ -15,13 +15,14 @@ carriers:
 
 Arithmetic is float by default with 1e-9 pivot/rank tolerances.  Arrays
 of ``fractions.Fraction`` (dtype=object) switch the vertex-enumeration
-and affine-hull paths to exact rational arithmetic.  Emptiness,
-boundedness and coordinate ranges are read off one cached vertex/ray
-decomposition per polyhedron, so they are exact on rational data too;
-only pieces too large to enumerate (``MAX_VFORM_SUBSETS``) fall back to
-floating-point LPs.  Membership distances and hull weights are LPs too.
-Every LP raises :class:`LpStatusError` unless the solver reports a
-definite answer.
+and affine-hull paths to exact arithmetic, run in integers by
+fraction-free elimination.  Emptiness, boundedness, coordinate ranges and
+membership are read off one cached vertex/ray decomposition per
+polyhedron, so they are exact on rational data too.  Pieces too large to
+enumerate (``MAX_VFORM_SUBSETS``), membership farther than the tolerance
+from every decomposition point, open rows and hull weights take
+floating-point LPs, each raising :class:`LpStatusError` unless the solver
+reports a definite answer.
 
 scipy is imported on first use only: for those LPs and for Qhull in
 :func:`polyhedron_from_vertices`.
@@ -50,10 +51,10 @@ MAX_SET_DIM = 12
 #: free variables, lineality l) for which emptiness, boundedness,
 #: coordinate ranges and ``kernel.check_mfcq`` come from the enumerated
 #: decomposition rather than LPs.  Ten covers the largest pieces of the
-#: test battery (k=4, r=2).  At this size a float decomposition costs
-#: 0.2-2.3 ms (r <= 8), less than the one 3 ms HiGHS call of an emptiness
-#: check; an exact one costs up to 4.5 ms for r <= 3, and more for dense
-#: rows in more free variables.
+#: test battery (k=4, r=2).  At this size, on dense random rows with two
+#: equality rows, a decomposition costs 0.6-2.4 ms in floats and 0.6-3.1 ms
+#: exactly (medians, r <= 8), no more than the one 2.7-3.3 ms HiGHS call of
+#: an emptiness check.
 MAX_VFORM_SUBSETS = 10
 #: HiGHS statuses that decide a query: optimal, infeasible, unbounded.
 DECIDED_LP_STATUSES = (0, 2, 3)
@@ -84,9 +85,63 @@ def _as_float(arr) -> np.ndarray:
 
 
 def _rows_of(M, exact: bool):
-    if exact:
-        return [[Fraction(v) if not isinstance(v, Fraction) else v for v in row] for row in M]
+    if exact:  # _gauss_int takes any rational entries
+        return [list(row) for row in M]
     return [[float(v) for v in row] for row in np.asarray(M, dtype=float)]
+
+
+def _int_row(row):
+    """The row times the positive lcm of its denominators, as ints."""
+    row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+    den = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row]
+
+
+def _solution(rows, pivots, ncols, zero, one):
+    """Particular solution and null-space basis read off reduced rows
+    [A | b] with pivot (row, column) pairs ``pivots``, every pivot ``one``."""
+    particular = [zero] * ncols
+    for i, c in pivots:
+        particular[c] = rows[i][ncols]
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_cols):
+        v = [zero] * ncols
+        v[fc] = one
+        for i, c in pivots:
+            v[c] = -rows[i][fc]
+        basis.append(v)
+    return particular, basis
+
+
+def _gauss_int(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer
+    rows [A | b], A of ``ncols`` columns: (z, basis, det), the output of
+    ``_gauss`` times an integer det > 0, or None when inconsistent.  After
+    each pivot every row is the pivot times its row of rational
+    Gauss-Jordan, so the divisions by the previous pivot are exact."""
+    nrows, r, prev, pivots = len(rows), 0, 1, []
+    for c in range(ncols):
+        best = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        pr = rows[r]
+        piv = pr[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i == r or not f and piv == prev:
+                continue
+            rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], pr)]
+        pivots.append((r, c))
+        prev, r = piv, r + 1
+        if r == nrows:
+            break
+    if any(rows[i][ncols] for i in range(r, nrows)):
+        return None
+    if prev < 0:
+        rows, prev = [[-v for v in row] for row in rows], -prev
+    return *_solution(rows, pivots, ncols, 0, prev), prev
 
 
 def _gauss(A_rows, b_vec, exact: bool):
@@ -94,14 +149,21 @@ def _gauss(A_rows, b_vec, exact: bool):
     ``particular`` is None when the system is inconsistent.
 
     With no rows the column count is unknown and the result is ([], []);
-    ``_null_space`` covers the whole space.  Pure Python so the same code
-    path serves exact Fractions and floats; sizes here are tiny by design.
+    ``_null_space`` covers the whole space.  Exact rows are eliminated in
+    integers by ``_gauss_int``; the reduced echelon form is unique, so the
+    Fractions built from it are those of rational elimination.
     """
     if not A_rows:
         return [], []
     rows = [list(r) + [b_vec[i]] for i, r in enumerate(A_rows)]
     ncols = len(A_rows[0])
-    tol = 0 if exact else RANK_TOL * max(1.0, max(abs(v) for r in rows for v in r))
+    if exact:
+        sol = _gauss_int([_int_row(row) for row in rows], ncols)
+        if sol is None:
+            return None, []
+        z, basis, det = sol
+        return [Fraction(v, det) for v in z], [[Fraction(v, det) for v in w] for w in basis]
+    tol = RANK_TOL * max(1.0, max(abs(v) for r in rows for v in r))
     nrows = len(rows)
     pivots = []  # (row, col)
     r = 0
@@ -119,16 +181,10 @@ def _gauss(A_rows, b_vec, exact: bool):
         if piv != 1:
             rows[r] = [v / piv for v in rows[r]]
         pr = rows[r]
-        # exact rows are sparse: skip their zero products (a float zero is
-        # kept, since skipping it could flip the sign of a zero)
-        nz = [j for j, v in enumerate(pr) if v != 0] if exact else None
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
-                if nz is not None:
-                    for j in nz:
-                        rows[i][j] -= factor * pr[j]
-                elif abs(factor) > tol:
+                if abs(factor) > tol:
                     rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], pr)]
         pivots.append((r, c))
         r += 1
@@ -136,23 +192,9 @@ def _gauss(A_rows, b_vec, exact: bool):
             break
     # consistency
     for i in range(r, nrows):
-        if abs(rows[i][ncols]) > (0 if exact else max(tol, RANK_TOL)):
+        if abs(rows[i][ncols]) > max(tol, RANK_TOL):
             return None, []
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    particular = [zero] * ncols
-    pivot_cols = {c: i for i, c in pivots}
-    for i, c in pivots:
-        particular[c] = rows[i][ncols]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [zero] * ncols
-        v[fc] = one
-        for i, c in pivots:
-            v[c] = -rows[i][fc]
-        basis.append(v)
-    return particular, basis
+    return _solution(rows, pivots, ncols, 0.0, 1.0)
 
 
 def solve_linear(A, b, exact: bool | None = None):
@@ -169,12 +211,7 @@ def solve_linear(A, b, exact: bool | None = None):
         # no rows: everything solves
         ncols = A.shape[1]
         return [Fraction(0) if exact else 0.0] * ncols, _null_space([], ncols, exact)
-    bl = list(b)
-    if exact:
-        bl = [Fraction(v) if not isinstance(v, Fraction) else v for v in bl]
-    else:
-        bl = [float(v) for v in bl]
-    return _gauss(rows, bl, exact)
+    return _gauss(rows, list(b) if exact else [float(v) for v in b], exact)
 
 
 def matrix_rank_generic(A, exact: bool | None = None) -> int:
@@ -185,9 +222,7 @@ def matrix_rank_generic(A, exact: bool | None = None) -> int:
         exact = _is_rational(A)
     if not exact:
         return int(np.linalg.matrix_rank(_as_float(A), tol=RANK_TOL))
-    rows = _rows_of(A, True)
-    _, basis = _gauss(rows, [Fraction(0)] * len(rows), True)
-    return A.shape[1] - len(basis)
+    return A.shape[1] - len(_gauss_int([_int_row(list(r) + [0]) for r in A], A.shape[1])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +245,16 @@ class VForm:
 
 
 class _Reduced(NamedTuple):
-    """The equality rows eliminated: z = z0 + N t with t in
-    { t : Cp t <= dp }; ``lin`` is a basis of { t : Cp t = 0 }."""
+    """The equality rows eliminated: z = (z0 + N t) / det with t in
+    { t : Cp t <= dp }; ``lin`` is a basis of { t : Cp t = 0 }.  Rational
+    data gives Python ints (rows of [Cp | dp] scaled) and det > 0."""
 
     z0: list
     N: np.ndarray
     Cp: np.ndarray
     dp: np.ndarray
     lin: list
+    det: int | float
 
 
 @dataclass(frozen=True)
@@ -462,27 +499,41 @@ class Polyhedron:
         return self._reduction
 
     def _reduce(self):
-        exact = self.rational
-        dt = object if exact else float
+        if self.rational:
+            return self._reduce_int()
         z0, basis = solve_linear(
             self.C_eq if self.C_eq.shape[0] else np.zeros((0, self.dim)),
             self.d_eq if self.d_eq.shape[0] else [],
-            exact,
+            False,
         )
         if z0 is None:
             return None
         r, k = len(basis), self.C.shape[0]
-        N = np.array(basis, dtype=dt).T.reshape(self.dim, r)
+        N = np.array(basis, dtype=float).T.reshape(self.dim, r)
         if r == 0:  # z0 is the only candidate; _decompose tests it directly
-            return _Reduced(z0, N, np.zeros((k, 0), dtype=dt), None, [])
-        Cm = self.C if exact else _as_float(self.C)
-        Cp = _matmul(Cm, N) if k else np.zeros((0, r), dtype=dt)
-        dp = np.array([self.d[i] - _dot(Cm[i], z0) for i in range(k)], dtype=dt)
-        if k:
-            _, lin = _gauss(_rows_of(Cp, exact), [0] * k, exact)
-        else:
-            lin = _null_space([], r, exact)
-        return _Reduced(z0, N, Cp, dp, lin)
+            return _Reduced(z0, N, np.zeros((k, 0)), None, [], 1.0)
+        Cm = _as_float(self.C)
+        Cp = Cm @ N if k else np.zeros((0, r))
+        dp = np.array([self.d[i] - _dot(Cm[i], z0) for i in range(k)], dtype=float)
+        lin = _null_space(_rows_of(Cp, False), r, False)
+        return _Reduced(z0, N, Cp, dp, lin, 1.0)
+
+    def _reduce_int(self):
+        """``_reduce`` on rational data, in integers."""
+        sol = _gauss_int([_int_row(list(a) + [b]) for a, b in zip(self.C_eq, self.d_eq)],
+                         self.dim)
+        if sol is None:
+            return None
+        z0, basis, det = sol
+        z0, r = np.array(z0, dtype=object), len(basis)
+        N = np.array(basis, dtype=object).T.reshape(self.dim, r)
+        # row [c | d] of [C | d] stands for (C N) t <= d det - c . z0, times det
+        rows = [_int_row(list(a) + [b]) for a, b in zip(self.C, self.d)]
+        Cp = np.array([[_dot(row, w) for w in basis] for row in rows],
+                      dtype=object).reshape(len(rows), r)
+        dp = np.array([row[-1] * det - _dot(row, z0) for row in rows], dtype=object)
+        lin = _gauss_int([list(row) + [0] for row in Cp], r)[1]
+        return _Reduced(z0, N, Cp, dp, lin, det)
 
     def enumerable(self) -> bool:
         """Whether the decomposition fits MAX_VFORM_SUBSETS."""
@@ -498,48 +549,51 @@ class Polyhedron:
         return self._decomp
 
     def _decompose(self) -> _Decomposition:
+        """Active-set enumeration on the reduced rows, in integers on rational
+        data: Fractions are built only for the points and rays kept."""
         exact = self.rational
         dt = object if exact else float
         red = self._reduced()
         if red is None:
             return _Decomposition([], [], 0)
-        z0, N, Cp, dp, lin = red
+        z0, N, Cp, dp, lin, det = red
         k, r, l = Cp.shape[0], N.shape[1], len(lin)
         if r == 0:
-            z = np.array(z0, dtype=dt)
+            z = _frac_vec(z0, det) if exact else np.array(z0, dtype=float)
             z.setflags(write=False)
             inside = self.contains_point(z, 0 if exact else RANK_TOL)
             return _Decomposition([z] if inside else [], [], 0)
         # the section L^T t = 0 of the reduced set is pointed
         section = [list(v) for v in lin]
-        zeros = [Fraction(0) if exact else 0.0] * l
         scale = 1 if exact else max(1.0, float(np.max(np.abs(_as_float(dp)))) if k else 1.0)
         slack = 0 if exact else RANK_TOL * scale
-        verts_t = []
+        verts_t = []  # (t, D): the vertex is t / D in the reduced coordinates
         for J in itertools.combinations(range(k), r - l):
-            rows = [list(Cp[i]) for i in J] + section
-            sol, null = _gauss(_rows_of(rows, exact), [dp[i] for i in J] + zeros, exact)
-            if sol is None or null:
+            sol = _solve([Cp[i] for i in J] + section, [dp[i] for i in J] + [0] * l, r, exact)
+            if sol is None or sol[1]:
                 continue  # singular or rank-deficient
-            t = np.array(sol, dtype=dt)
-            vals = _matmul(Cp, t)
-            if all(vals[i] <= dp[i] + slack for i in range(k)):
-                verts_t.append(t)
-        rays_t = []
-        for v in lin:
-            arr = np.array(v, dtype=dt)
-            rays_t += [arr, -arr]
+            t, _, D = sol
+            t = np.array(t, dtype=dt)
+            vals = Cp @ t
+            if all(vals[i] <= dp[i] * D + slack for i in range(k)):
+                verts_t.append((t, D))
+        rays_t = [sign * np.array(v, dtype=dt) for v in lin for sign in (1, -1)]
         if r - l >= 1:
             tol = 0 if exact else RANK_TOL
             for J in itertools.combinations(range(k), r - l - 1):
-                null = _null_space([list(Cp[i]) for i in J] + section, r, exact)
+                null = _solve([Cp[i] for i in J] + section, [0] * (r - 1), r, exact)[1]
                 if len(null) != 1:
                     continue
                 t = np.array(null[0], dtype=dt)
-                rays_t += [c for c in (t, -t) if all(v <= tol for v in _matmul(Cp, c))]
-        rays_t = _dedup([_normalize_ray(t, exact) for t in rays_t if _nonzero(t)], exact)
-        points = [_affine(z0, N, t, exact) for t in _dedup(verts_t, exact)]
-        rays = [np.array(_matmul(N, t), dtype=dt) for t in rays_t]
+                rays_t += [c for c in (t, -t) if all(v <= tol for v in Cp @ c)]
+        rays_t = [t for t in rays_t if _nonzero(t)]
+        if exact:  # rays scaled so their first nonzero t-entry is +-1
+            points = _dedup([_frac_vec(N @ t + D * z0, det * D) for t, D in verts_t], True)
+            rays = _dedup([_frac_vec(N @ t, det * abs(next(v for v in t if v)))
+                           for t in rays_t], True)
+        else:
+            points = [_affine(z0, N, t) for t in _dedup([t for t, _ in verts_t], False)]
+            rays = [N @ t for t in _dedup([_normalize_ray(t) for t in rays_t], False)]
         points.sort(key=_sort_key)
         rays.sort(key=_sort_key)
         for v in points + rays:
@@ -603,26 +657,14 @@ def _dot(row, vec):
     return sum(a * b for a, b in zip(row, vec))
 
 
-def _matmul(A, B):
-    """A @ B.  On object (Fraction) arrays the products with a zero factor
-    are skipped: the value is the same and most of the Fraction work on
-    these sparse matrices is saved."""
-    if A.dtype != object or B.dtype != object:
-        return A @ B
-    if B.ndim == 2:
-        cols = [_matmul(A, col) for col in B.T]
-        return np.array(cols, dtype=object).T.reshape(A.shape[0], B.shape[1])
-    nz = [j for j, b in enumerate(B) if b != 0]
-    return np.array(
-        [sum((row[j] * B[j] for j in nz if row[j] != 0), Fraction(0)) for row in A],
-        dtype=object,
-    )
+def _affine(z0, N, t):
+    v = N @ t
+    return np.array([z0[i] + v[i] for i in range(len(z0))], dtype=float)
 
 
-def _affine(z0, N, t, exact):
-    v = _matmul(N, t)
-    out = [z0[i] + v[i] for i in range(len(z0))]
-    return np.array(out, dtype=object if exact else float)
+def _frac_vec(v, den):
+    """The integer vector v / den as Fractions."""
+    return np.array([Fraction(a, den) for a in v], dtype=object)
 
 
 def _dedup(points, exact):
@@ -659,11 +701,19 @@ def _null_space(rows, ncols, exact):
     return [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
 
 
-def _normalize_ray(t, exact):
-    # scale only; the sign is meaningful (one-sided directions stay one-sided)
+def _solve(rows, rhs, ncols, exact):
+    """``_gauss_int`` of [rows | rhs] on exact (integer) rows; ``_gauss``
+    with det 1.0 on float rows."""
     if exact:
-        denom = abs(next(v for v in t if v != 0))
-        return np.array([v / denom for v in t], dtype=object)
+        return _gauss_int([list(a) + [b] for a, b in zip(rows, rhs)], ncols)
+    if not rows:
+        return [0.0] * ncols, _null_space([], ncols, False), 1.0
+    z, basis = _gauss(_rows_of(rows, False), rhs, False)
+    return None if z is None else (z, basis, 1.0)
+
+
+def _normalize_ray(t):
+    # scale only; the sign is meaningful (one-sided directions stay one-sided)
     arr = _as_float(t)
     return arr / np.linalg.norm(arr)
 
@@ -865,10 +915,10 @@ class PolySet:
     def member(self, point, tol: float = 1e-9) -> MemberVerdict:
         """Membership with an exactness verdict.
 
-        Solves, per piece, min_t { t : z in source, |A z + b - point| <= t }.
+        Finds, per piece, min_t { t : z in source, |A z + b - point| <= t }.
         A point within tol of the closure refines against the open rows:
         interior of every open row -> "inside", touching one -> "boundary".
-        The reported distance is the best infinity-norm LP value, a valid
+        The reported distance is the best infinity-norm value, a valid
         lower bound for the Euclidean distance to the set.
         """
         point = np.asarray(point, dtype=float)
@@ -877,7 +927,7 @@ class PolySet:
         outside_piece, outside_dist = None, float("inf")
         boundary_piece = None
         for pc in self.pieces:
-            t_star, _ = _piece_distance(pc, point)
+            t_star = _piece_distance(pc, point, tol)
             if t_star is None:
                 continue
             if t_star > tol:
@@ -1034,9 +1084,19 @@ def _lp_range(pc: Piece, i: int):
     return lo, hi
 
 
-def _piece_distance(pc: Piece, point):
-    """min_t { t : z in closure(source), |A z + b - point|_inf <= t }."""
+def _piece_distance(pc: Piece, point, tol):
+    """min_t { t : z in closure(source), |A z + b - point|_inf <= t }, None
+    when empty; at most tol, which is all ``member`` asks, once a
+    decomposition point maps within tol of ``point``.  LP otherwise."""
     src = pc.poly
+    if src.dim == 0:
+        return None if src.is_empty() else _sup_dist(pc.b, point)
+    if src.enumerable():
+        A, b = _as_float(pc.A), _as_float(pc.b)
+        for z in src._decomposition().points:
+            dist = _sup_dist(A @ _as_float(z) + b, point)
+            if dist <= tol:
+                return dist
     nz, dimt = src.dim, pc.target_dim
     nvar = nz + 1
     c = np.zeros(nvar)
@@ -1061,9 +1121,11 @@ def _piece_distance(pc: Piece, point):
     bounds = [(None, None)] * nz + [(0, None)]
     res = _lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
     _check_status(res, "piece distance")
-    if res.status != 0:
-        return None, None
-    return float(res.fun), res.x[:nz]
+    return float(res.fun) if res.status == 0 else None
+
+
+def _sup_dist(v, point) -> float:
+    return float(np.max(np.abs(_as_float(v) - point), initial=0.0))
 
 
 def _refine_open(pc: Piece, point, tol: float):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,24 @@ def test_analyze_reports_point_diagnostics():
     assert entry["licq"] and entry["mfcq"]
     assert entry["partitions"][0]["nu"] == [0]
     assert doc["first_order"]["formula"] == "convex-mfcq"
+
+
+def test_analyze_builds_each_point_once(monkeypatch, capsys):
+    # the diagnostics and the first-order block read one point context
+    from valfun import cli, kernel
+
+    calls = Counter()
+    for name in ("multipliers", "check_mfcq"):
+        def count(*args, _real=getattr(kernel, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(kernel, name, count)
+    argv = ["analyze", "--problem", str(instance_path("twoactive")), "--point", "base", "--json"]
+    assert cli.main(argv) == 0
+    points = len(json.loads(capsys.readouterr().out)["minimizers"])
+    assert points == 1
+    assert calls == {"multipliers": points, "check_mfcq": points}
 
 
 def test_analyze_accepts_explicit_parameter():
@@ -259,5 +279,30 @@ def test_report_path_imports_no_scipy():
     assert len(list(instances.glob("*.json"))) == 18
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(instances)],
                           capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+_HESSIAN_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+import valfun.cli
+instances = Path(sys.argv[2])
+for q in json.loads(Path(sys.argv[1]).read_text()):
+    argv = ["hessian", "--problem", str(instances / (q["instance"] + ".json")),
+            "--point", q["point"], "--xund=" + q["xund"], "--xstar=" + q["xstar"],
+            "--branch-cap", "200"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert valfun.cli.main(argv) == q["rc"], argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_hessian_path_imports_no_scipy():
+    # every golden hessian query is answered without an LP
+    golden = Path(__file__).parent / "golden" / "hessian.json"
+    assert len(json.loads(golden.read_text())) == 42
+    proc = subprocess.run([sys.executable, "-c", _HESSIAN_NO_SCIPY_SCRIPT, str(golden),
+                           str(instance_path("shiftbox").parent)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []

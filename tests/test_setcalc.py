@@ -46,17 +46,6 @@ def test_solve_linear_inconsistent_and_underdetermined():
     assert z0 is not None and len(basis) == 1
 
 
-def test_sparse_exact_matmul_matches_numpy(rng):
-    def frac(shape):
-        vals = rng.integers(-2, 3, size=shape) * (rng.random(shape) < 0.5)
-        return np.array([Fraction(int(v), 3) for v in vals.ravel()], dtype=object).reshape(shape)
-
-    for m, n, r in [(3, 4, 2), (0, 2, 3), (4, 0, 1), (5, 5, 0)]:
-        A, B, v = frac((m, n)), frac((n, r)), frac((n,))
-        assert np.array_equal(setcalc._matmul(A, B), A @ B)
-        assert np.array_equal(setcalc._matmul(A, v), A @ v)
-
-
 def test_matrix_rank_generic_exact_vs_float():
     A = np.array([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], dtype=object)
     assert matrix_rank_generic(A) == 1

@@ -1,7 +1,9 @@
-"""Property tests: emptiness, boundedness and coordinate ranges of random
-small polyhedra (float and rational, dim <= 4, including empty, unbounded
-and non-pointed ones) agree with plain ``scipy.optimize.linprog`` LPs
-written out here.  Examples are derandomized, so the run is fixed."""
+"""Property tests: emptiness, boundedness, coordinate ranges and
+membership of random small polyhedra (float and rational, dim <= 4,
+including empty, unbounded and non-pointed ones) agree with plain
+``scipy.optimize.linprog`` LPs written out here, and exact elimination
+agrees with a plain Fraction Gauss-Jordan written out here.  Examples are
+derandomized, so the run is fixed."""
 
 from __future__ import annotations
 
@@ -9,11 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from valfun.setcalc import Piece, Polyhedron, PolySet
+from valfun import setcalc
+from valfun.setcalc import Piece, Polyhedron, PolySet, matrix_rank_generic, solve_linear
 
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -119,3 +122,177 @@ def test_non_pointed_ranges(dt):
     S = PolySet(3, [Piece(P, np.eye(3, dtype=dt), np.zeros(3, dtype=dt), "slab")])
     assert [S.coord_range(i) for i in range(3)] == [(-1.0, 1.0), (-INF, 2.0), (-INF, INF)]
     assert not P.is_bounded() and not P.is_empty()
+
+
+# ---------------------------------------------------------------------------
+# Exact elimination against a Fraction Gauss-Jordan reference
+# ---------------------------------------------------------------------------
+
+
+def _reference(A, b, ncols):
+    """(particular or None, null-space basis, rank) from the reduced row
+    echelon form of [A | b], by Fraction Gauss-Jordan."""
+    rows = [list(r) + [bi] for r, bi in zip(A, b)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for j in range(len(rows)):
+            if j != r and rows[j][c] != 0:
+                rows[j] = [a - rows[j][c] * p for a, p in zip(rows[j], rows[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][fc]
+        basis.append(v)
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return None, basis, len(pivots)
+    z = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        z[c] = rows[i][-1]
+    return z, basis, len(pivots)
+
+
+@st.composite
+def rational_systems(draw):
+    """(A, b): 0-6 rows, 1-6 columns, denominators up to 10^6, with zero,
+    duplicate and negated rows and, now and then, an inconsistent rhs."""
+    ncols, nrows = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    dens = st.sampled_from([1, 1, 2, 3, 7, 1000, 999983, 10**6])
+
+    def frac():
+        return Fraction(draw(st.integers(-9, 9)), draw(dens))
+
+    A, dependent = [], []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["free", "free", "zero", "copy", "neg"])) if A else "free"
+        if kind == "zero":
+            A.append([Fraction(0)] * ncols)
+        elif kind == "free":
+            A.append([frac() for _ in range(ncols)])
+        else:
+            src = A[draw(st.integers(0, len(A) - 1))]
+            scale = draw(st.sampled_from([1, 3, Fraction(1, 7)])) * (-1 if kind == "neg" else 1)
+            A.append([scale * v for v in src])
+        if kind != "free":
+            dependent.append(i)
+    x = [frac() for _ in range(ncols)]
+    b = [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in A]
+    if dependent and draw(st.booleans()):  # inconsistent
+        b[draw(st.sampled_from(dependent))] += Fraction(draw(st.integers(1, 9)), draw(dens))
+    return A, b, ncols
+
+
+def _exact(rows, ncols):
+    return np.array(rows, dtype=object).reshape(len(rows), ncols)
+
+
+@SETTINGS
+@given(rational_systems())
+def test_exact_elimination_matches_fraction_gauss_jordan(case):
+    A, b, ncols = case
+    z, basis, rank = _reference(A, b, ncols)
+    got_z, got_basis = solve_linear(_exact(A, ncols), np.array(b, dtype=object))
+    if z is None:
+        assert got_z is None
+    else:
+        assert got_z == z and got_basis == basis
+        assert all(isinstance(v, Fraction) for v in got_z + sum(got_basis, []))
+    assert setcalc._null_space(A, ncols, True) == _reference(A, [0] * len(A), ncols)[1]
+    assert matrix_rank_generic(_exact(A, ncols)) == rank
+
+
+# ---------------------------------------------------------------------------
+# Membership against an LP distance oracle
+# ---------------------------------------------------------------------------
+
+MEMBER_TOL = 1e-6
+
+
+def _oracle_distance(poly, A, b, q):
+    """min t s.t. z in poly, |A z + b - q|_inf <= t; None when poly is empty."""
+    fl = lambda a: np.asarray(a, dtype=float)
+    nz, dimt = poly.dim, len(q)
+    Af, gap = fl(A).reshape(dimt, nz), fl(q) - fl(b)
+    A_ub = [np.hstack([Af, -np.ones((dimt, 1))]), np.hstack([-Af, -np.ones((dimt, 1))])]
+    b_ub = [gap, -gap]
+    if poly.C.shape[0]:
+        A_ub.append(np.hstack([fl(poly.C), np.zeros((poly.C.shape[0], 1))]))
+        b_ub.append(fl(poly.d))
+    kw = {}
+    if poly.C_eq.shape[0]:
+        kw.update(A_eq=np.hstack([fl(poly.C_eq), np.zeros((poly.C_eq.shape[0], 1))]),
+                  b_eq=fl(poly.d_eq))
+    c = np.zeros(nz + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=np.vstack(A_ub), b_ub=np.concatenate(b_ub),
+                  bounds=[(None, None)] * nz + [(0, None)], method="highs", **kw)
+    assert res.status in (0, 2), res.message
+    return res.fun if res.status == 0 else None
+
+
+@st.composite
+def member_cases(draw, rational):
+    """(pieces as (poly, A, b), query points): one or two enumerable pieces,
+    some of dimension 0, queried at a point image of a piece and at
+    sup-distance MEMBER_TOL/2, 1e-3 and 0.3 from it."""
+    dt = object if rational else float
+    pieces = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.integers(0, 3)) == 0:
+            t = draw(st.integers(1, 3))
+            b = np.array([Fraction(draw(st.integers(-4, 4)), 2) for _ in range(t)], dtype=dt)
+            pieces.append((Polyhedron(0), np.zeros((t, 0), dtype=dt), b))
+        else:
+            pieces.append(draw(polyhedra(rational)))
+    t = pieces[0][1].shape[0]
+    pieces = [pc for pc in pieces if pc[1].shape[0] == t]
+    assume(all(poly.enumerable() for poly, _, _ in pieces))
+    images = []
+    for poly, A, b in pieces:
+        vf = poly.vertices()
+        for z in vf.vertices + ([vf.anchor] if vf.anchor is not None else []):
+            images.append(np.asarray(A, dtype=float) @ np.asarray(z, dtype=float)
+                          + np.asarray(b, dtype=float))
+    assume(images)
+    base = images[draw(st.integers(0, len(images) - 1))]
+    # a direction of sup-norm 1 with uneven entries
+    step = np.array([draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])) for _ in range(t)])
+    step[draw(st.integers(0, t - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+    queries = [base, base + step * MEMBER_TOL / 2, base + step * 1e-3, base + step * 0.3]
+    return pieces, queries
+
+
+def _check_member(case):
+    pieces, queries = case
+    S = PolySet(len(queries[0]), [Piece(poly, A, b, f"p{i}")
+                                  for i, (poly, A, b) in enumerate(pieces)])
+    for q in queries:
+        dists = [d for d in (_oracle_distance(poly, A, b, q) for poly, A, b in pieces)
+                 if d is not None]
+        want = min(dists) if dists else INF
+        if MEMBER_TOL / 2 < want < 10 * MEMBER_TOL:
+            continue  # too close to the tolerance to call
+        got = S.member(q, MEMBER_TOL)
+        assert got.status == ("outside" if want > MEMBER_TOL else "inside"), (got, want)
+        if got.status == "outside":
+            assert _same(got.distance, want), (got, want)
+
+
+@SETTINGS
+@given(member_cases(rational=False))
+def test_float_membership_agrees_with_lp(case):
+    _check_member(case)
+
+
+@SETTINGS
+@given(member_cases(rational=True))
+def test_rational_membership_agrees_with_lp(case):
+    _check_member(case)
