@@ -94,7 +94,7 @@ def _int_row(row):
     """The row times the positive lcm of its denominators, as ints."""
     row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
     den = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (den // v.denominator) for v in row]
+    return [int(v.numerator * (den // v.denominator)) for v in row]
 
 
 def _solution(rows, pivots, ncols, zero, one):
@@ -130,7 +130,7 @@ def _gauss_int(rows, ncols):
         piv = pr[c]
         for i in range(nrows):
             f = rows[i][c]
-            if i == r or not f and piv == prev:
+            if i == r or (not f and piv == prev):
                 continue
             rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], pr)]
         pivots.append((r, c))
@@ -182,10 +182,9 @@ def _gauss(A_rows, b_vec, exact: bool):
             rows[r] = [v / piv for v in rows[r]]
         pr = rows[r]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                if abs(factor) > tol:
-                    rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], pr)]
+            factor = rows[i][c]
+            if i != r and abs(factor) > tol:
+                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], pr)]
         pivots.append((r, c))
         r += 1
         if r == nrows:
