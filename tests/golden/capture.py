@@ -20,11 +20,12 @@ the centroid and anchor of a complementary face, and the empty estimates;
 ``repr`` of the value and of each minimizer from ``kernel.solve_value``
 (SLSQP multistart) at each named point with its pinned minimizers
 ignored, and at ``SOLVE_PERTURBATIONS`` seeded k/4096 perturbations of it;
-``vform.json`` holds the vertex/ray decompositions behind the exact answers
-(see ``vform_json``).  ``test_golden.py`` replays all five in-process and
-requires
-byte-identical output, so regenerate only when a change of output is
-intended, and say why in the change log.
+``vform.json`` holds the vertex/ray decompositions of the exact LP cases,
+the rational solves of the instances affine in y and the first-order
+membership verdicts at the battery generators (see ``vform_json``).
+``test_golden.py`` replays all five in-process and requires byte-identical
+output, so regenerate only when a change of output is intended, and say
+why in the change log.
 """
 
 from __future__ import annotations
@@ -362,9 +363,10 @@ def member_verdicts(name, point):
     out = []
     for gen in fo.generators:
         for shift in (0.0, MEMBERSHIP_TOL / 2, 1e-3):
-            v = fo.member(np.asarray(gen, float) + shift, MEMBERSHIP_TOL)
-            out.append({"xund": _vec(np.asarray(gen, float) + shift), "status": v.status,
-                        "piece": v.piece, "distance": f"{v.distance:.6g}"})
+            xund = np.asarray(gen, float) + shift
+            v = fo.member(xund, MEMBERSHIP_TOL)
+            out.append({"xund": _vec(xund), "status": v.status, "piece": v.piece,
+                        "distance": f"{v.distance:.6g}"})
     return out
 
 
