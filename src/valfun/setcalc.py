@@ -16,8 +16,9 @@ carriers:
 Arithmetic is float by default with 1e-9 pivot/rank tolerances.  Arrays
 of ``fractions.Fraction`` (dtype=object) switch the vertex-enumeration
 and affine-hull paths to exact arithmetic, run in integers by
-fraction-free elimination.  Emptiness, boundedness, coordinate ranges and
-membership are read off one cached vertex/ray decomposition per
+fraction-free elimination.  A set whose rows admit the origin is nonempty
+without further work; otherwise emptiness, like boundedness, coordinate
+ranges and membership, is read off one cached vertex/ray decomposition per
 polyhedron, so they are exact on rational data too.  Pieces too large to
 enumerate (``MAX_VFORM_SUBSETS``), membership farther than the tolerance
 from every decomposition point, open rows and hull weights take
@@ -315,8 +316,8 @@ class Polyhedron:
         M = np.array(M)
         if M.dtype != object:
             M = M.astype(float, copy=False)
-        if M.size == 0:
-            return np.zeros((0, dim))
+        if M.size == 0:  # k rows of no entries are constant rows when dim == 0
+            return np.zeros((M.shape[0] if M.ndim == 2 and M.shape[1] == dim else 0, dim))
         if M.ndim != 2 or M.shape[1] != dim:
             raise DimensionError(f"matrix shape {M.shape} does not match dim {dim}")
         return M
@@ -446,6 +447,12 @@ class Polyhedron:
         }
 
     def is_empty(self) -> bool:
+        """Whether the closure is empty.  When every d >= 0 and d_eq == 0
+        the origin is a witness (a cone, such as a coderivative branch at a
+        zero covector), decided without reduction or enumeration; otherwise
+        the cached decomposition answers, or an LP past MAX_VFORM_SUBSETS."""
+        if all(v >= 0 for v in self.d) and not any(self.d_eq):
+            return False
         if self.enumerable():
             return not self._decomposition().points
         return self.feasible_point() is None
@@ -557,10 +564,10 @@ class Polyhedron:
             return _Decomposition([], [], 0)
         z0, N, Cp, dp, lin, det = red
         k, r, l = Cp.shape[0], N.shape[1], len(lin)
-        if r == 0:
+        if r == 0:  # the integer slacks dp of z0 / det (det > 0) decide exact data
             z = _frac_vec(z0, det) if exact else np.array(z0, dtype=float)
             z.setflags(write=False)
-            inside = self.contains_point(z, 0 if exact else RANK_TOL)
+            inside = all(v >= 0 for v in dp) if exact else self.contains_point(z, RANK_TOL)
             return _Decomposition([z] if inside else [], [], 0)
         # the section L^T t = 0 of the reduced set is pointed
         section = [list(v) for v in lin]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from valfun import coderiv, firstorder, hessian, kernel, model
+from valfun import coderiv, firstorder, hessian, kernel, model, setcalc
 from valfun.firstorder import danskin
 from valfun.errors import CaseRoutingError, DegeneracyError, HypothesisError
 from valfun.hessian import (
@@ -30,8 +30,10 @@ from valfun.hessian import (
 )
 from valfun.model import make_kkt
 from valfun.reporting import ASSERTED, FAILED, NOT_CHECKED
+from valfun.setcalc import Polyhedron
 
 from conftest import load_instance
+from golden.capture import hessian_argv, run_cli
 
 
 def _kkt(problem, point_name="base"):
@@ -458,11 +460,17 @@ def _vector(text):
     return [float(v) for v in text.split(",")]
 
 
-GENERAL_QUERIES = sorted({
-    (q["instance"], q["point"], q["xund"], q["xstar"])
-    for q in json.loads((Path(__file__).parent / "golden" / "hessian.json").read_text())
-    if not route(load_instance(q["instance"]))[0].startswith("lp-")
-})
+BATTERY_QUERIES = json.loads((Path(__file__).parent / "golden" / "hessian.json").read_text())
+
+
+def _battery_queries(keep):
+    """(instance, point, xund, xstar) of the battery queries whose route
+    ``keep`` accepts."""
+    return sorted({(q["instance"], q["point"], q["xund"], q["xstar"]) for q in BATTERY_QUERIES
+                   if keep(route(load_instance(q["instance"]))[0])})
+
+
+GENERAL_QUERIES = _battery_queries(lambda case: not case.startswith("lp-"))
 
 
 @pytest.mark.parametrize("name, point, xund, xstar", GENERAL_QUERIES,
@@ -475,6 +483,47 @@ def test_battery_query_builds_each_point_once(monkeypatch, name, point, xund, xs
     compute(prob, HessianQuery(prob.points[point].x, _vector(xund), _vector(xstar)),
             branch_cap=200)
     _no_repeats(calls)
+
+
+LP_LHS_QUERIES = _battery_queries(lambda case: case == "lp-lhs")
+
+
+@pytest.mark.parametrize("name, point, xund, xstar", LP_LHS_QUERIES,
+                         ids=["-".join(q) for q in LP_LHS_QUERIES])
+def test_lp_lhs_branches_are_never_reduced(monkeypatch, name, point, xund, xstar):
+    # branches at the zero covector are cones: the origin witnesses each
+    # one nonempty, and nothing in the case reduces or enumerates them
+    branches, real = [], coderiv.build_branch_family
+
+    def record(*args, **kwargs):
+        family = real(*args, **kwargs)
+        branches.extend(family.branches)
+        return family
+
+    for mod in (coderiv, hessian):
+        monkeypatch.setattr(mod, "build_branch_family", record)
+    prob = load_instance(name)
+    compute(prob, HessianQuery(prob.points[point].x, _vector(xund), _vector(xstar)),
+            branch_cap=200)
+    assert branches
+    assert [br.label for br in branches
+            if br.poly._reduction is not setcalc._UNSET or br.poly._decomp is not None] == []
+
+
+def test_battery_decomposition_count(monkeypatch):
+    # the 42 battery queries of the hessian command, coordinate ranges
+    # included, decompose at most 260 polyhedra (404 before cones were
+    # decided by the origin witness)
+    calls, real = [], Polyhedron._decompose
+
+    def count(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(Polyhedron, "_decompose", count)
+    for q in BATTERY_QUERIES:
+        assert run_cli(hessian_argv(q["instance"], q["point"], q["xund"], q["xstar"]))[0] == 0
+    assert len(BATTERY_QUERIES) == 42 and len(calls) <= 260
 
 
 def test_estimates_scale_with_the_covector():

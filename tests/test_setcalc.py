@@ -116,6 +116,27 @@ def test_rows_are_frozen_copies():
         P.d[0] = 0.0
 
 
+@pytest.mark.parametrize("num", [float, Fraction])
+@pytest.mark.parametrize("budget", [10, 0])
+@pytest.mark.parametrize("rows, empty", [
+    (dict(C=np.zeros((1, 0)), d=[-1]), True),
+    (dict(C=np.zeros((1, 0)), d=[1]), False),
+    (dict(C_eq=np.zeros((1, 0)), d_eq=[1]), True),
+    (dict(C=np.zeros((2, 0)), d=[0, 2], C_eq=np.zeros((1, 0)), d_eq=[0]), False),
+])
+def test_dimension_zero_rows(monkeypatch, num, budget, rows, empty):
+    # constant rows 0 <= d, 0 = d_eq decide a dimension-0 set, by
+    # decomposition and past the enumeration budget alike
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", budget)
+    kw = {k: np.array([num(v) for v in val], dtype=object if num is Fraction else float)
+          if k.startswith("d") else val for k, val in rows.items()}
+    P = Polyhedron(0, **kw)
+    assert P.C.shape[0] == len(kw.get("d", ())) and P.C_eq.shape[0] == len(kw.get("d_eq", ()))
+    assert P.is_empty() is empty
+    assert (P.feasible_point() is None) is empty
+    assert PolySet(1, [Piece(P, np.zeros((1, 0)), np.zeros(1), "c")]).is_empty() is empty
+
+
 def test_small_pieces_need_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("linprog called")
@@ -134,18 +155,37 @@ class _Undecided:
 
 def test_undecided_lp_raises(monkeypatch):
     monkeypatch.setattr(setcalc, "linprog", lambda *a, **k: _Undecided())
-    box = Polyhedron.from_box([(0.0, 1.0)])
+    box = Polyhedron.from_box([(1.0, 2.0)])
     with pytest.raises(LpStatusError):
         box.feasible_point()
-    # pieces past the enumeration budget take the LP route
+    # pieces past the enumeration budget take the LP route; the box leaves
+    # out the origin, which would witness nonemptiness without an LP
     monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
-    S = PolySet(1, [Piece(Polyhedron.from_box([(0.0, 1.0)]), np.eye(1), np.zeros(1), "box")])
+    S = PolySet(1, [Piece(Polyhedron.from_box([(1.0, 2.0)]), np.eye(1), np.zeros(1), "box")])
     with pytest.raises(LpStatusError):
         S.coord_range(0)
     with pytest.raises(LpStatusError):
         S.is_empty()
     with pytest.raises(LpStatusError):
-        S.member([0.5])
+        S.member([1.5])
+
+
+@pytest.mark.parametrize("num", [float, Fraction])
+def test_origin_witness_needs_no_lp(monkeypatch, num):
+    # d >= 0 and d_eq == 0 put the origin in the closure: no LP, reduction
+    # or enumeration, even past the enumeration budget and with open rows
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
+    arr = lambda vals: np.array([num(v) for v in vals], dtype=object if num is Fraction else float)
+    P = Polyhedron(3, C=arr([-1, 0, 0, 1, -1, 0, 0, 2, 1]).reshape(3, 3), d=arr([0, 0, 3]),
+                   C_eq=arr([1, 1, -1]).reshape(1, 3), d_eq=arr([0]), open_rows=(0, 2))
+    assert P.rational is (num is Fraction)
+    S = PolySet(2, [Piece(P, np.eye(2, 3), np.zeros(2), "cone")])
+    assert S.is_empty() is False and P.is_empty() is False
+    assert P._reduction is setcalc._UNSET and P._decomp is None
 
 
 def test_undecided_hull_weights_raise(monkeypatch):

@@ -296,3 +296,72 @@ def test_float_membership_agrees_with_lp(case):
 @given(member_cases(rational=True))
 def test_rational_membership_agrees_with_lp(case):
     _check_member(case)
+
+
+# ---------------------------------------------------------------------------
+# Emptiness: the origin witness and the integer test in dimension 0
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def emptiness_cases(draw, rational):
+    """(kind, polyhedron) of dimension <= 4: right-hand sides that admit the
+    origin ("cone"), one negative right-hand side ("negative"), a row and
+    its negation with contradicting sides ("empty"), open rows ("open"), as
+    many equality rows as variables ("pinned") or no variable at all
+    ("dim0")."""
+    kind = draw(st.sampled_from(["cone", "negative", "empty", "open", "pinned", "dim0"]))
+    dim = 0 if kind == "dim0" else draw(st.integers(1, 4))
+    den = draw(st.sampled_from([1, 2, 4]))
+    dt = object if rational else float
+
+    def ints(lo, hi, n):
+        return [draw(st.integers(lo, hi)) for _ in range(n)]
+
+    def vec(xs):
+        return np.array([Fraction(x, den) if rational else x / den for x in xs], dtype=dt)
+
+    def mat(m):
+        return vec([x for row in m for x in row]).reshape(len(m), dim)
+
+    k = draw(st.integers(2 if kind == "empty" else 0, 5))
+    q = dim if kind == "pinned" else draw(st.integers(0, 2))
+    C, C_eq = [ints(-3, 3, dim) for _ in range(k)], [ints(-3, 3, dim) for _ in range(q)]
+    d, d_eq = ints(-2, 4, k), ints(-2, 2, q)
+    if kind == "cone":
+        d, d_eq = ints(0, 4, k), [0] * q
+    elif kind == "negative" and k:
+        d[draw(st.integers(0, k - 1))] = draw(st.integers(-3, -1))
+    elif kind == "empty":  # c z <= d0 and -c z <= d1 with d0 + d1 < 0
+        C[1] = [-x for x in C[0]]
+        d[1] = -d[0] - draw(st.integers(1, 3))
+    opens = [i for i in range(k) if draw(st.booleans())] if kind == "open" else ()
+    return kind, Polyhedron(dim, C=mat(C), d=vec(d), C_eq=mat(C_eq), d_eq=vec(d_eq),
+                            open_rows=opens)
+
+
+def _check_emptiness(case):
+    kind, poly = case
+    fresh = Polyhedron(poly.dim, poly.C, poly.d, poly.C_eq, poly.d_eq, poly.open_rows)
+    points = fresh._decompose().points
+    assert poly.is_empty() == (not points)
+    if kind == "cone":  # the origin witnesses, before any reduction
+        assert points and poly._reduction is setcalc._UNSET
+    if kind == "empty":
+        assert not points
+    red = fresh._reduced()
+    if poly.rational and red is not None and red.N.shape[1] == 0:
+        z = setcalc._frac_vec(red.z0, red.det)
+        assert all(v >= 0 for v in red.dp) == poly.contains_point(z, 0)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(emptiness_cases(rational=False))
+def test_float_emptiness_agrees_with_decomposition(case):
+    _check_emptiness(case)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(emptiness_cases(rational=True))
+def test_rational_emptiness_agrees_with_decomposition(case):
+    _check_emptiness(case)
