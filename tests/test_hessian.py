@@ -30,7 +30,6 @@ from valfun.hessian import (
 )
 from valfun.model import make_kkt
 from valfun.reporting import ASSERTED, FAILED, NOT_CHECKED
-from valfun.setcalc import Polyhedron
 
 from conftest import load_instance
 from golden.capture import hessian_argv, run_cli
@@ -512,15 +511,15 @@ def test_lp_lhs_branches_are_never_reduced(monkeypatch, name, point, xund, xstar
 
 def test_battery_decomposition_count(monkeypatch):
     # the 42 battery queries of the hessian command, coordinate ranges
-    # included, decompose at most 260 polyhedra (404 before cones were
-    # decided by the origin witness)
-    calls, real = [], Polyhedron._decompose
+    # included, decompose at most 260 polyhedra (404 when every branch
+    # polyhedron was decomposed to test its emptiness)
+    calls, real = [], setcalc.Polyhedron._decompose
 
     def count(self):
         calls.append(1)
         return real(self)
 
-    monkeypatch.setattr(Polyhedron, "_decompose", count)
+    monkeypatch.setattr(setcalc.Polyhedron, "_decompose", count)
     for q in BATTERY_QUERIES:
         assert run_cli(hessian_argv(q["instance"], q["point"], q["xund"], q["xstar"]))[0] == 0
     assert len(BATTERY_QUERIES) == 42 and len(calls) <= 260

@@ -128,8 +128,9 @@ def test_dimension_zero_rows(monkeypatch, num, budget, rows, empty):
     # constant rows 0 <= d, 0 = d_eq decide a dimension-0 set, by
     # decomposition and past the enumeration budget alike
     monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", budget)
-    kw = {k: np.array([num(v) for v in val], dtype=object if num is Fraction else float)
-          if k.startswith("d") else val for k, val in rows.items()}
+    dt = object if num is Fraction else float
+    kw = {k: np.array([num(v) for v in val], dtype=dt) if k.startswith("d") else val
+          for k, val in rows.items()}
     P = Polyhedron(0, **kw)
     assert P.C.shape[0] == len(kw.get("d", ())) and P.C_eq.shape[0] == len(kw.get("d_eq", ()))
     assert P.is_empty() is empty
@@ -179,7 +180,8 @@ def test_origin_witness_needs_no_lp(monkeypatch, num):
 
     monkeypatch.setattr(setcalc, "linprog", no_lp)
     monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
-    arr = lambda vals: np.array([num(v) for v in vals], dtype=object if num is Fraction else float)
+    dt = object if num is Fraction else float
+    arr = lambda vals: np.array([num(v) for v in vals], dtype=dt)
     P = Polyhedron(3, C=arr([-1, 0, 0, 1, -1, 0, 0, 2, 1]).reshape(3, 3), d=arr([0, 0, 3]),
                    C_eq=arr([1, 1, -1]).reshape(1, 3), d_eq=arr([0]), open_rows=(0, 2))
     assert P.rational is (num is Fraction)
