@@ -3,11 +3,12 @@
 Two solve paths:
 
 * exact path for problems affine in y: the feasible set is materialized
-  as { y : A y <= b } with rational data at the given parameter, vertices
-  are enumerated exactly, and the minimum is taken over them;
-* heuristic path otherwise: SLSQP multistart over the problem's y_box,
-  each local solve with g <= 0 as one vector constraint, evaluated with
-  its y-Jacobian from the problem's compiled blocks.
+  as { y : A y <= b } with rational data at the given parameter (once per
+  problem when no constraint mentions x), vertices are enumerated
+  exactly, and the minimum is taken over them;
+* heuristic path otherwise: SLSQP multistart (``fmin_slsqp``) over the
+  problem's y_box, each local solve with g <= 0 as one vector constraint
+  with its y-Jacobian, from compiled blocks with x bound once per solve.
 
 The heuristic path can miss global minimizers; results carry an
 ``under_enumerated`` flag so downstream estimates can report that unions
@@ -42,10 +43,12 @@ MAX_STARTS = 64
 
 
 def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use."""
-    from scipy.optimize import minimize as scipy_minimize
+    """``scipy.optimize.fmin_slsqp``, imported on first use: the SLSQP
+    routine of ``scipy.optimize.minimize`` without its dispatch and its
+    standardisation of bounds and constraints."""
+    from scipy.optimize import fmin_slsqp
 
-    return scipy_minimize(*args, **kwargs)
+    return fmin_slsqp(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +148,6 @@ def _solve_lp_exact(problem, x, rational, x_raw=None):
     # x_raw keeps Fraction-valued input exact; x is its float view
     lp = materialize_lp(problem, x if x_raw is None else x_raw)
     m, p = problem.m, problem.p
-    A = np.array(lp.A, dtype=object) if p else np.zeros((0, m))
-    if p and matrix_rank_generic(np.array(lp.A, dtype=object)) < m:
-        # not pointed: no vertex enumeration; fall back to multistart
-        if problem.y_box is None:
-            raise UnboundedProblemError(
-                "feasible set has no vertices and no y_box is given"
-            )
-        return _solve_multistart(problem, x)
     if p == 0:
         if any(ci != 0 for ci in lp.c):
             raise UnboundedProblemError("unconstrained linear objective")
@@ -166,7 +161,15 @@ def _solve_lp_exact(problem, x, rational, x_raw=None):
             value_exact=Fraction(lp.c0) if rational else None,
             minimizers_exact=[[Fraction(0)] * m] if rational else None,
         )
-    poly = Polyhedron(m, C=np.array(lp.A, dtype=object), d=np.array(lp.b, dtype=object))
+    poly, pointed = (problem._memo(_feasible_set, lambda: _feasible_set(lp))
+                     if problem.constraints_x_free() else _feasible_set(lp))
+    if not pointed:
+        # no vertex enumeration; fall back to multistart
+        if problem.y_box is None:
+            raise UnboundedProblemError(
+                "feasible set has no vertices and no y_box is given"
+            )
+        return _solve_multistart(problem, x)
     vf = poly.vertices()
     if not vf.vertices:
         raise InfeasibleParameterError(
@@ -202,21 +205,31 @@ def _solve_lp_exact(problem, x, rational, x_raw=None):
     )
 
 
+def _feasible_set(lp):
+    """{ y : A y <= b } and whether it is pointed (A has full column rank).
+    A problem whose constraints never mention x keeps the set of its first
+    solve, so one cached decomposition serves every parameter."""
+    A, m = np.array(lp.A, dtype=object), len(lp.c)
+    return Polyhedron(m, C=A, d=np.array(lp.b, dtype=object)), matrix_rank_generic(A) == m
+
+
 def _solve_multistart(problem, x):
     if problem.y_box is None:
         raise ProblemFormatError(
             "heuristic solve requires a y_box in the problem file"
         )
     starts = _grid_starts(problem)
+    # x is the same for every start: bind it once
+    blocks = [problem.float_block(key, x) for key in ("f", "fy", "g", "gy")]
+    f, g = blocks[0], blocks[2]
     best, candidates = None, []
     for y0 in starts:
-        y = _local_solve(problem, x, y0)
+        y = _local_solve(problem, x, y0, blocks)
         if y is None:
             continue
-        g = problem.eval_g(x, y) if problem.p else np.zeros(0)
-        if problem.p and np.max(g) > 1e-6:
+        if problem.p and np.max(g(y.tolist())) > 1e-6:
             continue
-        val = problem.eval_f(x, y)
+        val = f(y.tolist())[0]
         candidates.append((val, y))
         if best is None or val < best:
             best = val
@@ -261,40 +274,33 @@ def local_solve(problem, x, y0):
     return _local_solve(problem, x, np.asarray(y0, dtype=float))
 
 
-def _local_solve(problem, x, y0):
-    x = np.atleast_1d(np.asarray(x, float))
-
-    def fun(y):
-        return problem.eval_f(x, y)
-
-    def jac(y):
-        return problem.grad_y_f(x, y)
-
-    # one vector constraint g(x, y) <= 0: scipy stacks its rows in the
-    # order of g, as it would stack p scalar constraints
-    cons = [
-        {
-            "type": "ineq",
-            "fun": lambda y: -problem.eval_g(x, y),
-            "jac": lambda y: -problem.jac_y_g(x, y),
-        }
-    ] if problem.p else []
+def _local_solve(problem, x, y0, blocks=None):
+    """One SLSQP descent; ``blocks`` are the float blocks f, fy, g, gy
+    bound at x (bound here when not given)."""
+    f, fy, g, gy = blocks or [problem.float_block(key, x) for key in ("f", "fy", "g", "gy")]
+    shape = (problem.p, problem.m)
+    # one vector constraint g(x, y) <= 0 with its (p, m) Jacobian
+    cons = {
+        "f_ieqcons": lambda y: -np.array(g(y.tolist()), float),
+        "fprime_ieqcons": lambda y: -np.array(gy(y.tolist()), float).reshape(shape),
+    } if problem.p else {}
     bounds = problem.y_box
     try:
-        res = minimize(
-            fun,
+        y, _, _, status, _ = minimize(
+            lambda y: f(y.tolist())[0],
             np.asarray(y0, float),
-            jac=jac,
-            bounds=bounds,
-            constraints=cons,
-            method="SLSQP",
-            options={"maxiter": 200, "ftol": 1e-12},
+            fprime=lambda y: np.array(fy(y.tolist()), float),
+            bounds=bounds or (),
+            iter=200,
+            acc=1e-12,
+            iprint=0,
+            full_output=1,
+            **cons,
         )
     except (ValueError, OverflowError):  # pragma: no cover - solver blowups
         return None
-    if not res.success and res.status != 8:  # 8: iteration limit, still usable
+    if status not in (0, 8):  # 8: line search found no descent, still usable
         return None
-    y = res.x
     if bounds is not None:
         y = np.clip(y, [lo for lo, _ in bounds], [hi for _, hi in bounds])
     return y

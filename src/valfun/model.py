@@ -666,15 +666,30 @@ class ParametricProblem:
         'g', a derivative table, or (name, i) for row i of a 'g..' table.
         Fraction inputs select exact constants, as in :meth:`eval_expr`."""
         x, y = _values(x), _values(y)
-        exact = _wants_exact(x, y)
-        fn = self._memo(("block", key, exact),
-                        lambda: compile_block(_flat(self._dtable()[key]), exact))
+        fn = self._block(key, _wants_exact(x, y))
         try:
             return fn(x, y)
         except (ZeroDivisionError, OverflowError):
             for e in _flat(self._dtable()[key]):  # raise the first failing entry's error
                 self.eval_expr(e, x, y)
             raise
+
+    def float_block(self, key, x) -> Callable:
+        """:meth:`eval_block` on floats with the parameter x bound: ``fn(y)``
+        takes y as a list of floats and raises the same EvaluationError."""
+        x, fn = np.atleast_1d(np.asarray(x, float)).tolist(), self._block(key, False)
+
+        def bound(y):
+            try:
+                return fn(x, y)
+            except (ZeroDivisionError, OverflowError):
+                return self.eval_block(key, x, y)
+
+        return bound
+
+    def _block(self, key, exact) -> Callable:
+        return self._memo(("block", key, exact),
+                          lambda: compile_block(_flat(self._dtable()[key]), exact))
 
     def eval_array(self, key, x, y) -> np.ndarray:
         """Table ``key`` at (x, y) as a float array of the table's shape:

@@ -206,7 +206,7 @@ def solve_linear(A, b, exact: bool | None = None):
     A = np.asarray(A)
     if exact is None:
         exact = _is_rational(A)
-    rows = _rows_of(A, exact) if A.size else []
+    rows = _rows_of(A, exact)  # k empty rows when A is k x 0: each reads 0 = b_i
     if A.size == 0 and A.ndim == 2 and A.shape[1] > 0:
         # no rows: everything solves
         ncols = A.shape[1]

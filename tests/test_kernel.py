@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from valfun import kernel
-from valfun.errors import InfeasibleParameterError, ProblemFormatError
+from valfun.errors import (
+    EvaluationError,
+    InfeasibleParameterError,
+    ProblemFormatError,
+    UnboundedProblemError,
+)
 from valfun.kernel import (
     check_licq,
     check_mfcq,
@@ -18,6 +23,8 @@ from valfun.kernel import (
     solve_value,
 )
 from valfun.model import parse_problem
+from valfun.oracle import lp_value_oracle
+from valfun.setcalc import Polyhedron
 
 from conftest import BATTERY, load_instance
 
@@ -104,6 +111,52 @@ def test_pinned_values_agree_with_solver(name):
             )
 
 
+def _count_decompositions(monkeypatch):
+    seen = []
+    real = Polyhedron._decompose
+
+    def counted(self):
+        seen.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Polyhedron, "_decompose", counted)
+    return seen
+
+
+@pytest.mark.parametrize("name, point, per_x", [
+    ("lp_box01", "vertex", False), ("rhsbox", "base", True)])
+def test_lp_feasible_set_decomposed_once_per_problem(monkeypatch, name, point, per_x):
+    # lp_box01's constraints never mention x, rhsbox's do
+    prob = load_instance(name)
+    seen = _count_decompositions(monkeypatch)
+    xs = [[Fraction(v) + Fraction(k, 64) for v in prob.points[point].x] for k in (1, -3, 5)]
+    for x in xs:
+        res = solve_value(prob, np.array(x, dtype=object), rational=True)
+        assert res.certificate == "lp-exact"
+        assert res.value_exact == lp_value_oracle(prob, x)[0]
+    assert len(seen) == (len(xs) if per_x else 1)
+
+
+def test_rank_deficient_x_free_lp_falls_back_at_every_x():
+    # y2 is in no constraint: the feasible set has no vertex
+    spec = {"n": 1, "m": 2, "f": "x1*y1", "g": ["y1 - 1", "-y1 - 1"]}
+    boxed = parse_problem({**spec, "y_box": [[-2, 2], [-1, 1]]})
+    unboxed = parse_problem(spec)
+    for x in ([0.5], [-0.25], [0.75]):
+        res = solve_value(boxed, x)
+        assert res.certificate == "heuristic-multistart"
+        assert res.value == pytest.approx(-abs(x[0]))
+        with pytest.raises(UnboundedProblemError, match="no vertices"):
+            solve_value(unboxed, x)
+
+
+def test_multistart_raises_at_a_pole_on_the_grid():
+    prob = parse_problem({"n": 1, "m": 1, "f": "1/(y1 - x1)", "g": [], "y_box": [[-1, 1]]})
+    assert any(np.array_equal(y0, [0.0]) for y0 in kernel._grid_starts(prob))
+    with pytest.raises(EvaluationError, match="division by zero while evaluating"):
+        solve_value(prob, [0.0])
+
+
 def test_materialize_lp_freezes_parameter():
     prob = load_instance("slide")
     lp = materialize_lp(prob, [Fraction(1)])
@@ -121,15 +174,24 @@ def test_local_solve_passes_one_vector_constraint(monkeypatch):
     real = kernel.minimize
 
     def record(*args, **kwargs):
-        seen.append(kwargs["constraints"])
+        seen.append(kwargs)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(kernel, "minimize", record)
     quad = load_instance("quad2d")
-    kernel._local_solve(quad, quad.points["base"].x, np.zeros(2))
+    x = quad.points["base"].x
+    kernel._local_solve(quad, x, np.zeros(2))
     free = parse_problem({"n": 1, "m": 1, "f": "(y1 - x1)^2", "g": [], "y_box": [[-1, 1]]})
     kernel._local_solve(free, [0.5], np.zeros(1))
-    assert [[c["type"] for c in cons] for cons in seen] == [["ineq"], []]
+    cons, none = seen
+    # one callable for all p rows, none per row
+    assert "ieqcons" not in cons and "eqcons" not in cons
+    y = np.array([0.25, -0.5])
+    assert np.array_equal(cons["f_ieqcons"](y), -quad.eval_g(x, y))
+    assert cons["f_ieqcons"](y).shape == (quad.p,)
+    assert np.array_equal(cons["fprime_ieqcons"](y), -quad.jac_y_g(x, y))
+    assert cons["fprime_ieqcons"](y).shape == (quad.p, quad.m)
+    assert not {"ieqcons", "eqcons", "f_ieqcons", "f_eqcons"} & none.keys()
 
 
 def _scalar_callback_solve(prob, x, y0):
@@ -163,7 +225,9 @@ def _scalar_callback_solve(prob, x, y0):
 
 
 @pytest.mark.parametrize("name, point", [
-    ("quad2d", "base"), ("quarticshift", "base"), ("bilinear2d", "interior")])
+    ("quad2d", "base"), ("quarticshift", "base"), ("bilinear2d", "interior"),
+    ("absmin", "base"), ("multiS", "base"), ("quadfit", "kink"), ("shiftbox", "base"),
+    ("twoactive", "base")])
 def test_local_solve_matches_scalar_callbacks_bit_for_bit(name, point):
     prob = load_instance(name)
     if prob.y_box is None:

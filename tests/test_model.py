@@ -367,6 +367,27 @@ def test_numpy_inputs_raise_at_a_pole():
         near.eval_f(np.array([0.0]), np.array([1e-200]))
 
 
+def _outcome(call):
+    try:
+        return call()
+    except EvaluationError as exc:
+        return f"EvaluationError: {exc}"
+
+
+def test_float_block_raises_the_error_of_eval_block():
+    prob = parse_problem({"n": 1, "m": 1, "f": "1/(y1 - x1)",
+                          "g": ["y1 - 2/(y1 - x1)", "(y1 - x1)^-2"]})
+    x = np.array([0.0])
+    got = {}
+    for y in (0.0, 1e-200, 2.0):  # a pole, an overflow, a regular point
+        for key in ("f", "fy", "g", "gy"):
+            got[key, y] = _outcome(lambda: prob.float_block(key, x)([y]))
+            assert got[key, y] == _outcome(lambda: prob.eval_block(key, x, [y])), (key, y)
+    assert got["f", 0.0] == "EvaluationError: division by zero while evaluating 1 / (y1 - x1)"
+    assert got["g", 1e-200] == "EvaluationError: overflow while evaluating (y1 - x1)^-2"
+    assert got["f", 2.0] == [0.5]
+
+
 # ---------------------------------------------------------------------------
 # Activity classification and KKT validation
 # ---------------------------------------------------------------------------

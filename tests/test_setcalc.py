@@ -46,6 +46,17 @@ def test_solve_linear_inconsistent_and_underdetermined():
     assert z0 is not None and len(basis) == 1
 
 
+@pytest.mark.parametrize("dtype", [float, object])
+def test_solve_linear_rows_without_columns_read_the_rhs(dtype):
+    # each row reads 0 = b_i
+    A = np.zeros((1, 0), dtype=dtype)
+    one, zero = (Fraction(1), Fraction(0)) if dtype is object else (1.0, 0.0)
+    assert solve_linear(A, [one]) == (None, [])
+    assert solve_linear(A, [zero]) == ([], [])
+    P = Polyhedron(0, C_eq=A, d_eq=np.array([one], dtype=dtype))
+    assert P._reduced() is None
+
+
 def test_matrix_rank_generic_exact_vs_float():
     A = np.array([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], dtype=object)
     assert matrix_rank_generic(A) == 1
