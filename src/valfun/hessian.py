@@ -60,6 +60,7 @@ from .model import (
     Var,
     differentiate,
     partition_of,
+    per_problem,
     verify_concave_convex,
 )
 from .reporting import (
@@ -170,8 +171,9 @@ def sensitivity_system(problem: ParametricProblem, kkt: KktPoint) -> Sensitivity
         [ diag(u) gy diag(g)] [du] = - [ diag(u) gx ]
 
     and requires strict complementarity (no activity/multiplier ties),
-    linear independence of active gradients, and condition number below
-    1e10; otherwise raises DegeneracyError.
+    linear independence of the active gradients (the rows nu of the KKT
+    point's partition), and condition number below 1e10; otherwise raises
+    DegeneracyError.
     """
     part = kkt.partition
     if part.theta or part.ambiguous:
@@ -179,13 +181,13 @@ def sensitivity_system(problem: ParametricProblem, kkt: KktPoint) -> Sensitivity
             f"strict complementarity fails: zero-multiplier active indices "
             f"{sorted(set(part.theta) | set(part.ambiguous))}"
         )
-    licq = kernel.check_licq(problem, kkt.x, kkt.y)
-    if not licq.holds:
-        raise DegeneracyError(
-            f"active constraint gradients are dependent (rank {licq.rank} "
-            f"of {len(licq.active)})"
-        )
     lag = kkt.lag
+    if part.nu:
+        rank = kernel.gradient_rank(lag.gy[list(part.nu)])[0]
+        if rank < len(part.nu):
+            raise DegeneracyError(
+                f"active constraint gradients are dependent (rank {rank} of {len(part.nu)})"
+            )
     m, p, n = problem.m, problem.p, problem.n
     K = np.zeros((m + p, m + p))
     K[:m, :m] = lag.Lyy
@@ -317,7 +319,10 @@ def _local_derivative(gen, w, hyps=None, frozen=None):
                 frozen.append(k)
             return PolySet.from_point(lag0.Lxx @ w, f"gen{k}-frozen"), False
         if ctx.mult.empty:
-            raise HypothesisError("no multiplier exists at a minimizer; MFCQ fails there")
+            raise HypothesisError(
+                f"no u >= 0 meets stationarity at minimizer {k}; "
+                f"MFCQ {'holds' if ctx.mfcq.holds else 'fails'} there"
+            )
         hyps.append(
             HypothesisRecord(
                 "smooth-solution-branch",
@@ -807,8 +812,16 @@ def _const_matrix(rows):
     return [[Fraction(v) for v in row] for row in vals]
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@per_problem
 def lp_cost_parametric_data(problem: ParametricProblem):
-    """(A, b) when the problem is exactly  min { x . y : A y <= b }."""
+    """(A, b) when the problem is exactly  min { x . y : A y <= b }, as
+    read-only arrays; a structure probe, run once per problem."""
     if problem.n != problem.m or not problem.constraints_x_free():
         return None
     tab = problem._dtable()
@@ -823,11 +836,13 @@ def lp_cost_parametric_data(problem: ParametricProblem):
     zx = [Fraction(0)] * problem.n
     zy = [Fraction(0)] * problem.m
     b = [-Fraction(v) for v in problem.eval_g_exact(zx, zy)]
-    return np.array(A, dtype=object), np.array(b, dtype=object)
+    return _read_only(np.array(A, dtype=object), np.array(b, dtype=object))
 
 
+@per_problem
 def lp_rhs_parametric_data(problem: ParametricProblem):
-    """(A, cost) when the problem is exactly  min { c . y : A y <= x }.
+    """(A, cost) when the problem is exactly  min { c . y : A y <= x }, as
+    read-only arrays; a structure probe, run once per problem.
 
     Only the fixed-cost objective qualifies: the branch pieces for this
     case are derived with an x-free objective (zero Lxy block), so a
@@ -849,7 +864,7 @@ def lp_rhs_parametric_data(problem: ParametricProblem):
     cost = _const_matrix([tab["fy"]])
     if cost is None or Fraction(problem.eval_f(zx, zy)) != 0:
         return None
-    return np.array(A, dtype=object), np.array(cost[0], dtype=object)
+    return _read_only(np.array(A, dtype=object), np.array(cost[0], dtype=object))
 
 
 def route(problem: ParametricProblem, query: HessianQuery | None = None):
@@ -860,12 +875,10 @@ def route(problem: ParametricProblem, query: HessianQuery | None = None):
     multiplier set, and the multiplier counts) so ``compute`` can hand it
     to the first-order precheck and the case.
     """
-    lp1 = lp_cost_parametric_data(problem)
-    if lp1 is not None:
-        return "lp-lhs", {"lp": lp1}
-    lp2 = lp_rhs_parametric_data(problem)
-    if lp2 is not None:
-        return "lp-lhs-rhs", {"lp": lp2}
+    if lp_cost_parametric_data(problem) is not None:
+        return "lp-lhs", {}
+    if lp_rhs_parametric_data(problem) is not None:
+        return "lp-lhs-rhs", {}
     if problem.constraints_x_free():
         return "unperturbed", {}
     if query is None:
@@ -900,14 +913,14 @@ def compute(
     if case == "auto":
         case, info = route(problem, query)
     if case == "lp-lhs":
-        data = info.get("lp") or lp_cost_parametric_data(problem)
+        data = lp_cost_parametric_data(problem)
         if data is None:
             raise CaseRoutingError(
                 "problem is not of the cost-parametric LP form min{x.y : Ay <= b}"
             )
         return lp_lhs_hessian(data[0], data[1], query, flavor, branch_cap)
     if case == "lp-lhs-rhs":
-        data = info.get("lp") or lp_rhs_parametric_data(problem)
+        data = lp_rhs_parametric_data(problem)
         if data is None:
             raise CaseRoutingError(
                 "problem is not of the RHS-parametric LP form min{c.y : Ay <= x}"

@@ -428,15 +428,16 @@ def check_licq(
     active = tuple(i for i in range(problem.p) if g[i] >= -tol_act)
     if not active:
         return LicqReport(holds=True, active=(), rank=0, min_singular=float("inf"))
-    gy = problem.jac_y_g(x, y)[list(active)]
+    rank, min_singular = gradient_rank(problem.jac_y_g(x, y)[list(active)])
+    return LicqReport(holds=rank == len(active), active=active, rank=rank,
+                      min_singular=min_singular)
+
+
+def gradient_rank(gy) -> tuple[int, float]:
+    """(rank, least singular value) of nonempty gradient rows gy, counting
+    the singular values above 1e-9 times max(1, the largest)."""
     sv = np.linalg.svd(gy, compute_uv=False)
-    rank = int(np.sum(sv > 1e-9 * max(1.0, sv[0])))
-    return LicqReport(
-        holds=rank == len(active),
-        active=active,
-        rank=rank,
-        min_singular=float(sv[-1]) if sv.size else float("inf"),
-    )
+    return int(np.sum(sv > 1e-9 * max(1.0, sv[0]))), float(sv[-1])
 
 
 def check_mfcq(

@@ -25,18 +25,13 @@ from every decomposition point, open rows and hull weights take
 floating-point LPs, each raising :class:`LpStatusError` unless the solver
 reports a definite answer.
 
-scipy is imported on first use only: for those LPs and for Qhull in
-:func:`polyhedron_from_vertices`.
-
-Intended scale is dimension <= 12 with a handful of pieces; enumeration
-is combinatorial and will warn rather than fail above that.
+scipy is imported on first use only, for those LPs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -47,7 +42,6 @@ from .errors import DimensionError, LpStatusError
 
 RANK_TOL = 1e-9
 DEDUP_TOL = 1e-6
-MAX_SET_DIM = 12
 #: Largest active-set subset count C(k, r-l) + C(k, r-l-1) (k rows, r
 #: free variables, lineality l) for which emptiness, boundedness,
 #: coordinate ranges and ``kernel.check_mfcq`` come from the enumerated
@@ -59,10 +53,6 @@ MAX_SET_DIM = 12
 MAX_VFORM_SUBSETS = 10
 #: HiGHS statuses that decide a query: optimal, infeasible, unbounded.
 DECIDED_LP_STATUSES = (0, 2, 3)
-
-
-class SetScaleWarning(UserWarning):
-    pass
 
 
 def linprog(*args, **kwargs):
@@ -230,18 +220,36 @@ def matrix_rank_generic(A, exact: bool | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class VForm:
-    """Vertex representation: vertices, recession directions, and an
-    interior anchor used when the set has no extreme points."""
+    """Minkowski-Weyl form P = conv(points) + cone(rays), cached once per
+    polyhedron and shared by every caller.
 
-    vertices: list
-    rays: list
-    anchor: np.ndarray | None = None
+    ``points`` is nonempty exactly when P is.  With a lineality space of
+    dimension ``lineality`` > 0 the points are the vertices of the section
+    of P orthogonal to it (in reduced coordinates) and the rays hold both
+    signs of its basis besides the extreme rays of the section.  When the
+    equality rows are consistent the rays span the recession cone of the
+    H-form even if P is empty.
+    """
+
+    points: tuple
+    rays: tuple
+    lineality: int = 0
+
+    @property
+    def vertices(self) -> list:
+        """The extreme points of P: the points when P is pointed, else none."""
+        return [] if self.lineality else list(self.points)
+
+    @property
+    def anchor(self):
+        """One point of P when P is nonempty and has no extreme point."""
+        return self.points[0] if self.lineality and self.points else None
 
     @property
     def empty(self) -> bool:
-        return not self.vertices and self.anchor is None
+        return not self.points
 
 
 class _Reduced(NamedTuple):
@@ -255,23 +263,6 @@ class _Reduced(NamedTuple):
     dp: np.ndarray
     lin: list
     det: int | float
-
-
-@dataclass(frozen=True)
-class _Decomposition:
-    """Minkowski-Weyl form P = conv(points) + cone(rays).
-
-    ``points`` is nonempty exactly when P is.  With a lineality space of
-    dimension ``lineality`` > 0 the points are the vertices of the section
-    of P orthogonal to it (in reduced coordinates) and the rays hold both
-    signs of its basis besides the extreme rays of the section.  When the
-    equality rows are consistent the rays span the recession cone of the
-    H-form even if P is empty.
-    """
-
-    points: list
-    rays: list
-    lineality: int
 
 
 _UNSET = object()
@@ -298,13 +289,6 @@ class Polyhedron:
         for i in self.open_rows:
             if not 0 <= i < self.C.shape[0]:
                 raise DimensionError(f"open row index {i} out of range")
-        if self.dim > MAX_SET_DIM:
-            warnings.warn(
-                f"polyhedron dimension {self.dim} exceeds intended scale "
-                f"({MAX_SET_DIM})",
-                SetScaleWarning,
-                stacklevel=2,
-            )
         self._reduction = _UNSET
         self._decomp = None
         self._point = _UNSET
@@ -454,36 +438,22 @@ class Polyhedron:
         if all(v >= 0 for v in self.d) and not any(self.d_eq):
             return False
         if self.enumerable():
-            return not self._decomposition().points
+            return self.vertices().empty
         return self.feasible_point() is None
 
     def is_bounded(self) -> bool:
-        """True when the closure is empty or its recession cone is {0}."""
-        if self.enumerable():
-            dec = self._decomposition()
-            return not (dec.points and dec.rays)
+        """True when the closure is empty or every coordinate range of it
+        is finite, read by ``_piece_range`` of the identity image."""
         if self.is_empty():
             return True
-        rows = self._lp_rows()
-        for key in ("b_ub", "b_eq"):
-            if rows[key] is not None:
-                rows[key] = np.zeros_like(rows[key])
-        for j in range(self.dim):
-            for sign in (1.0, -1.0):
-                c = np.zeros(self.dim)
-                c[j] = -sign  # maximize sign * e_j
-                res = _lp(c, **rows)
-                _check_status(res, "recession cone")
-                if res.status == 3:
-                    return False
-                if res.status == 0 and -res.fun > RANK_TOL:
-                    return False  # pragma: no cover - cone LPs are 0 or unbounded
-        return True
+        dt = object if self.rational else float
+        ident = Piece(self, np.eye(self.dim, dtype=dt), np.zeros(self.dim, dtype=dt))
+        return all(math.isfinite(v) for i in range(self.dim) for v in _piece_range(ident, i))
 
     # -- vertex enumeration ----------------------------------------------------
 
     def vertices(self) -> VForm:
-        """Enumerate vertices and recession directions.
+        """The decomposition of the closure, computed once and cached.
 
         Equality rows are eliminated first, then active-set subsets of the
         reduced inequality system are solved.  Exact on rational data.
@@ -492,10 +462,9 @@ class Polyhedron:
         with no extreme point, ``anchor`` carries one feasible point, a
         vertex of that section.
         """
-        dec = self._decomposition()
-        if dec.lineality == 0:
-            return VForm(list(dec.points), list(dec.rays))
-        return VForm([], list(dec.rays), dec.points[0] if dec.points else None)
+        if self._decomp is None:
+            self._decomp = self._decompose()
+        return self._decomp
 
     def _reduced(self) -> _Reduced | None:
         """The equality rows eliminated; None when they are inconsistent.
@@ -549,26 +518,21 @@ class Polyhedron:
         k, s = red.Cp.shape[0], red.N.shape[1] - len(red.lin)
         return _comb(k, s) + _comb(k, s - 1) <= MAX_VFORM_SUBSETS
 
-    def _decomposition(self) -> _Decomposition:
-        if self._decomp is None:
-            self._decomp = self._decompose()
-        return self._decomp
-
-    def _decompose(self) -> _Decomposition:
+    def _decompose(self) -> VForm:
         """Active-set enumeration on the reduced rows, in integers on rational
         data: Fractions are built only for the points and rays kept."""
         exact = self.rational
         dt = object if exact else float
         red = self._reduced()
         if red is None:
-            return _Decomposition([], [], 0)
+            return VForm((), ())
         z0, N, Cp, dp, lin, det = red
         k, r, l = Cp.shape[0], N.shape[1], len(lin)
         if r == 0:  # the integer slacks dp of z0 / det (det > 0) decide exact data
             z = _frac_vec(z0, det) if exact else np.array(z0, dtype=float)
             z.setflags(write=False)
             inside = all(v >= 0 for v in dp) if exact else self.contains_point(z, RANK_TOL)
-            return _Decomposition([z] if inside else [], [], 0)
+            return VForm((z,) if inside else (), ())
         # the section L^T t = 0 of the reduced set is pointed
         section = [list(v) for v in lin]
         scale = 1 if exact else max(1.0, float(np.max(np.abs(_as_float(dp)))) if k else 1.0)
@@ -600,11 +564,10 @@ class Polyhedron:
         else:
             points = [_affine(z0, N, t) for t in _dedup([t for t, _ in verts_t], False)]
             rays = [N @ t for t in _dedup([_normalize_ray(t) for t in rays_t], False)]
-        points.sort(key=_sort_key)
-        rays.sort(key=_sort_key)
+        points, rays = tuple(sorted(points, key=_sort_key)), tuple(sorted(rays, key=_sort_key))
         for v in points + rays:
             v.setflags(write=False)
-        return _Decomposition(points, rays, l)
+        return VForm(points, rays, l)
 
     # -- serialization ----------------------------------------------------------
 
@@ -1038,7 +1001,7 @@ def _piece_range(pc: Piece, i: int):
         return (float("inf"), float("-inf")) if src.is_empty() else (float(off), float(off))
     if not src.enumerable():
         return _lp_range(pc, i)
-    dec = src._decomposition()
+    dec = src.vertices()
     if not dec.points:
         return float("inf"), float("-inf")
     if src.rational and pc.A.dtype == object and pc.b.dtype == object:
@@ -1099,7 +1062,7 @@ def _piece_distance(pc: Piece, point, tol):
         return None if src.is_empty() else _sup_dist(pc.b, point)
     if src.enumerable():
         A, b = _as_float(pc.A), _as_float(pc.b)
-        for z in src._decomposition().points:
+        for z in src.vertices().points:
             dist = _sup_dist(A @ _as_float(z) + b, point)
             if dist <= tol:
                 return dist
@@ -1180,28 +1143,23 @@ def _refine_open(pc: Piece, point, tol: float):
 
 def _piece_constant_value(pc: Piece):
     """Exact image value when the piece's map is constant on the affine
-    hull of its equality rows; None when that cannot be certified."""
+    hull of its equality rows, read off the cached reduction
+    z = (z0 + N t) / det: the map is constant when A N = 0, with value
+    A z0 / det + b.  None when that cannot be certified."""
     src = pc.poly
-    exact = src.rational or pc.A.dtype == object
     if src.dim == 0:
         return list(pc.b)
-    z0, basis = solve_linear(
-        src.C_eq if src.C_eq.shape[0] else np.zeros((0, src.dim)),
-        src.d_eq if src.C_eq.shape[0] else [],
-        exact,
-    )
-    if z0 is None:
+    red = src._reduced()
+    if red is None:
         return None
-    A = pc.A if exact else _as_float(pc.A)
-    for v in basis:
-        img = A @ np.array(v, dtype=object if exact else float)
-        if exact:
-            if any(val != 0 for val in img):
-                return None
-        elif np.max(np.abs(_as_float(img)), initial=0.0) > RANK_TOL:
+    if src.rational:
+        if any(v != 0 for v in (pc.A @ red.N).flat):
             return None
-    val = A @ np.array(z0, dtype=object if exact else float) + pc.b
-    return list(val)
+        return list(pc.A @ _frac_vec(red.z0, red.det) + pc.b)
+    A = _as_float(pc.A)
+    if np.max(np.abs(A @ red.N), initial=0.0) > RANK_TOL:
+        return None
+    return list(A @ np.array(red.z0, dtype=float) + pc.b)
 
 
 # ---------------------------------------------------------------------------
@@ -1309,52 +1267,6 @@ def _caratheodory_reduce(point, generators, support, weights):
         weights = [max(w, 0.0) / total for w in weights]
     order = np.argsort(support)
     return [support[i] for i in order], [weights[i] for i in order]
-
-
-# ---------------------------------------------------------------------------
-# V-form to H-form
-# ---------------------------------------------------------------------------
-
-
-def polyhedron_from_vertices(points) -> Polyhedron:
-    """H-form of the convex hull of a finite point cloud (bounded sets only).
-
-    Full-dimensional clouds go through Qhull; degenerate clouds are
-    reduced to their affine hull first and the complement directions
-    become equality rows.
-    """
-    pts = np.array([np.asarray(p, float) for p in points], dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise DimensionError("need a nonempty 2-D point array")
-    npts, dim = pts.shape
-    center = pts.mean(axis=0)
-    shifted = pts - center
-    if npts == 1:
-        return Polyhedron(dim, C_eq=np.eye(dim), d_eq=pts[0])
-    u, s, vt = np.linalg.svd(shifted, full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
-    basis = vt[:rank].T  # dim x rank
-    normals = vt[rank:]  # (dim-rank) x dim
-    reduced = shifted @ basis
-    C_eq = normals
-    d_eq = normals @ center if normals.shape[0] else np.zeros(0)
-    if rank == 0:
-        return Polyhedron(dim, C_eq=np.eye(dim), d_eq=center)
-    if rank == 1:
-        lo, hi = float(reduced.min()), float(reduced.max())
-        # rows in the original coordinates: lo <= basis^T (z - center) <= hi
-        C = np.vstack([basis[:, 0], -basis[:, 0]])
-        d = np.array([hi + float(basis[:, 0] @ center), -lo - float(basis[:, 0] @ center)])
-        return Polyhedron(dim, C=C, d=d, C_eq=C_eq, d_eq=d_eq)
-    from scipy.spatial import ConvexHull as _QHull
-
-    hull = _QHull(reduced)
-    # facet rows: a^T t <= b in reduced coords; lift t = basis^T (z - center)
-    A_red = hull.equations[:, :-1]
-    b_red = -hull.equations[:, -1]
-    C = A_red @ basis.T
-    d = b_red + C @ center
-    return Polyhedron(dim, C=C, d=d, C_eq=C_eq, d_eq=d_eq)
 
 
 # Convenience wrappers matching the public operation names.

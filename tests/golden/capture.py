@@ -288,7 +288,7 @@ def capture():
 
 
 def _vform(poly):
-    dec = poly._decomposition()
+    dec = poly.vertices()
     return {"points": [str(list(v)) for v in dec.points],
             "rays": [str(list(v)) for v in dec.rays], "lineality": dec.lineality}
 

@@ -83,6 +83,18 @@ def test_sensitivity_rejects_dependent_gradients():
         sensitivity_system(prob, kkt)
 
 
+def test_sensitivity_reads_licq_off_the_partition():
+    # two equal gradient rows, both active at tol_act = 1e-3 with positive
+    # multipliers; at the default tolerance only the first is active, so
+    # LICQ must be decided on the rows of the KKT point's own partition
+    prob = model.parse_problem({"n": 1, "m": 1, "f": "(y1 - 2)^2 + x1*y1",
+                                "g": ["y1 - 1", "y1 - 1 - 1/100000"]})
+    kkt = make_kkt(prob, [0.0], [1.0], [2 - 5e-3, 5e-3], tol_kkt=1e-7, tol_act=1e-3)
+    assert kkt.partition.nu == (0, 1)
+    with pytest.raises(DegeneracyError, match="rank 1 of 2"):
+        sensitivity_system(prob, kkt)
+
+
 # ---------------------------------------------------------------------------
 # Fixed feasible set
 # ---------------------------------------------------------------------------
@@ -353,6 +365,25 @@ def test_structure_detection_tables():
     assert lp_rhs_parametric_data(load_instance("bilinear1")) is None
 
 
+@pytest.mark.parametrize("name, query, case", [
+    ("lp_box01", ([1.0, 2.0], [0.0, 0.0], [1.0, 0.0]), "lp-lhs"),
+    ("rhslp", ([2.0, 1.0], [0.0, -1.0], [1.0, 1.0]), "lp-lhs-rhs"),
+])
+def test_lp_form_probes_run_once_per_problem(monkeypatch, name, query, case):
+    # each probe reads the derivative table once; later computes, routed
+    # or with the case given, reuse its read-only answer
+    prob = load_instance(name)
+    reads, real = [], prob._dtable
+    monkeypatch.setattr(prob, "_dtable", lambda: reads.append(1) or real())
+    counts = []
+    for given in ("auto", case, "auto", case):
+        assert compute(prob, HessianQuery(*query, case=given)).case == case
+        counts.append(len(reads))
+    assert counts[0] > 0 and counts == counts[:1] * 4
+    data = (lp_cost_parametric_data if case == "lp-lhs" else lp_rhs_parametric_data)(prob)
+    assert not any(arr.flags.writeable for arr in data)
+
+
 ROUTES = {
     "bilinear1": "lp-lhs",
     "bilinear2d": "lp-lhs",
@@ -407,6 +438,27 @@ def test_compute_rejects_foreign_base_gradient():
     prob = load_instance("quadfit")
     with pytest.raises(HypothesisError):
         compute(prob, HessianQuery([0.3], [5.0], [1.0]))
+
+
+def _pinned(g, x, y):
+    return model.parse_problem({"n": 1, "m": 1, "f": "(y1 - x1)^2", "g": g,
+                                "points": {"p": {"x": x, "minimizers": [y]}}})
+
+
+@pytest.mark.parametrize("g, x, y, xund, mfcq", [
+    # stationarity fails at an interior point: no multiplier, MFCQ holds
+    (["y1 - 5"], [0.0], [0.0001], [-0.0002], "holds"),
+    # the only feasible point has a zero active gradient: MFCQ fails
+    (["y1^2"], [1.0], [0.0], [2.0], "fails"),
+])
+def test_compute_reports_mfcq_when_no_multiplier_exists(g, x, y, xund, mfcq):
+    prob = _pinned(g, x, y)
+    ctx = coderiv.PointContext(prob, x, y)
+    assert ctx.mult.empty and ctx.mfcq.holds == (mfcq == "holds")
+    with pytest.raises(HypothesisError) as exc:
+        compute(prob, HessianQuery(x, xund, [1.0]))
+    assert "no u >= 0 meets stationarity" in str(exc.value)
+    assert f"MFCQ {mfcq} there" in str(exc.value)
 
 
 def test_compute_rejects_mismatched_case():

@@ -16,7 +16,6 @@ from valfun.setcalc import (
     Polyhedron,
     convex_hull,
     matrix_rank_generic,
-    polyhedron_from_vertices,
     solve_linear,
 )
 
@@ -78,17 +77,6 @@ def test_unit_cube_vertices():
     }
 
 
-def test_vform_hform_round_trip():
-    pts = [(0.0, 0.0), (2.0, 0.0), (0.0, 3.0), (0.5, 0.5)]
-    P = polyhedron_from_vertices(pts)
-    vf = P.vertices()
-    # the interior point drops out
-    assert _vertex_set(vf) == {(0.0, 0.0), (2.0, 0.0), (0.0, 3.0)}
-    for p in pts:
-        assert P.contains_point(p, tol=1e-9)
-    assert not P.contains_point((2.0, 3.0), tol=1e-9)
-
-
 def test_halfline_has_ray():
     P = Polyhedron(1, C=np.array([[-1.0]]), d=np.array([0.0]))
     vf = P.vertices()
@@ -106,6 +94,23 @@ def test_affine_subspace_anchor():
     assert vf.anchor is not None
     assert P.contains_point(vf.anchor)
     assert len(vf.rays) == 2  # +/- the free direction
+
+
+@pytest.mark.parametrize("pointed", [True, False])
+def test_vertices_return_the_cached_decomposition(pointed):
+    # a square, or the slab 0 <= z1 <= 1 free along z2
+    rows = [[1.0, 0.0], [-1.0, 0.0]] + ([[0.0, 1.0], [0.0, -1.0]] if pointed else [])
+    P = Polyhedron(2, C=rows, d=[1.0, 0.0] * len(rows[::2]))
+    vf = P.vertices()
+    assert P.vertices() is vf and isinstance(vf.points, tuple) and isinstance(vf.rays, tuple)
+    assert vf.lineality == (0 if pointed else 1)
+    if pointed:
+        assert vf.anchor is None and _vertex_set(vf) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    else:
+        assert vf.vertices == [] and vf.anchor is vf.points[0]
+    returned = vf.vertices
+    returned.append(np.zeros(2))  # a caller's list, not the cache
+    assert len(P.vertices().vertices) == len(returned) - 1 == (4 if pointed else 0)
 
 
 def test_rays_span_cone_with_lineality():
@@ -415,7 +420,8 @@ def test_coord_range_reports_unbounded_directions():
 
 
 def test_sample_points_lie_in_set(rng):
-    tri = polyhedron_from_vertices([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    # the triangle conv{(0, 0), (1, 0), (0, 1)}: z >= 0, z1 + z2 <= 1
+    tri = Polyhedron(2, C=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], d=[0.0, 0.0, 1.0])
     S = PolySet(2, [Piece(tri, np.eye(2), np.zeros(2), "tri")])
     pts = S.sample_points(25, rng)
     assert pts

@@ -1,13 +1,15 @@
 """Property tests: emptiness, boundedness, coordinate ranges and
 membership of random small polyhedra (float and rational, dim <= 4,
 including empty, unbounded and non-pointed ones) agree with plain
-``scipy.optimize.linprog`` LPs written out here, and exact elimination
-agrees with a plain Fraction Gauss-Jordan written out here.  Examples are
+``scipy.optimize.linprog`` LPs written out here, exact elimination
+agrees with a plain Fraction Gauss-Jordan written out here, and the
+zero-singleton test agrees with the coordinate ranges.  Examples are
 derandomized, so the run is fixed."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,6 +85,11 @@ def _same(a, b):
     return a == b or (abs(a) < INF and abs(b) < INF and abs(a - b) <= 1e-6 * max(1.0, abs(b)))
 
 
+def _fresh(poly):
+    """The same rows with nothing cached."""
+    return Polyhedron(poly.dim, poly.C, poly.d, poly.C_eq, poly.d_eq, poly.open_rows)
+
+
 def _check(poly, A, b):
     empty = _oracle_empty(poly)
     assert poly.is_empty() == empty
@@ -91,6 +98,8 @@ def _check(poly, A, b):
             _oracle_lp(poly, -sign * np.eye(poly.dim)[j]).status == 0
             for j in range(poly.dim) for sign in (1.0, -1.0))
         assert poly.is_bounded() == bounded
+        with mock.patch.object(setcalc, "MAX_VFORM_SUBSETS", 0):  # range LPs
+            assert _fresh(poly).is_bounded() == bounded
         vf = poly.vertices()
         assert (not vf.vertices) == (vf.anchor is not None)
         for v in vf.vertices + ([vf.anchor] if vf.anchor is not None else []):
@@ -342,7 +351,7 @@ def emptiness_cases(draw, rational):
 
 def _check_emptiness(case):
     kind, poly = case
-    fresh = Polyhedron(poly.dim, poly.C, poly.d, poly.C_eq, poly.d_eq, poly.open_rows)
+    fresh = _fresh(poly)
     points = fresh._decompose().points
     assert poly.is_empty() == (not points)
     if kind == "cone":  # the origin witnesses, before any reduction
@@ -365,3 +374,52 @@ def test_float_emptiness_agrees_with_decomposition(case):
 @given(emptiness_cases(rational=True))
 def test_rational_emptiness_agrees_with_decomposition(case):
     _check_emptiness(case)
+
+
+# ---------------------------------------------------------------------------
+# Zero singletons: the constant test against the coordinate ranges
+# ---------------------------------------------------------------------------
+
+ZERO_TOL = 1e-9
+
+
+@st.composite
+def image_cases(draw, rational):
+    """(polyhedron, A, b) of ``polyhedra``; now and then the map is a
+    combination W C_eq z - W d_eq of the equality rows, which vanishes on
+    their affine hull, as it is or shifted off the origin."""
+    poly, A, b = draw(polyhedra(rational))
+    kind = draw(st.sampled_from(["random", "vanishing", "shifted"]))
+    if kind != "random":
+        t, q = A.shape[0], poly.C_eq.shape[0]
+        W = np.array([draw(st.integers(-2, 2)) for _ in range(t * q)],
+                     dtype=object if rational else float).reshape(t, q)
+        A, b = W @ poly.C_eq, -(W @ poly.d_eq)
+        if kind == "shifted":
+            b[draw(st.integers(0, t - 1))] += 1
+    return poly, A, b
+
+
+def _check_zero_singleton(poly, A, b):
+    S = PolySet(A.shape[0], [Piece(poly, A, b, "p")])
+    poly._reduced()  # cached: the constant test reads it and solves nothing
+    with mock.patch.object(setcalc, "solve_linear", side_effect=AssertionError("re-solved")):
+        got = S.is_zero_singleton(ZERO_TOL)
+        val = setcalc._piece_constant_value(S.pieces[0])
+    ranges = [S.coord_range(i) for i in range(A.shape[0])]
+    nonempty = not poly.is_empty()
+    assert got == (nonempty and all(-ZERO_TOL <= lo and hi <= ZERO_TOL for lo, hi in ranges))
+    if val is not None and nonempty:
+        assert all(_same(lo, float(v)) and _same(hi, float(v)) for (lo, hi), v in zip(ranges, val))
+
+
+@SETTINGS
+@given(image_cases(rational=False))
+def test_float_zero_singleton_agrees_with_ranges(case):
+    _check_zero_singleton(*case)
+
+
+@SETTINGS
+@given(image_cases(rational=True))
+def test_rational_zero_singleton_agrees_with_ranges(case):
+    _check_zero_singleton(*case)
