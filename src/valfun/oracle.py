@@ -16,18 +16,29 @@ from itertools import combinations
 import numpy as np
 
 from . import kernel
+from .errors import InfeasibleParameterError, ProblemFormatError
 from .model import ParametricProblem
 
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-3
+#: phi evaluations of their own, independent of ``kernel``'s inner solve:
+#: pins match within PIN_TOL, SLSQP minimizers count as feasible within
+#: FEAS_TOL, as optimal within TIE_TOL of the best and as one branch
+#: within BRANCH_TOL; the start grid has at most MAX_STARTS points.
+PIN_TOL = 1e-12
+FEAS_TOL = 1e-6
+TIE_TOL = 1e-7
+BRANCH_TOL = 1e-6
+MAX_STARTS = 64
 
 
 class ValueEvaluator:
     """phi(x) evaluator with warm-started local solves for FD stencils.
 
-    The first evaluation runs the full solve; later evaluations restart a
-    local descent from each cached minimizer branch so that nearby stencil
-    points stay on their branches.
+    The first evaluation runs the full solve of ``solve_phi``; later
+    evaluations of a problem not affine in y restart a local descent from
+    each cached minimizer branch so that nearby stencil points stay on
+    their branches.
     """
 
     def __init__(self, problem: ParametricProblem):
@@ -37,26 +48,122 @@ class ValueEvaluator:
 
     def __call__(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self._affine or kernel._pinned_minimizers(self.problem, x) is not None:
-            return kernel.solve_value(self.problem, x).value
+        if self._affine or _pins(self.problem, x):
+            return solve_phi(self.problem, x)[0]
         if self._branches is None:
-            res = kernel.solve_value(self.problem, x)
-            self._branches = list(res.minimizers)
-            return res.value
-        best = None
-        for y0 in self._branches:
-            y = kernel.local_solve(self.problem, x, y0)
-            if y is None:
-                continue
-            if self.problem.p and np.max(self.problem.eval_g(x, y)) > 1e-6:
-                continue
-            val = self.problem.eval_f(x, y)
-            if best is None or val < best:
-                best = val
-        if best is None:
-            res = kernel.solve_value(self.problem, x)
-            best = res.value
-        return float(best)
+            value, self._branches = solve_phi(self.problem, x)
+            return value
+        best = _best_descent(self.problem, x, self._branches)
+        return solve_phi(self.problem, x)[0] if best is None else best
+
+
+def solve_phi(problem: ParametricProblem, x) -> tuple[float, list[np.ndarray]]:
+    """(phi(x), minimizers) by routes of the oracle's own: the least f over
+    the minimizers pinned at x; ``lp_value_oracle`` for problems affine in
+    y; otherwise SLSQP from a grid over the y_box."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    pins = _pins(problem, x)
+    if pins:
+        values = [problem.eval_f(x, y) for y in pins]
+        best = min(values)
+        return float(best), _branches(pins, values, best)
+    if problem.affine_in_y():
+        value, argmins = lp_value_oracle(problem, x)
+        if value is None:
+            raise InfeasibleParameterError("the inner LP has no basic feasible point")
+        return float(value), sorted((np.array([float(v) for v in y]) for y in argmins),
+                                    key=lambda y: tuple(y))
+    if problem.y_box is None:
+        raise ProblemFormatError("the oracle's SLSQP grid needs a y_box")
+    found = []
+    for y0 in _grid(problem):
+        y = _feasible_descent(problem, x, y0)
+        if y is not None:
+            found.append((problem.eval_f(x, y), y))
+    if not found:
+        raise InfeasibleParameterError("no SLSQP start reached a feasible point")
+    best = min(v for v, _ in found)
+    return float(best), _branches([y for _, y in found], [v for v, _ in found], best)
+
+
+def _pins(problem, x):
+    """The minimizers pinned at x by the first matching named point."""
+    for name in sorted(problem.points):
+        pt = problem.points[name]
+        if pt.minimizers and np.max(np.abs(pt.x - x), initial=0.0) <= PIN_TOL:
+            return [np.asarray(v, float) for v in pt.minimizers]
+    return []
+
+
+def _branches(points, values, best):
+    """The points within TIE_TOL of the best value, one per BRANCH_TOL
+    cluster, in sorted order."""
+    out = []
+    for y in sorted((y for y, v in zip(points, values) if v <= best + TIE_TOL),
+                    key=lambda y: tuple(y)):
+        if not any(np.max(np.abs(y - q), initial=0.0) <= BRANCH_TOL for q in out):
+            out.append(y)
+    return out
+
+
+def _grid(problem):
+    """Starts on a grid over the y_box, at most MAX_STARTS of them."""
+    k = 5 if problem.m <= 2 else (3 if problem.m <= 4 else 2)
+    axes = np.meshgrid(*(np.linspace(lo, hi, k) for lo, hi in problem.y_box), indexing="ij")
+    pts = np.stack([a.ravel() for a in axes], axis=1)
+    if pts.shape[0] > MAX_STARTS:
+        idx = np.random.default_rng(0).choice(pts.shape[0], size=MAX_STARTS, replace=False)
+        pts = pts[np.sort(idx)]
+    return list(pts)
+
+
+def _best_descent(problem, x, starts):
+    """The least f over the feasible SLSQP descents from ``starts``, or None."""
+    values = [problem.eval_f(x, y) for y in
+              (_feasible_descent(problem, x, y0) for y0 in starts) if y is not None]
+    return float(min(values)) if values else None
+
+
+def _feasible_descent(problem, x, y0):
+    y = slsqp_descent(problem, x, y0)
+    if y is None or problem.p and np.max(problem.eval_g(x, y)) > FEAS_TOL:
+        return None
+    return y
+
+
+def slsqp_descent(problem: ParametricProblem, x, y0):
+    """One SLSQP descent of ``scipy.optimize.minimize`` from y0, with a
+    scalar callback per constraint and per derivative entry, each
+    evaluating one expression; None when SLSQP fails.  The y_box bounds
+    the descent and clips its end point."""
+    from scipy.optimize import minimize
+
+    x = np.atleast_1d(np.asarray(x, float))
+    fy = [problem.f.diff("y", k) for k in range(problem.m)]
+    gy = [[gi.diff("y", k) for k in range(problem.m)] for gi in problem.g]
+    cons = [
+        {
+            "type": "ineq",
+            "fun": lambda y, i=i: -problem.eval_expr(problem.g[i], x, y),
+            "jac": lambda y, i=i: -np.array([problem.eval_expr(e, x, y) for e in gy[i]],
+                                            float),
+        }
+        for i in range(problem.p)
+    ]
+    res = minimize(
+        lambda y: problem.eval_expr(problem.f, x, y),
+        np.asarray(y0, float),
+        jac=lambda y: np.array([problem.eval_expr(e, x, y) for e in fy], float),
+        bounds=problem.y_box,
+        constraints=cons,
+        method="SLSQP",
+        options={"maxiter": 200, "ftol": 1e-12},
+    )
+    if not res.success and res.status != 8:  # 8: no descent found, still usable
+        return None
+    if problem.y_box is None:
+        return res.x
+    return np.clip(res.x, [lo for lo, _ in problem.y_box], [hi for _, hi in problem.y_box])
 
 
 @dataclass
@@ -182,11 +289,12 @@ def _solve_square_exact(A_rows, b):
 def lp_value_oracle(problem: ParametricProblem, x):
     """Exact minimum of the inner problem over all basic feasible points.
 
-    Brute force: every m-subset of constraint rows is solved as an active
-    set and checked for feasibility.  Requires the problem to be affine
-    in y with a pointed feasible set; data is extracted by direct
-    evaluation (finite second differences are zero for affine forms), not
-    through the derivative trees, so this is an independent route.
+    Brute force: every m-subset of the constraint rows and the y_box rows
+    is solved as an active set and checked for feasibility.  Requires the
+    problem to be affine in y with a pointed feasible set (a y_box makes
+    it pointed); data is extracted by direct evaluation (finite second
+    differences are zero for affine forms), not through the derivative
+    trees, so this is an independent route.
 
     Returns (value, argmins) as exact Fractions, or (None, []) when no
     basic feasible point exists.
@@ -208,6 +316,10 @@ def lp_value_oracle(problem: ParametricProblem, x):
         for i in range(p)
     ]
     b = [-v for v in g0]
+    for j, (lo, hi) in enumerate(problem.y_box or ()):
+        A += [unit(j), [-v for v in unit(j)]]
+        b += [_frac(hi), -_frac(lo)]
+    p = len(A)
 
     best, argmins = None, []
     for J in combinations(range(p), m):
@@ -251,8 +363,7 @@ def track_solution(problem: ParametricProblem, xbar, d, steps: int = 3,
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
-    base = kernel.solve_value(problem, xbar)
-    y0 = base.minimizers[0]
+    y0 = solve_phi(problem, xbar)[1][0]
     u0 = _nearest_multiplier(problem, xbar, y0, None)
     base_active = _active_set(problem, xbar, y0)
 
@@ -292,15 +403,10 @@ def track_solution(problem: ParametricProblem, xbar, d, steps: int = 3,
 
 def _resolve(problem, x, y0):
     if problem.affine_in_y() and problem.y_box is None:
-        res = kernel.solve_value(problem, x)
         # pick the minimizer closest to the previous one
-        return min(res.minimizers, key=lambda y: float(np.max(np.abs(y - y0), initial=0.0)))
-    y = kernel.local_solve(problem, x, y0)
-    if y is None:
-        return None
-    if problem.p and np.max(problem.eval_g(x, y)) > 1e-6:
-        return None
-    return y
+        return min(solve_phi(problem, x)[1],
+                   key=lambda y: float(np.max(np.abs(y - y0), initial=0.0)))
+    return _feasible_descent(problem, x, y0)
 
 
 def _active_set(problem, x, y, tol: float = 1e-6):

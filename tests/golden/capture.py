@@ -1,6 +1,11 @@
 """Regenerate the golden CLI outputs in this directory.
 
-    PYTHONPATH=src python tests/golden/capture.py
+    PYTHONPATH=src python tests/golden/capture.py [--check]
+
+With ``--check`` nothing is written: every golden is recomputed in memory,
+each record that differs from the file is printed as
+``file: id: old → new`` (compact JSON, ``null`` for a missing record), and
+the exit status is 1 if any differ.
 
 ``report.json`` holds the ``valfun report`` output for the first named
 point of every battery instance; ``hessian.json`` holds the text output of
@@ -17,9 +22,9 @@ exact LP cases: ``hessian.compute`` for every battery query of
 unbounded multiplier set, a fan point, several inner multiplier vertices,
 the centroid and anchor of a complementary face, and the empty estimates;
 ``solve.json`` holds, for every battery instance not affine in y, the
-``repr`` of the value and of each minimizer from ``kernel.solve_value``
-(SLSQP multistart) at each named point with its pinned minimizers
-ignored, and at ``SOLVE_PERTURBATIONS`` seeded k/4096 perturbations of it;
+certificate and the ``repr`` of the value and of each minimizer from
+``kernel.solve_value`` (exact QP path or SLSQP multistart) at each named
+point with its pinned minimizers ignored, and at ``SOLVE_PERTURBATIONS`` seeded k/4096 perturbations of it;
 ``vform.json`` holds the vertex/ray decompositions of the exact LP cases,
 the rational solves of the instances affine in y and the first-order
 membership verdicts at the battery generators (see ``vform_json``).
@@ -30,9 +35,11 @@ why in the change log.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -387,16 +394,61 @@ def vform_json():
     return out
 
 
-if __name__ == "__main__":
+def goldens():
+    """file name -> the text of every golden file, recomputed in memory."""
     reports, queries = capture()
-    (HERE / "report.json").write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
-    (HERE / "hessian.json").write_text(json.dumps(queries, indent=1) + "\n")
     theorems = {k: theorem_json(k) for k in THEOREM_CALLS}
-    (HERE / "theorems.json").write_text(json.dumps(theorems, indent=1, sort_keys=True) + "\n")
     solves = {sid: solve_json(name, x) for sid, name, x in solve_points()}
-    (HERE / "solve.json").write_text(json.dumps(solves, indent=1, sort_keys=True) + "\n")
-    vforms = vform_json()
-    (HERE / "vform.json").write_text(json.dumps(vforms, indent=1, sort_keys=True) + "\n")
-    print(f"{len(reports)} reports, {len(queries)} hessian queries, "
-          f"{len(theorems)} theorem-path calls, {len(solves)} multistart solves, "
-          f"{len(vforms)} decomposition and membership records")
+    return {
+        "report.json": json.dumps(reports, indent=1, sort_keys=True) + "\n",
+        "hessian.json": json.dumps(queries, indent=1) + "\n",
+        "theorems.json": json.dumps(theorems, indent=1, sort_keys=True) + "\n",
+        "solve.json": json.dumps(solves, indent=1, sort_keys=True) + "\n",
+        "vform.json": json.dumps(vform_json(), indent=1, sort_keys=True) + "\n",
+    }
+
+
+def _records(name, text):
+    """id -> record of one golden file; hessian queries are keyed as in
+    ``test_golden.py``."""
+    data = json.loads(text)
+    if name == "hessian.json":
+        return {f"{q['instance']}-{q['point']}-{q['xund']}-{q['xstar']}": q for q in data}
+    return data
+
+
+def check(new):
+    """Print every record of ``new`` that differs from the file here; the
+    number of differing records."""
+    diffs = 0
+    for name, text in new.items():
+        path = HERE / name
+        old = _records(name, path.read_text()) if path.exists() else {}
+        new_rec = _records(name, text)
+        for rid in sorted(old.keys() | new_rec.keys()):
+            if old.get(rid) != new_rec.get(rid):
+                diffs += 1
+                print(f"{name}: {rid}: {json.dumps(old.get(rid), sort_keys=True)} → "
+                      f"{json.dumps(new_rec.get(rid), sort_keys=True)}")
+    return diffs
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the files here and write nothing")
+    args = parser.parse_args(argv)
+    new = goldens()
+    if args.check:
+        diffs = check(new)
+        print(f"{diffs} differing records")
+        return 1 if diffs else 0
+    for name, text in new.items():
+        (HERE / name).write_text(text)
+    print(", ".join(f"{len(_records(name, text))} records in {name}"
+                    for name, text in new.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,7 @@ from valfun.kernel import (
     solve_value,
 )
 from valfun.model import parse_problem
-from valfun.oracle import lp_value_oracle
+from valfun.oracle import lp_value_oracle, slsqp_descent
 from valfun.setcalc import Polyhedron
 
 from conftest import BATTERY, load_instance
@@ -137,15 +137,27 @@ def test_lp_feasible_set_decomposed_once_per_problem(monkeypatch, name, point, p
     assert len(seen) == (len(xs) if per_x else 1)
 
 
+def test_lp_path_honours_y_box():
+    spec = {"n": 1, "m": 1, "f": "-y1", "g": ["y1 - 5"], "y_box": [[0, 1]]}
+    res = solve_value(parse_problem(spec), [0.0], rational=True)
+    assert res.certificate == "lp-exact"
+    assert (res.value_exact, res.minimizers_exact) == (-1, [[1]])
+    # a small curvature moves the problem off the LP path, not off the box
+    res = solve_value(parse_problem({**spec, "f": "-y1 + y1^2/1000"}), [0.0])
+    assert res.value == pytest.approx(-0.999, abs=1e-12)
+    assert res.minimizers[0] == pytest.approx([1.0], abs=1e-12)
+
+
 def test_rank_deficient_x_free_lp_falls_back_at_every_x():
-    # y2 is in no constraint: the feasible set has no vertex
+    # y2 is in no constraint: the feasible set has no vertex until the
+    # y_box rows join it
     spec = {"n": 1, "m": 2, "f": "x1*y1", "g": ["y1 - 1", "-y1 - 1"]}
     boxed = parse_problem({**spec, "y_box": [[-2, 2], [-1, 1]]})
     unboxed = parse_problem(spec)
     for x in ([0.5], [-0.25], [0.75]):
         res = solve_value(boxed, x)
-        assert res.certificate == "heuristic-multistart"
-        assert res.value == pytest.approx(-abs(x[0]))
+        assert res.certificate == "lp-exact"
+        assert res.value == -abs(x[0])
         with pytest.raises(UnboundedProblemError, match="no vertices"):
             solve_value(unboxed, x)
 
@@ -194,36 +206,6 @@ def test_local_solve_passes_one_vector_constraint(monkeypatch):
     assert not {"ieqcons", "eqcons", "f_ieqcons", "f_eqcons"} & none.keys()
 
 
-def _scalar_callback_solve(prob, x, y0):
-    """One SLSQP descent with a scalar callback per constraint and per
-    entry, each evaluating one expression."""
-    from scipy.optimize import minimize
-
-    x = np.atleast_1d(np.asarray(x, float))
-    fy = [prob.f.diff("y", k) for k in range(prob.m)]
-    gy = [[gi.diff("y", k) for k in range(prob.m)] for gi in prob.g]
-    cons = [
-        {
-            "type": "ineq",
-            "fun": lambda y, i=i: -prob.eval_expr(prob.g[i], x, y),
-            "jac": lambda y, i=i: -np.array([prob.eval_expr(e, x, y) for e in gy[i]], float),
-        }
-        for i in range(prob.p)
-    ]
-    res = minimize(
-        lambda y: prob.eval_expr(prob.f, x, y),
-        np.asarray(y0, float),
-        jac=lambda y: np.array([prob.eval_expr(e, x, y) for e in fy], float),
-        bounds=prob.y_box,
-        constraints=cons,
-        method="SLSQP",
-        options={"maxiter": 200, "ftol": 1e-12},
-    )
-    if not res.success and res.status != 8:
-        return None
-    return np.clip(res.x, [lo for lo, _ in prob.y_box], [hi for _, hi in prob.y_box])
-
-
 @pytest.mark.parametrize("name, point", [
     ("quad2d", "base"), ("quarticshift", "base"), ("bilinear2d", "interior"),
     ("absmin", "base"), ("multiS", "base"), ("quadfit", "kink"), ("shiftbox", "base"),
@@ -236,7 +218,7 @@ def test_local_solve_matches_scalar_callbacks_bit_for_bit(name, point):
     for x in (base, base + 3 / 4096):
         for y0 in kernel._grid_starts(prob):
             got = kernel._local_solve(prob, x, y0)
-            want = _scalar_callback_solve(prob, x, y0)
+            want = slsqp_descent(prob, x, y0)
             assert (got is None) == (want is None)
             assert got is None or np.array_equal(got, want), (x, y0, got, want)
 

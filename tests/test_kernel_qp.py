@@ -1,0 +1,197 @@
+"""The exact QP path of ``kernel.solve_value``: random convex QPs against a
+plain scipy SLSQP grid and seeded feasible samples written out here,
+hand-solved examples, the problems that stay on multistart, seeded
+desk-scale QPs through ``hessian.compute``, and the KKT-system budget.
+Examples are derandomized, so the run is fixed."""
+
+from __future__ import annotations
+
+import time
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
+
+from valfun import firstorder, hessian
+from valfun.errors import ProblemFormatError
+from valfun.kernel import solve_value
+from valfun.model import parse_problem
+from valfun.oracle import fd_hessian
+
+from conftest import load_instance
+
+SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+BOX = 2
+
+
+def _linear(coeffs):
+    return " + ".join(f"({a})*y{j + 1}" for j, a in enumerate(coeffs))
+
+
+@st.composite
+def convex_qps(draw):
+    """min sum_r (L_r . y)^2 / 2 + (c + x d) . y  s.t.  A y <= b + x e on the
+    box [-2, 2]^m, with m <= 3, p <= 4, integer data and b >= 1, so y = 0 is
+    feasible for |x| <= 1.  L has at most m rows and may be rank deficient."""
+    m = draw(st.integers(1, 3))
+    ints = lambda lo, hi, k: [draw(st.integers(lo, hi)) for _ in range(k)]
+    L = [ints(-2, 2, m) for _ in range(draw(st.integers(1, m)))]
+    c, d = ints(-3, 3, m), ints(-2, 2, m)
+    A = [ints(-3, 3, m) for _ in range(draw(st.integers(0, 4)))]
+    b, e = ints(1, 3, len(A)), ints(-1, 1, len(A))
+    x = Fraction(draw(st.integers(-7, 7)), 7)
+    return L, c, d, A, b, e, x
+
+
+def _qp_problem(L, c, d, A, b, e):
+    f = " + ".join([f"(1/2)*({_linear(row)})^2" for row in L]
+                   + [f"({cj} + ({dj})*x1)*y{j + 1}" for j, (cj, dj) in enumerate(zip(c, d))])
+    g = [f"{_linear(row)} - {bi} - ({ei})*x1" for row, bi, ei in zip(A, b, e)]
+    return parse_problem({"n": 1, "m": len(c), "f": f, "g": g,
+                          "y_box": [[-BOX, BOX]] * len(c)})
+
+
+def _float_data(L, c, d, A, b, e, x):
+    """f and the row test A y <= b + x e as float callables at the parameter
+    x, then A, b + x e, L and c + x d as float arrays."""
+    Lf, xf = np.array(L, float), float(x)
+    lin = np.array(c, float) + xf * np.array(d, float)
+    Af = np.array(A, float).reshape(len(A), len(c))
+    rhs = np.array(b, float) + xf * np.array(e, float)
+    return (lambda y: 0.5 * float(np.sum((Lf @ y) ** 2)) + float(lin @ y),
+            lambda y: Af @ y <= rhs + 1e-12, Af, rhs, Lf, lin)
+
+
+def _scipy_grid_value(L, c, d, A, b, e, x):
+    """The least value of SLSQP descents from a 5^m grid over the box."""
+    f, _, Af, rhs, Lf, lin = _float_data(L, c, d, A, b, e, x)
+    m = len(c)
+    cons = [{"type": "ineq", "fun": lambda y: rhs - Af @ y, "jac": lambda y: -Af}] if len(A) else []
+    best = np.inf
+    for y0 in np.stack(np.meshgrid(*[np.linspace(-BOX, BOX, 5)] * m), -1).reshape(-1, m):
+        res = minimize(f, y0, jac=lambda y: Lf.T @ (Lf @ y) + lin, bounds=[(-BOX, BOX)] * m,
+                       constraints=cons, method="SLSQP", options={"maxiter": 200, "ftol": 1e-12})
+        if np.all(Af @ res.x <= rhs + 1e-9) and np.all(np.abs(res.x) <= BOX + 1e-9):
+            best = min(best, f(res.x))
+    return best
+
+
+@SETTINGS
+@given(convex_qps())
+def test_exact_qp_is_certified_and_optimal(case):
+    L, c, d, A, b, e, x = case
+    prob = _qp_problem(L, c, d, A, b, e)
+    res = solve_value(prob, np.array([x], dtype=object), rational=True)
+    # the parser folds a zero L to a constant, which leaves an LP
+    assert res.certificate == ("lp-exact" if prob.affine_in_y() else "qp-exact")
+    assert not res.under_enumerated
+    for y in res.minimizers_exact:
+        assert all(-BOX <= v <= BOX for v in y)
+        assert all(v <= 0 for v in prob.eval_g_exact([x], y))
+        assert prob.eval_f([x], y) == res.value_exact
+    assert res.value == float(res.value_exact)
+    assert res.value <= _scipy_grid_value(*case) + 1e-9
+    f, feasible, *_ = _float_data(*case)
+    samples = np.random.default_rng(len(A) * 7 + len(c)).uniform(-BOX, BOX, (64, len(c)))
+    assert all(res.value <= f(y) + 1e-9 for y in samples if np.all(feasible(y)))
+    if np.linalg.matrix_rank(np.array(L, float)) == len(c):  # Q = L^T L positive definite
+        assert len(res.minimizers_exact) == 1 and not res.non_singleton
+
+
+def test_quad2d_rational_value():
+    prob = replace(load_instance("quad2d"), points={})
+    res = solve_value(prob, np.array([Fraction(1, 2), Fraction(-1, 2)], dtype=object),
+                      rational=True)
+    assert res.certificate == "qp-exact"
+    assert res.value_exact == Fraction(-1, 6)
+    assert res.minimizers_exact == [[Fraction(2, 3), Fraction(-2, 3)]]
+
+
+def test_twoactive_value_is_exactly_zero():
+    res = solve_value(replace(load_instance("twoactive"), points={}), [0.0])
+    assert res.certificate == "qp-exact"
+    assert res.value == 0.0 and res.minimizers[0].tolist() == [0.0]
+
+
+def test_singular_q_reports_the_optimal_face():
+    prob = parse_problem({"n": 1, "m": 2, "f": "(y1 - x1)^2", "g": [],
+                          "y_box": [[-1, 1], [-1, 1]]})
+    res = solve_value(prob, [Fraction(1, 2)], rational=True)
+    assert res.certificate == "qp-exact" and res.non_singleton
+    half = Fraction(1, 2)
+    assert res.minimizers_exact == [[half, -1], [half, 1], [half, 0]]
+    assert res.value_exact == 0
+
+
+@pytest.mark.parametrize("spec, x", [
+    ({"n": 1, "m": 2, "f": "y1*y2 + x1*y1", "g": [], "y_box": [[-1, 1], [-1, 1]]}, [0.5]),
+    ("multiSxfree", [0.8]),
+    ("quarticshift", [0.3]),
+])
+def test_indefinite_concave_and_quartic_stay_on_multistart(spec, x):
+    prob = parse_problem(spec) if isinstance(spec, dict) else load_instance(spec)
+    assert solve_value(prob, x).certificate == "heuristic-multistart"
+    with pytest.raises(ProblemFormatError, match="rational solve"):
+        solve_value(prob, [Fraction(v) for v in x], rational=True)
+
+
+def test_convex_qp_without_box_still_needs_one():
+    prob = parse_problem({"n": 1, "m": 1, "f": "(y1 - x1)^2", "g": ["y1 - 1"]})
+    with pytest.raises(ProblemFormatError, match="y_box"):
+        solve_value(prob, [0.0])
+    with pytest.raises(ProblemFormatError, match="rational solve"):
+        solve_value(prob, [Fraction(0)], rational=True)
+
+
+# ---------------------------------------------------------------------------
+# Desk scale
+# ---------------------------------------------------------------------------
+
+
+def desk_qp(m, p, seed, box_in_g=True):
+    """Seeded strictly convex QP min sum_j (y_j - x_j)^2 over p random
+    integer rows in [-3, 3] with right-hand sides in 1..3, and the box
+    [-2, 2]^m as y_box (and as 2m more rows of g with ``box_in_g``), at a
+    parameter of quarters in [-2, 2]^m."""
+    rng = np.random.default_rng(seed)
+    rows, rhs = rng.integers(-3, 4, size=(p, m)), rng.integers(1, 4, size=p)
+    g = [f"{_linear(row)} - {bi}" for row, bi in zip(rows, rhs)]
+    if box_in_g:
+        g += [s for j in range(m) for s in (f"y{j + 1} - {BOX}", f"-y{j + 1} - {BOX}")]
+    f = " + ".join(f"(y{j + 1} - x{j + 1})^2" for j in range(m))
+    prob = parse_problem({"n": m, "m": m, "f": f, "g": g, "y_box": [[-BOX, BOX]] * m})
+    return prob, rng.integers(-4 * BOX, 4 * BOX + 1, size=m) / 4
+
+
+@pytest.mark.parametrize("m, seed", [(3, 1), (4, 1)])
+def test_desk_qp_hessian_at_first_generator(m, seed):
+    # SLSQP minimizers about 1e-7 off left these without multipliers
+    prob, x = desk_qp(m, 2 * m, seed)
+    res = solve_value(prob, x)
+    gen = firstorder.auto_estimate(prob, x, minimizers=res.minimizers).generators[0]
+    e1 = np.eye(m)[0]
+    est = hessian.compute(prob, hessian.HessianQuery(x, gen, e1), branch_cap=200)
+    assert res.certificate == "qp-exact"
+    assert not est.result.is_empty()
+    fd = fd_hessian(prob, x)
+    if fd.stable:
+        assert est.member(np.atleast_2d(fd.value)[:, 0], tol=1e-4)
+
+
+def test_spent_budget_hands_over_to_multistart():
+    prob, x = desk_qp(8, 20, 0, box_in_g=False)
+    start = time.perf_counter()
+    res = solve_value(prob, x)
+    assert time.perf_counter() - start < 2.0
+    assert res.certificate == "heuristic-multistart"
+    cons = {"type": "ineq", "fun": lambda y: -prob.eval_g(x, y), "jac": lambda y: -prob.jac_y_g(x, y)}
+    best = min(minimize(lambda y: float(np.sum((y - x) ** 2)), y0, jac=lambda y: 2 * (y - x),
+                        bounds=prob.y_box, constraints=[cons], method="SLSQP",
+                        options={"maxiter": 200, "ftol": 1e-12}).fun
+               for y0 in (np.zeros(8), np.clip(x, -1, 1)))
+    assert res.value == pytest.approx(best, abs=1e-6)

@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from valfun import kernel
 from valfun.kernel import solve_value
+from valfun.model import parse_problem
 from valfun.oracle import (
     ValueEvaluator,
     fd_directional,
@@ -78,6 +80,36 @@ def test_fd_hessian_2d_cross_terms():
     assert rep.value == pytest.approx(np.array([[0.0, -1.0], [-1.0, 0.0]]), abs=1e-5)
 
 
+#: (instance, x, fd_gradient, fd_hessian) at the first named point and at
+#: that point moved by 3/4096, as computed when phi came from
+#: ``kernel.solve_value`` and ``kernel.local_solve`` (SLSQP multistart off
+#: the pins, the exact LP path on lp_skew).
+FD_REFERENCE = [
+    ("absmin", [0.5], [-0.5000000000009627], [[-0.9999999998205888]]),
+    ("absmin", [0.500732421875], [-0.5007324218773516], [[-1.0000000000380076]]),
+    ("quad2d", [0.5, -0.5], [-0.3333333333327415, 0.3333333877669764],
+     [[-0.1333333332539007, 0.5333332684584469], [0.5333332684584469, -0.1333333493151271]]),
+    ("quad2d", [0.500732421875, -0.499267578125], [-0.3330403645834812, 0.33362635641539146],
+     [[-0.1333333446521904, 0.5333333337071792], [0.5333333337071792, -0.13333334464293856]]),
+    ("quarticshift", [0.0], [-4.3082323570470185e-22], [[-1.9999999999920002]]),
+    ("quarticshift", [0.000732421875], [-0.0014648421783982366], [[-1.9999935627394827]]),
+    ("lp_skew", [0.7], [-1.000000000010252], [[0.0]]),
+    ("lp_skew", [0.700732421875], [-1.000000000010252], [[0.0]]),
+]
+
+
+def test_fd_oracles_evaluate_phi_without_the_inner_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the inner solve it checks")
+
+    for name in ("solve_value", "local_solve", "minimize"):
+        monkeypatch.setattr(kernel, name, refuse)
+    for name, x, grad, hess in FD_REFERENCE:
+        prob = load_instance(name)
+        assert fd_gradient(prob, x).value == pytest.approx(np.array(grad), abs=1e-9), (name, x)
+        assert fd_hessian(prob, x).value == pytest.approx(np.array(hess), abs=1e-9), (name, x)
+
+
 # ---------------------------------------------------------------------------
 # Exact LP oracle vs the solver
 # ---------------------------------------------------------------------------
@@ -100,6 +132,11 @@ def test_lp_oracle_exact_rational():
     # min over y in [-1, 1/2] of y/3 is attained at y = -1
     assert val == Fraction(-1, 3)
     assert argmins == [[Fraction(-1)]]
+
+
+def test_lp_oracle_honours_y_box():
+    prob = parse_problem({"n": 1, "m": 1, "f": "-y1", "g": ["y1 - 5"], "y_box": [[0, 1]]})
+    assert lp_value_oracle(prob, [Fraction(0)]) == (Fraction(-1), [[Fraction(1)]])
 
 
 def test_lp_oracle_reports_ties():
