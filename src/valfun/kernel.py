@@ -30,11 +30,10 @@ MFCQ linear program when that set is too large to enumerate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 import itertools
 import math
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -242,28 +241,35 @@ def _solve_lp_exact(problem, x, rational, x_raw=None):
 
 
 def _feasible_rows(problem, lp):
-    """The rows [a | b] of a y <= b, in integers: the g rows, then upper
-    and lower y_box rows per coordinate, each scaled to coprime entries
-    with the first of any duplicates kept."""
-    box = [(row, hi) for j, (lo, hi) in enumerate(problem.y_box or ())
-           for row, hi in (([0] * j + [1] + [0] * (problem.m - j - 1), hi),
-                           ([0] * j + [-1] + [0] * (problem.m - j - 1), -lo))]
+    """The rows [a | b] of a y <= b, in integers: the g rows, then the
+    upper and lower y_box rows of each coordinate, each scaled to coprime
+    entries, with the first of any duplicates kept."""
+    box = []
+    for j, (lo, hi) in enumerate(problem.y_box or ()):
+        e = [0] * problem.m
+        e[j] = 1
+        box += [(e, hi), ([-v for v in e], -lo)]
     rows = {}
     for a, b in [*zip(lp.A, lp.b), *box]:
         row = _int_row([*a, b])
-        g = math.gcd(*row)
-        rows.setdefault(tuple(v // g for v in row) if g else tuple(row), None)
+        g = math.gcd(*row) or 1
+        rows.setdefault(tuple(v // g for v in row), None)
     return list(rows)
+
+
+def _row_polyhedron(rows, m, **eqs):
+    """{ y : a y <= b } over the integer rows [a | b], with equality rows
+    ``C_eq``, ``d_eq`` if given."""
+    return Polyhedron(m, C=np.array([r[:m] for r in rows], dtype=object).reshape(len(rows), m),
+                      d=np.array([r[m] for r in rows], dtype=object), **eqs)
 
 
 def _feasible_set(problem, lp):
     """{ y : A y <= b } and whether it is pointed (A has full column rank).
     A problem whose constraints never mention x keeps the set of its first
     solve, so one cached decomposition serves every parameter."""
-    rows, m = _feasible_rows(problem, lp), problem.m
-    A = np.array([r[:m] for r in rows], dtype=object).reshape(len(rows), m)
-    return (Polyhedron(m, C=A, d=np.array([r[m] for r in rows], dtype=object)),
-            matrix_rank_generic(A) == m)
+    poly = _row_polyhedron(_feasible_rows(problem, lp), problem.m)
+    return poly, matrix_rank_generic(poly.C) == problem.m
 
 
 def _solve_qp_exact(problem, x, rational, x_raw):
@@ -290,11 +296,8 @@ def _solve_qp_exact(problem, x, rational, x_raw):
         mins = [y]
     else:
         # the solution set is { y in P : Q y = Q y*, c.y = c.y* }
-        m = problem.m
-        face = Polyhedron(m, C=np.array([r[:m] for r in rows], dtype=object),
-                          d=np.array([r[m] for r in rows], dtype=object),
-                          C_eq=np.array([*lp.Q, lp.c], dtype=object),
-                          d_eq=np.array([*Qy, cy], dtype=object))
+        face = _row_polyhedron(rows, problem.m, C_eq=np.array([*lp.Q, lp.c], dtype=object),
+                               d_eq=np.array([*Qy, cy], dtype=object))
         mins = [list(v) for v in face.vertices().vertices]
     return _exact_result(x, value, mins, "qp-exact", rational)
 
