@@ -416,11 +416,6 @@ def _grid_starts(problem):
     return [pts[i] for i in range(pts.shape[0])]
 
 
-def local_solve(problem, x, y0):
-    """Single local descent from y0 at parameter x (public for warm starts)."""
-    return _local_solve(problem, x, np.asarray(y0, dtype=float))
-
-
 def _local_solve(problem, x, y0, blocks=None):
     """One SLSQP descent; ``blocks`` are the float blocks f, fy, g, gy
     bound at x (bound here when not given)."""

@@ -24,7 +24,8 @@ the centroid and anchor of a complementary face, and the empty estimates;
 ``solve.json`` holds, for every battery instance not affine in y, the
 certificate and the ``repr`` of the value and of each minimizer from
 ``kernel.solve_value`` (exact QP path or SLSQP multistart) at each named
-point with its pinned minimizers ignored, and at ``SOLVE_PERTURBATIONS`` seeded k/4096 perturbations of it;
+point with its pinned minimizers ignored, and at ``SOLVE_PERTURBATIONS``
+seeded k/4096 perturbations of it;
 ``vform.json`` holds the vertex/ray decompositions of the exact LP cases,
 the rational solves of the instances affine in y and the first-order
 membership verdicts at the battery generators (see ``vform_json``).
@@ -240,7 +241,7 @@ def theorem_json(call_id):
 
 
 def solve_points():
-    """(id, instance, x) for every multistart golden: the named points of
+    """(id, instance, x) for every ``solve.json`` record: the named points of
     the instances not affine in y, and seeded perturbations of each."""
     from valfun.model import load_problem
 

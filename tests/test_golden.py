@@ -3,7 +3,7 @@ text of ``valfun hessian`` (coordinate ranges included) for every battery
 query must stay byte-identical, and so must the JSON of the theorem-path
 calls in ``THEOREM_CALLS`` (the exact LP cases among them, through
 ``hessian.compute`` for the battery queries that route there) and the
-multistart solves of ``solve_points`` and the decomposition and
+inner solves of ``solve_points`` and the decomposition and
 membership records of ``vform_json``.  The references were captured by
 ``golden/capture.py``; CLI runs are in-process through ``cli.main``."""
 

@@ -82,7 +82,7 @@ def test_fd_hessian_2d_cross_terms():
 
 #: (instance, x, fd_gradient, fd_hessian) at the first named point and at
 #: that point moved by 3/4096, as computed when phi came from
-#: ``kernel.solve_value`` and ``kernel.local_solve`` (SLSQP multistart off
+#: ``kernel.solve_value`` and its local SLSQP descents (multistart off
 #: the pins, the exact LP path on lp_skew).
 FD_REFERENCE = [
     ("absmin", [0.5], [-0.5000000000009627], [[-0.9999999998205888]]),
@@ -102,7 +102,7 @@ def test_fd_oracles_evaluate_phi_without_the_inner_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the inner solve it checks")
 
-    for name in ("solve_value", "local_solve", "minimize"):
+    for name in ("solve_value", "_local_solve", "minimize"):
         monkeypatch.setattr(kernel, name, refuse)
     for name, x, grad, hess in FD_REFERENCE:
         prob = load_instance(name)
