@@ -7,15 +7,19 @@ dropped.
 * exact LP path for problems affine in y: the vertices of the feasible
   set (decomposed once per problem when no constraint mentions x) are
   enumerated exactly, and the minimum is taken over them;
-* exact QP path for problems with f of degree <= 2 and g affine in y, a
-  y_box, and f_yy positive semidefinite at x (decided exactly): the
-  active sets of the KKT system are walked in integers, at most
-  ``MAX_KKT_SYSTEMS`` of them; the first with multipliers >= 0 and a
-  feasible point gives a global minimizer;
-* heuristic path otherwise, or past that budget: SLSQP multistart
-  (``fmin_slsqp``) over the problem's y_box, each local solve with g <= 0
-  as one vector constraint with its y-Jacobian, from compiled blocks with
-  x bound once per solve.
+* exact QP path for problems with f of degree <= 2 and g affine in y and
+  a y_box, with f_yy decided exactly at x.  When f_yy is positive
+  semidefinite the active sets of the KKT system are walked in integers;
+  the first with multipliers >= 0 and a feasible point gives a global
+  minimizer.  When f_yy is negative definite f is strictly concave, so
+  its minimizers are the vertices of the feasible set (the same cached
+  decomposition as the LP path) where f is least.  Either way at most
+  ``MAX_KKT_SYSTEMS`` linear systems are solved;
+* heuristic path otherwise (indefinite or singular concave f_yy, f of
+  higher degree), or past that budget: SLSQP multistart (``fmin_slsqp``)
+  over the problem's y_box, each local solve with g <= 0 as one vector
+  constraint with its y-Jacobian, from compiled blocks with x bound once
+  per solve.
 
 The heuristic path can miss global minimizers; results carry an
 ``under_enumerated`` flag so downstream estimates can report that unions
@@ -49,12 +53,16 @@ VALUE_TIE_TOL = 1e-7
 MINIMIZER_DEDUP_TOL = 1e-6
 PIN_MATCH_TOL = 1e-12
 MAX_STARTS = 64
-#: Most KKT systems the exact QP path solves in one call before it hands
-#: the problem to multistart.  The walk tries the active sets of up to m
-#: of the k rows in turn, as many as C(k, 0) + ... + C(k, m).  This covers
-#: every set of m = 3 with 12 rows, and sets of up to 3 rows at m = 4 with
-#: 16; a spent budget costs about 0.23 s at m = 8 with 36 rows (Python
-#: 3.11 on one core).
+#: Most linear systems the exact QP path solves in one call before it hands
+#: the problem to multistart.  For positive semidefinite f_yy these are KKT
+#: systems: the walk tries the active sets of up to m of the k rows in
+#: turn, as many as C(k, 0) + ... + C(k, m).  This covers every set of
+#: m = 3 with 12 rows, and sets of up to 3 rows at m = 4 with 16; a spent
+#: budget costs about 0.23 s at m = 8 with 36 rows (Python 3.11 on one
+#: core).  For negative definite f_yy they are the vertex and ray systems
+#: of the feasible set, C(k, m) + C(k, m - 1) of them, checked before any
+#: is solved: 286 at m = 3 with 12 rows, 2380 (over budget) at m = 4 with
+#: 16.
 MAX_KKT_SYSTEMS = 1024
 
 
@@ -139,11 +147,11 @@ def solve_value(problem: ParametricProblem, x, rational: bool = False) -> SolveR
     """Optimal value and minimizer sample of the inner problem at x.
 
     Pinned points win over every solve path; the exact LP path applies to
-    problems affine in y, the exact QP path to convex quadratic ones with
-    a y_box (see the module docstring); everything else needs a y_box for
-    multistart.  With ``rational=True`` the exact paths also report exact
-    value and minimizers (it is an error to ask for rational results off
-    them).
+    problems affine in y, the exact QP path to convex and strictly concave
+    quadratic ones with a y_box (see the module docstring); everything
+    else needs a y_box for multistart.  With ``rational=True`` the exact
+    paths also report exact value and minimizers (it is an error to ask
+    for rational results off them).
     """
     x_raw = np.atleast_1d(np.asarray(x, dtype=object)).tolist()
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -170,8 +178,8 @@ def solve_value(problem: ParametricProblem, x, rational: bool = False) -> SolveR
             return res
     if rational:
         raise ProblemFormatError(
-            "rational solve is only available for problems affine in y, or convex "
-            "quadratic in y with affine g and a y_box"
+            "rational solve is only available for problems affine in y, or convex or "
+            "strictly concave quadratic in y with affine g and a y_box"
         )
     return _solve_multistart(problem, x)
 
@@ -184,20 +192,22 @@ def _pinned_minimizers(problem, x):
     return None
 
 
+def _face_sample(vertices):
+    """The vertices of an optimal face, with their average appended when
+    there are several: a sample of the face interior."""
+    k = len(vertices)
+    return vertices + [[sum(col) / k for col in zip(*vertices)]] if k > 1 else vertices
+
+
 def _exact_result(x, value, mins_exact, certificate, rational):
-    """The SolveResult of an exact path: ``mins_exact`` are the vertices of
-    the solution set; several get their average appended, a sample of the
-    face interior."""
-    non_singleton = len(mins_exact) > 1
-    if non_singleton:
-        k = len(mins_exact)
-        mins_exact = mins_exact + [[sum(col) / k for col in zip(*mins_exact)]]
+    """The SolveResult of an exact path with the exact minimizers
+    ``mins_exact``."""
     return SolveResult(
         x=x,
         value=float(value),
         minimizers=[np.array([float(c) for c in v]) for v in mins_exact],
         certificate=certificate,
-        non_singleton=non_singleton,
+        non_singleton=len(mins_exact) > 1,
         value_exact=value if rational else None,
         minimizers_exact=mins_exact if rational else None,
     )
@@ -220,16 +230,10 @@ def _solve_lp_exact(problem, x, rational, x_raw=None):
             value_exact=Fraction(lp.c0) if rational else None,
             minimizers_exact=[[Fraction(0)] * m] if rational else None,
         )
-    poly, pointed = (problem._memo(_feasible_set, lambda: _feasible_set(problem, lp))
-                     if problem.constraints_x_free() else _feasible_set(problem, lp))
+    poly, pointed = _cached_feasible_set(problem, lp)
     if not pointed:  # only without a y_box: box rows make the set pointed
         raise UnboundedProblemError("feasible set has no vertices and no y_box is given")
-    vf = poly.vertices()
-    if not vf.vertices:
-        raise InfeasibleParameterError(
-            "no feasible point at this parameter; the model assumes a nonempty "
-            "feasible set wherever the value function is queried"
-        )
+    vf = _feasible_vertices(poly)
     # the set is pointed, so the LP is unbounded below iff an extreme ray
     # descends; rays and costs are Fractions
     if any(sum(ci * ri for ci, ri in zip(lp.c, r)) < 0 for r in vf.rays):
@@ -237,7 +241,7 @@ def _solve_lp_exact(problem, x, rational, x_raw=None):
     values = [sum(ci * vi for ci, vi in zip(lp.c, v)) + lp.c0 for v in vf.vertices]
     best = min(values)
     arg = [list(v) for v, val in zip(vf.vertices, values) if val == best]
-    return _exact_result(x, best, arg, "lp-exact", rational)
+    return _exact_result(x, best, _face_sample(arg), "lp-exact", rational)
 
 
 def _feasible_rows(problem, lp):
@@ -265,19 +269,41 @@ def _row_polyhedron(rows, m, **eqs):
 
 
 def _feasible_set(problem, lp):
-    """{ y : A y <= b } and whether it is pointed (A has full column rank).
-    A problem whose constraints never mention x keeps the set of its first
-    solve, so one cached decomposition serves every parameter."""
+    """{ y : A y <= b } and whether it is pointed (A has full column rank)."""
     poly = _row_polyhedron(_feasible_rows(problem, lp), problem.m)
     return poly, matrix_rank_generic(poly.C) == problem.m
 
 
+def _cached_feasible_set(problem, lp):
+    """``_feasible_set``; a problem whose constraints never mention x keeps
+    the set of its first solve, so one cached decomposition serves every
+    parameter."""
+    if problem.constraints_x_free():
+        return problem._memo(_feasible_set, lambda: _feasible_set(problem, lp))
+    return _feasible_set(problem, lp)
+
+
+def _feasible_vertices(poly):
+    """The decomposition of the feasible set ``poly``; raises when it is
+    empty."""
+    vf = poly.vertices()
+    if not vf.points:
+        raise InfeasibleParameterError(
+            "no feasible point at this parameter; the model assumes a nonempty "
+            "feasible set wherever the value function is queried"
+        )
+    return vf
+
+
 def _solve_qp_exact(problem, x, rational, x_raw):
-    """The exact QP path, or None when f_yy is not positive semidefinite at
-    x or the active-set walk passes ``MAX_KKT_SYSTEMS``."""
+    """The exact QP path, or None when f_yy is neither positive
+    semidefinite nor negative definite at x, or the solve would pass
+    ``MAX_KKT_SYSTEMS``."""
     lp = materialize_lp(problem, x_raw)
     definite = _psd(lp.Q)
     if definite is None:
+        if _psd([[-v for v in row] for row in lp.Q]):
+            return _solve_concave(problem, x, rational, lp)
         return None
     rows = (problem._memo(_feasible_rows, lambda: _feasible_rows(problem, lp))
             if problem.constraints_x_free() else _feasible_rows(problem, lp))
@@ -289,17 +315,41 @@ def _solve_qp_exact(problem, x, rational, x_raw):
             "no feasible point at this parameter; the model assumes a nonempty "
             "feasible set wherever the value function is queried"
         )
-    Qy = [sum(q * v for q, v in zip(row, y)) for row in lp.Q]
-    cy = sum(ci * v for ci, v in zip(lp.c, y))
-    value = sum(a * b for a, b in zip(y, Qy)) / 2 + cy + lp.c0
+    value = _qp_value(lp, y)
     if definite:
         mins = [y]
     else:
         # the solution set is { y in P : Q y = Q y*, c.y = c.y* }
+        Qy = [sum(q * v for q, v in zip(row, y)) for row in lp.Q]
+        cy = sum(ci * v for ci, v in zip(lp.c, y))
         face = _row_polyhedron(rows, problem.m, C_eq=np.array([*lp.Q, lp.c], dtype=object),
                                d_eq=np.array([*Qy, cy], dtype=object))
-        mins = [list(v) for v in face.vertices().vertices]
+        mins = _face_sample([list(v) for v in face.vertices().vertices])
     return _exact_result(x, value, mins, "qp-exact", rational)
+
+
+def _solve_concave(problem, x, rational, lp):
+    """The exact QP path for negative definite Q: a strictly concave f is
+    least over a polytope only at vertices, so the minimizers are the
+    vertices where f is least, with no face sample between tied ones (it
+    would be a maximizer).  None when the vertex and ray systems of the
+    feasible set pass ``MAX_KKT_SYSTEMS``."""
+    poly, _ = _cached_feasible_set(problem, lp)  # pointed: the y_box is given
+    k, m = poly.C.shape[0], problem.m
+    if math.comb(k, m) + math.comb(k, m - 1) > MAX_KKT_SYSTEMS:
+        return None
+    vertices = _feasible_vertices(poly).vertices
+    values = [_qp_value(lp, v) for v in vertices]
+    best = min(values)
+    mins = [list(v) for v, val in zip(vertices, values) if val == best]
+    return _exact_result(x, best, mins, "qp-exact", rational)
+
+
+def _qp_value(lp, y):
+    """y^T Q y / 2 + c.y + c0 at the exact point y."""
+    Qy = [sum(q * v for q, v in zip(row, y)) for row in lp.Q]
+    return (sum(a * b for a, b in zip(y, Qy)) / 2
+            + sum(ci * v for ci, v in zip(lp.c, y)) + lp.c0)
 
 
 def _psd(Q):

@@ -67,8 +67,10 @@ def test_lp_exact_rational_value():
 
 
 def test_multistart_finds_both_minimizers():
+    # solve_value answers this strictly concave problem exactly; the
+    # heuristic path is called directly
     prob = load_instance("multiSxfree")
-    res = solve_value(prob, [0.8])  # away from the pinned point
+    res = kernel._solve_multistart(prob, [0.8])
     assert res.certificate == "heuristic-multistart"
     assert res.value == pytest.approx(-0.8, abs=1e-8)
     assert len(res.minimizers) == 2
