@@ -2,9 +2,10 @@
 
 Everything here is deliberately simple and separate from the estimate
 machinery: finite differences on the value function, a brute-force
-rational LP solver, and solution-path tracking.  Tests compare the
-analytic estimates against these; the implementations must not share
-code with the paths they check.
+rational LP solver, brute-force multiplier vertices, solution-path
+tracking and graph probes.  Tests compare the analytic estimates against
+these; the implementations must not share code with the paths they check,
+so nothing here calls ``kernel`` or ``setcalc``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import kernel
 from .errors import InfeasibleParameterError, ProblemFormatError
 from .model import ParametricProblem
 
@@ -25,11 +25,15 @@ HESS_STEP = 1e-3
 #: pins match within PIN_TOL, SLSQP minimizers count as feasible within
 #: FEAS_TOL, as optimal within TIE_TOL of the best and as one branch
 #: within BRANCH_TOL; the start grid has at most MAX_STARTS points.
+#: Multiplier vertices solve stationarity within KKT_TOL on the rows
+#: active within ACT_TOL.
 PIN_TOL = 1e-12
 FEAS_TOL = 1e-6
 TIE_TOL = 1e-7
 BRANCH_TOL = 1e-6
 MAX_STARTS = 64
+ACT_TOL = 1e-6
+KKT_TOL = 1e-6
 
 
 class ValueEvaluator:
@@ -139,8 +143,7 @@ def slsqp_descent(problem: ParametricProblem, x, y0):
     from scipy.optimize import minimize
 
     x = np.atleast_1d(np.asarray(x, float))
-    fy = [problem.f.diff("y", k) for k in range(problem.m)]
-    gy = [[gi.diff("y", k) for k in range(problem.m)] for gi in problem.g]
+    fy, gy = _y_derivatives(problem)
     cons = [
         {
             "type": "ineq",
@@ -164,6 +167,12 @@ def slsqp_descent(problem: ParametricProblem, x, y0):
     if problem.y_box is None:
         return res.x
     return np.clip(res.x, [lo for lo, _ in problem.y_box], [hi for _, hi in problem.y_box])
+
+
+def _y_derivatives(problem):
+    """The expressions of grad_y f and of each row of the y-Jacobian of g."""
+    return ([problem.f.diff("y", k) for k in range(problem.m)],
+            [[gi.diff("y", k) for k in range(problem.m)] for gi in problem.g])
 
 
 @dataclass
@@ -409,7 +418,7 @@ def _resolve(problem, x, y0):
     return _feasible_descent(problem, x, y0)
 
 
-def _active_set(problem, x, y, tol: float = 1e-6):
+def _active_set(problem, x, y, tol: float = ACT_TOL):
     if problem.p == 0:
         return ()
     g = problem.eval_g(x, y)
@@ -417,12 +426,50 @@ def _active_set(problem, x, y, tol: float = 1e-6):
 
 
 def _nearest_multiplier(problem, x, y, u_prev):
-    mp = kernel.multipliers(problem, x, y)
-    if not mp.vertices:
+    verts = multiplier_vertices(problem, x, y)
+    if not verts:
         return np.full(problem.p, np.nan)
     if u_prev is None or not np.all(np.isfinite(u_prev)):
-        return mp.vertices[0]
-    return min(mp.vertices, key=lambda u: float(np.max(np.abs(u - u_prev), initial=0.0)))
+        return verts[0]
+    return min(verts, key=lambda u: float(np.max(np.abs(u - u_prev), initial=0.0)))
+
+
+def multiplier_vertices(problem: ParametricProblem, x, y) -> list[np.ndarray]:
+    """The vertices of { u >= 0 : grad_y f + gy^T u = 0, u_i = 0 off the
+    rows active within ACT_TOL } at (x, y), in sorted order.
+
+    Brute force: a vertex is a nonnegative solution whose support rows are
+    linearly independent, so every support of at most m active rows with
+    full rank is solved by least squares and kept when its stationarity
+    residual is within KKT_TOL (relative to the gradients) and its entries
+    are >= -KKT_TOL (then clipped to 0).  Gradients come from one
+    expression evaluation per entry.
+    """
+    x = np.atleast_1d(np.asarray(x, float))
+    y = np.atleast_1d(np.asarray(y, float))
+    fy_e, gy_e = _y_derivatives(problem)
+    fy = np.array([problem.eval_expr(e, x, y) for e in fy_e], float)
+    gy = np.array([[problem.eval_expr(e, x, y) for e in row] for row in gy_e],
+                  float).reshape(problem.p, problem.m)
+    active = _active_set(problem, x, y)
+    scale = max(1.0, float(np.max(np.abs(fy), initial=0.0)),
+                float(np.max(np.abs(gy), initial=0.0)))
+    out = []
+    for s in range(min(len(active), problem.m) + 1):
+        for J in combinations(active, s):
+            G = gy[list(J)].T
+            if s and np.linalg.matrix_rank(G) < s:
+                continue
+            uJ = np.linalg.lstsq(G, -fy, rcond=None)[0] if s else np.zeros(0)
+            if np.max(np.abs(G @ uJ + fy), initial=0.0) > KKT_TOL * scale:
+                continue
+            if np.any(uJ < -KKT_TOL * scale):
+                continue
+            u = np.zeros(problem.p)
+            u[list(J)] = np.maximum(uJ, 0.0)
+            if not any(np.max(np.abs(u - v), initial=0.0) <= BRANCH_TOL for v in out):
+                out.append(u)
+    return sorted(out, key=lambda u: tuple(u))
 
 
 def fd_solution_jacobian(problem: ParametricProblem, xbar, h: float = 1e-5):
@@ -452,7 +499,8 @@ def fd_solution_jacobian(problem: ParametricProblem, xbar, h: float = 1e-5):
 
 def graph_probe(problem: ParametricProblem, kind: str, base_x, radius: float = 1e-3,
                 count: int = 20, seed: int = 0):
-    """Sample graph points of the solution-side maps near a parameter.
+    """Sample graph points of the solution-side maps near a parameter, from
+    the oracle's own ``solve_phi`` and ``multiplier_vertices``.
 
     kind "S": tuples (x, y) with y a minimizer at x.
     kind "lambda": tuples (x, y, u) with u a multiplier vertex at (x, y).
@@ -465,18 +513,17 @@ def graph_probe(problem: ParametricProblem, kind: str, base_x, radius: float = 1
         delta = rng.uniform(-radius, radius, size=base_x.shape[0])
         x = base_x + delta
         try:
-            res = kernel.solve_value(problem, x)
+            value, minimizers = solve_phi(problem, x)
         except Exception:
             continue
         if kind == "phi":
-            out.append((x, res.value))
+            out.append((x, value))
             continue
-        for y in res.minimizers:
+        for y in minimizers:
             if kind == "S":
                 out.append((x, y))
             elif kind == "lambda":
-                mp = kernel.multipliers(problem, x, y)
-                for u in mp.vertices:
+                for u in multiplier_vertices(problem, x, y):
                     out.append((x, y, u))
             else:
                 raise ValueError(f"unknown probe kind {kind!r}")

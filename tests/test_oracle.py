@@ -18,10 +18,11 @@ from valfun.oracle import (
     fd_solution_jacobian,
     graph_probe,
     lp_value_oracle,
+    multiplier_vertices,
     track_solution,
 )
 
-from conftest import LP_COST_INTERIOR, load_instance
+from conftest import BATTERY, LP_COST_INTERIOR, load_instance
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +211,45 @@ def test_graph_probe_value_points():
     pts = graph_probe(prob, "phi", [1.0], radius=1e-4, count=5)
     for x, v in pts:
         assert v == pytest.approx(x[0] - 2.0, abs=1e-9)
+
+
+def test_graph_probe_finds_both_concave_branches(no_inner_solve):
+    prob = load_instance("multiS")  # minimizers +-(1 + x2) for x1 > 0
+    pts = graph_probe(prob, "S", [1.0, 0.0], radius=1e-3, count=5)
+    xs = {tuple(x) for x, _ in pts}
+    assert len(xs) == 5 and len(pts) == 10
+    for x in xs:
+        ys = sorted(float(y[0]) for xx, y in pts if tuple(xx) == x)
+        assert ys == pytest.approx([-(1 + x[1]), 1 + x[1]], abs=1e-6)
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_multiplier_vertices_match_the_kernel_at_pinned_points(name):
+    prob = load_instance(name)
+    for pt in prob.points.values():
+        for y in pt.minimizers or []:
+            want = [u.tolist() for u in kernel.multipliers(prob, pt.x, y).vertices]
+            got = multiplier_vertices(prob, pt.x, y)
+            assert len(got) == len(want)
+            for u, v in zip(got, sorted(want)):
+                assert u == pytest.approx(v, abs=1e-9)
+
+
+@pytest.fixture
+def no_inner_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the code it checks")
+
+    for name in ("solve_value", "multipliers", "_local_solve", "minimize"):
+        monkeypatch.setattr(kernel, name, refuse)
+
+
+@pytest.mark.parametrize("check", [
+    test_graph_probe_solution_points_feasible,
+    test_graph_probe_multiplier_points_valid,
+    test_graph_probe_value_points,
+    test_track_solution_smooth_path,
+    test_track_solution_truncates_on_active_set_change,
+], ids=lambda f: f.__name__)
+def test_probes_and_tracks_run_without_the_inner_solve(check, no_inner_solve):
+    check()
