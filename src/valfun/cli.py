@@ -17,10 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import firstorder, hessian, kernel, oracle
+from . import firstorder, kernel
 from .coderiv import DEFAULT_BRANCH_CAP, PointContext
 from .errors import ParseError, ProblemFormatError, UsageError, ValfunError
-from .hessian import CASES, HessianQuery
 from .model import (
     DEFAULT_TOL_ACT,
     DEFAULT_TOL_KKT,
@@ -30,6 +29,7 @@ from .model import (
     verify_concave_convex,
     verify_convex_in_y,
 )
+from .reporting import CASES
 
 SCHEMA = "valfun-sens/1"
 
@@ -194,12 +194,14 @@ def _cmd_first_order(args) -> int:
 
 
 def _hessian_estimate(problem, args):
+    from . import hessian  # only the commands that query it pay its import
+
     xbar = _resolve_xbar(problem, args)
     if args.xund is None or args.xstar is None:
         raise UsageError("hessian queries need --xund and --xstar")
     xund = _parse_vec(args.xund, args.rational)
     xstar = _parse_vec(args.xstar, args.rational)
-    query = HessianQuery(xbar=xbar, xund=xund, xstar=xstar, case=args.case)
+    query = hessian.HessianQuery(xbar=xbar, xund=xund, xstar=xstar, case=args.case)
     return hessian.compute(
         problem,
         query,
@@ -240,6 +242,8 @@ def _cmd_hessian(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+
     problem = load_problem(args.problem)
     checks = []  # (name, ok, detail)
 

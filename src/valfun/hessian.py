@@ -65,6 +65,7 @@ from .model import (
 )
 from .reporting import (
     ASSUMED,
+    CASES,
     FAILED,
     SHAPE_STATUS,
     VERIFIED,
@@ -75,16 +76,6 @@ from .setcalc import MemberVerdict, Piece, Polyhedron, PolySet
 SELECTION_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-6
 COND_CAP = 1e10
-
-CASES = (
-    "auto",
-    "unperturbed",
-    "single-single",
-    "single-s",
-    "single-lambda",
-    "lp-lhs",
-    "lp-lhs-rhs",
-)
 
 
 def _vec(v):

@@ -22,6 +22,17 @@ NOT_CHECKED = "not-checked"
 SHAPE_STATUS = {"verified": VERIFIED, "asserted": ASSERTED, "failed": FAILED,
                 "unknown": NOT_CHECKED}
 
+#: The cases a Hessian query may name; "auto" lets ``hessian.route`` choose.
+CASES = (
+    "auto",
+    "unperturbed",
+    "single-single",
+    "single-s",
+    "single-lambda",
+    "lp-lhs",
+    "lp-lhs-rhs",
+)
+
 
 @dataclass
 class HypothesisRecord:

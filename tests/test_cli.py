@@ -306,3 +306,47 @@ def test_hessian_path_imports_no_scipy():
                            str(instance_path("shiftbox").parent)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+#: Runs ``report`` on the first point of every battery instance in one
+#: process, then prints the valfun modules loaded.
+_REPORT_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+import valfun.cli
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    point = sorted(json.loads(path.read_text())["points"])[0]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert valfun.cli.main(["report", "--problem", str(path), "--point", point]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "valfun")))
+"""
+
+
+def test_report_path_loads_neither_hessian_nor_oracle():
+    instances = instance_path("shiftbox").parent
+    assert len(list(instances.glob("*.json"))) == 18
+    proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES_SCRIPT, str(instances)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "valfun.kernel" in loaded
+    assert "valfun.hessian" not in loaded and "valfun.oracle" not in loaded
+
+
+def test_import_valfun_loads_no_submodule():
+    script = "import json, sys, valfun; print(json.dumps(sorted(m for m in sys.modules " \
+             "if m.split('.')[0] == 'valfun')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["valfun"]
+
+
+def test_every_public_name_resolves():
+    import valfun
+
+    for name in valfun.__all__:
+        assert getattr(valfun, name) is not None, name
+    assert valfun.solve_value is valfun.kernel.solve_value
+    assert valfun.oracle.solve_phi is not None
+    with pytest.raises(AttributeError):
+        getattr(valfun, "no_such_name")
