@@ -92,6 +92,31 @@ def test_infeasible_parameter_raises():
         solve_value(prob, [0.0])
 
 
+INFEASIBLE_MESSAGE = ("no feasible point at this parameter; the model assumes a nonempty "
+                      "feasible set wherever the value function is queried")
+
+
+@pytest.mark.parametrize("f", ["y1", "(y1 - x1)^2", "-(y1 - x1)^2"])
+def test_every_exact_path_reports_an_empty_feasible_set_alike(f):
+    # the LP scan, the convex KKT walk and the strictly concave vertex scan
+    prob = parse_problem({"n": 1, "m": 1, "f": f, "g": ["y1 - x1 + 10"], "y_box": [[-1, 1]]})
+    with pytest.raises(InfeasibleParameterError) as err:
+        solve_value(prob, [0.0])
+    assert str(err.value) == INFEASIBLE_MESSAGE
+
+
+def test_whole_space_lp():
+    # no g rows and no y_box: bounded only where the cost in y vanishes,
+    # and then every y is a minimizer
+    prob = parse_problem({"n": 2, "m": 2, "f": "x1*y1 + x2", "g": []})
+    with pytest.raises(UnboundedProblemError, match="unconstrained linear objective"):
+        solve_value(prob, [0.5, 0.0])
+    res = solve_value(prob, [Fraction(0), Fraction(3, 4)], rational=True)
+    assert res.certificate == "lp-exact" and res.non_singleton
+    assert (res.value_exact, res.minimizers_exact) == (Fraction(3, 4), [[0, 0]])
+    assert res.value == 0.75 and res.minimizers[0].tolist() == [0.0, 0.0]
+
+
 def test_pinned_points_short_circuit():
     prob = load_instance("multiS")
     res = solve_value(prob, [1.0, 0.0])

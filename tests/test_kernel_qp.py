@@ -239,6 +239,18 @@ def test_singular_q_reports_the_optimal_face():
     assert res.value_exact == 0
 
 
+def test_sign_of_the_curvature_picks_the_exact_algorithm():
+    # one problem object, so the walk and the vertex scan share its cached
+    # x-free feasible set: convex at x1 = 1, strictly concave at x1 = -1,
+    # and linear (Q = 0, on the walk) at x1 = 0
+    prob = parse_problem({"n": 1, "m": 1, "f": "x1*y1^2 + y1", "g": ["y1 - 1", "-y1 - 1"],
+                          "y_box": [[-2, 2]]})
+    for x1, value, y in [(1, Fraction(-1, 4), Fraction(-1, 2)), (-1, -2, -1), (0, -1, -1)]:
+        res = solve_value(prob, [Fraction(x1)], rational=True)
+        assert res.certificate == "qp-exact"
+        assert (res.value_exact, res.minimizers_exact) == (value, [[y]])
+
+
 @pytest.mark.parametrize("spec, x", [
     ({"n": 1, "m": 2, "f": "y1*y2 + x1*y1", "g": [], "y_box": [[-1, 1], [-1, 1]]}, [0.5]),
     # singular concave: f is constant along y1 + y2 = const, so vertices
