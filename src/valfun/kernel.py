@@ -1,25 +1,29 @@
 """Inner-problem solves and KKT machinery.
 
-Three solve paths.  The feasible set is { y : A y <= b }: the g rows and
-the y_box rows with rational data at the given parameter, duplicates
-dropped.
+The feasible set is { y : A y <= b }: the g rows and the y_box rows with
+rational data at the given parameter, duplicates dropped.  One exact entry
+point picks one of two exact algorithms from the data at x:
 
-* exact LP path for problems affine in y: the vertices of the feasible
-  set (decomposed once per problem when no constraint mentions x) are
-  enumerated exactly, and the minimum is taken over them;
-* exact QP path for problems with f of degree <= 2 and g affine in y and
-  a y_box, with f_yy decided exactly at x.  When f_yy is positive
-  semidefinite the active sets of the KKT system are walked in integers;
-  the first with multipliers >= 0 and a feasible point gives a global
-  minimizer.  When f_yy is negative definite f is strictly concave, so
-  its minimizers are the vertices of the feasible set (the same cached
-  decomposition as the LP path) where f is least.  Either way at most
-  ``MAX_KKT_SYSTEMS`` linear systems are solved;
-* heuristic path otherwise (indefinite or singular concave f_yy, f of
-  higher degree), or past that budget: SLSQP multistart (``fmin_slsqp``)
-  over the problem's y_box, each local solve with g <= 0 as one vector
-  constraint with its y-Jacobian, from compiled blocks with x bound once
-  per solve.
+* the least-vertex scan, for problems affine in y (certificate
+  ``lp-exact``) and for f of degree <= 2 with g affine in y, a y_box and
+  f_yy negative definite at x (strictly concave f, ``qp-exact``).  A
+  linear or concave function bounded below on a pointed polyhedron is
+  least at a vertex (Rockafellar, Convex Analysis, section 32), so the
+  vertices of the feasible set (decomposed once per problem when no
+  constraint mentions x) are enumerated exactly, and those where f is
+  least are the minimizers;
+* the KKT walk, for f of degree <= 2 with g affine in y, a y_box and f_yy
+  positive semidefinite at x (convex f, ``qp-exact``): the active sets of
+  the KKT system are walked in integers, and the first with multipliers
+  >= 0 and a feasible point gives a global minimizer.
+
+f_yy is decided exactly by symmetric elimination.  The concave scan and
+the walk each solve at most ``MAX_KKT_SYSTEMS`` linear systems; the LP
+scan has no budget.  Otherwise (indefinite or singular concave f_yy, f of
+higher degree), or past that budget, the heuristic path runs SLSQP
+multistart (``fmin_slsqp``) over the problem's y_box, each local solve
+with g <= 0 as one vector constraint with its y-Jacobian, from compiled
+blocks with x bound once per solve.
 
 The heuristic path can miss global minimizers; results carry an
 ``under_enumerated`` flag so downstream estimates can report that unions
@@ -53,16 +57,17 @@ VALUE_TIE_TOL = 1e-7
 MINIMIZER_DEDUP_TOL = 1e-6
 PIN_MATCH_TOL = 1e-12
 MAX_STARTS = 64
-#: Most linear systems the exact QP path solves in one call before it hands
-#: the problem to multistart.  For positive semidefinite f_yy these are KKT
-#: systems: the walk tries the active sets of up to m of the k rows in
-#: turn, as many as C(k, 0) + ... + C(k, m).  This covers every set of
-#: m = 3 with 12 rows, and sets of up to 3 rows at m = 4 with 16; a spent
-#: budget costs about 0.23 s at m = 8 with 36 rows (Python 3.11 on one
-#: core).  For negative definite f_yy they are the vertex and ray systems
-#: of the feasible set, C(k, m) + C(k, m - 1) of them, checked before any
-#: is solved: 286 at m = 3 with 12 rows, 2380 (over budget) at m = 4 with
-#: 16.
+#: Most linear systems the KKT walk or the concave least-vertex scan solves
+#: in one call before it hands the problem to multistart.  For the walk
+#: (positive semidefinite f_yy) these are KKT systems: it tries the active
+#: sets of up to m of the k rows in turn, as many as C(k, 0) + ... +
+#: C(k, m).  This covers every set of m = 3 with 12 rows, and sets of up to
+#: 3 rows at m = 4 with 16; a spent budget costs about 0.23 s at m = 8 with
+#: 36 rows (Python 3.11 on one core).  For the concave scan (negative
+#: definite f_yy) they are the vertex and ray systems of the feasible set,
+#: C(k, m) + C(k, m - 1) of them, checked before any is solved: 286 at
+#: m = 3 with 12 rows, 2380 (over budget) at m = 4 with 16.  The LP scan
+#: has no budget.
 MAX_KKT_SYSTEMS = 1024
 
 
@@ -146,10 +151,10 @@ class SolveResult:
 def solve_value(problem: ParametricProblem, x, rational: bool = False) -> SolveResult:
     """Optimal value and minimizer sample of the inner problem at x.
 
-    Pinned points win over every solve path; the exact LP path applies to
-    problems affine in y, the exact QP path to convex and strictly concave
-    quadratic ones with a y_box (see the module docstring); everything
-    else needs a y_box for multistart.  With ``rational=True`` the exact
+    Pinned points win over every solve path; the exact paths apply to
+    problems affine in y, and to convex and strictly concave quadratic
+    ones with a y_box (see the module docstring); everything else needs a
+    y_box for multistart.  With ``rational=True`` the exact
     paths also report exact value and minimizers (it is an error to ask
     for rational results off them).
     """
@@ -170,12 +175,9 @@ def solve_value(problem: ParametricProblem, x, rational: bool = False) -> SolveR
             certificate="user-pinned",
             non_singleton=len(mins) > 1,
         )
-    if problem.affine_in_y():
-        return _solve_lp_exact(problem, x, rational, x_raw=x_raw)
-    if problem.y_box is not None and _quadratic_in_y(problem):
-        res = _solve_qp_exact(problem, x, rational, x_raw)
-        if res is not None:
-            return res
+    res = _solve_exact(problem, x, rational, x_raw)
+    if res is not None:
+        return res
     if rational:
         raise ProblemFormatError(
             "rational solve is only available for problems affine in y, or convex or "
@@ -213,35 +215,87 @@ def _exact_result(x, value, mins_exact, certificate, rational):
     )
 
 
-def _solve_lp_exact(problem, x, rational, x_raw=None):
-    # x_raw keeps Fraction-valued input exact; x is its float view
-    lp = materialize_lp(problem, x if x_raw is None else x_raw)
+def _solve_exact(problem, x, rational, x_raw):
+    """The exact paths (see the module docstring), or None off them: f not
+    quadratic in y with affine g, or quadratic without a y_box, or f_yy
+    neither positive semidefinite nor negative definite at x, or a solve
+    past ``MAX_KKT_SYSTEMS``.  x_raw keeps Fraction-valued input exact; x
+    is its float view."""
+    linear = problem.affine_in_y()
+    if not linear and (problem.y_box is None or not _quadratic_in_y(problem)):
+        return None
+    lp = materialize_lp(problem, x_raw)
     m = problem.m
-    if not problem.p and problem.y_box is None:
-        if any(ci != 0 for ci in lp.c):
-            raise UnboundedProblemError("unconstrained linear objective")
-        y = np.zeros(m)
-        return SolveResult(
-            x=x,
-            value=float(lp.c0),
-            minimizers=[y],
-            certificate="lp-exact",
-            non_singleton=m > 0,
-            value_exact=Fraction(lp.c0) if rational else None,
-            minimizers_exact=[[Fraction(0)] * m] if rational else None,
-        )
-    poly, pointed = _cached_feasible_set(problem, lp)
-    if not pointed:  # only without a y_box: box rows make the set pointed
-        raise UnboundedProblemError("feasible set has no vertices and no y_box is given")
-    vf = _feasible_vertices(poly)
-    # the set is pointed, so the LP is unbounded below iff an extreme ray
-    # descends; rays and costs are Fractions
-    if any(sum(ci * ri for ci, ri in zip(lp.c, r)) < 0 for r in vf.rays):
+    if linear:
+        if not problem.p and problem.y_box is None:
+            if any(lp.c):
+                raise UnboundedProblemError("unconstrained linear objective")
+            # every y is a minimizer; the origin stands for them
+            res = _exact_result(x, lp.c0, [[Fraction(0)] * m], "lp-exact", rational)
+            res.non_singleton = m > 0
+            return res
+        poly, pointed = _cached_feasible_set(problem, lp)
+        if not pointed:  # only without a y_box: box rows make the set pointed
+            raise UnboundedProblemError("feasible set has no vertices and no y_box is given")
+        best, arg = _least_vertices(
+            poly, lambda v: sum(ci * vi for ci, vi in zip(lp.c, v)) + lp.c0)
+        return _exact_result(x, best, _face_sample(arg), "lp-exact", rational)
+    definite = _psd(lp.Q)
+    if definite is None:
+        if not _psd([[-v for v in row] for row in lp.Q]):
+            return None
+        # strictly concave f: least over a polytope (the y_box bounds it)
+        # only at vertices, with no face sample between tied ones (it would
+        # be a maximizer)
+        poly, _ = _cached_feasible_set(problem, lp)
+        k = poly.C.shape[0]
+        if math.comb(k, m) + math.comb(k, m - 1) > MAX_KKT_SYSTEMS:
+            return None
+        best, mins = _least_vertices(poly, lambda v: _qp_value(lp, v))
+        return _exact_result(x, best, mins, "qp-exact", rational)
+    rows = (problem._memo(_feasible_rows, lambda: _feasible_rows(problem, lp))
+            if problem.constraints_x_free() else _feasible_rows(problem, lp))
+    y = _kkt_walk(lp.Q, lp.c, rows)
+    if y is None:
+        return None
+    if y is False:
+        raise _no_feasible_point()
+    value = _qp_value(lp, y)
+    if definite:
+        mins = [y]
+    else:
+        # the solution set is { y in P : Q y = Q y*, c.y = c.y* }
+        Qy = [sum(q * v for q, v in zip(row, y)) for row in lp.Q]
+        cy = sum(ci * v for ci, v in zip(lp.c, y))
+        face = _row_polyhedron(rows, m, C_eq=np.array([*lp.Q, lp.c], dtype=object),
+                               d_eq=np.array([*Qy, cy], dtype=object))
+        mins = _face_sample([list(v) for v in face.vertices().vertices])
+    return _exact_result(x, value, mins, "qp-exact", rational)
+
+
+def _least_vertices(poly, value):
+    """The least of the concave ``value`` over the vertices of the pointed
+    feasible set ``poly``, and the vertices (as lists) where it is attained.
+    Raises when ``poly`` is empty, and when ``value`` drops along an
+    extreme ray r from a vertex v, value(v + r) < value(v): concavity then
+    makes it unbounded below, and for a linear value this is the exact
+    test."""
+    vf = poly.vertices()
+    if not vf.points:
+        raise _no_feasible_point()
+    vertices = vf.vertices
+    values = [value(v) for v in vertices]
+    if any(value([a + b for a, b in zip(vertices[0], r)]) < values[0] for r in vf.rays):
         raise UnboundedProblemError("inner LP is unbounded below at this parameter")
-    values = [sum(ci * vi for ci, vi in zip(lp.c, v)) + lp.c0 for v in vf.vertices]
     best = min(values)
-    arg = [list(v) for v, val in zip(vf.vertices, values) if val == best]
-    return _exact_result(x, best, _face_sample(arg), "lp-exact", rational)
+    return best, [list(v) for v, val in zip(vertices, values) if val == best]
+
+
+def _no_feasible_point():
+    return InfeasibleParameterError(
+        "no feasible point at this parameter; the model assumes a nonempty "
+        "feasible set wherever the value function is queried"
+    )
 
 
 def _feasible_rows(problem, lp):
@@ -281,68 +335,6 @@ def _cached_feasible_set(problem, lp):
     if problem.constraints_x_free():
         return problem._memo(_feasible_set, lambda: _feasible_set(problem, lp))
     return _feasible_set(problem, lp)
-
-
-def _feasible_vertices(poly):
-    """The decomposition of the feasible set ``poly``; raises when it is
-    empty."""
-    vf = poly.vertices()
-    if not vf.points:
-        raise InfeasibleParameterError(
-            "no feasible point at this parameter; the model assumes a nonempty "
-            "feasible set wherever the value function is queried"
-        )
-    return vf
-
-
-def _solve_qp_exact(problem, x, rational, x_raw):
-    """The exact QP path, or None when f_yy is neither positive
-    semidefinite nor negative definite at x, or the solve would pass
-    ``MAX_KKT_SYSTEMS``."""
-    lp = materialize_lp(problem, x_raw)
-    definite = _psd(lp.Q)
-    if definite is None:
-        if _psd([[-v for v in row] for row in lp.Q]):
-            return _solve_concave(problem, x, rational, lp)
-        return None
-    rows = (problem._memo(_feasible_rows, lambda: _feasible_rows(problem, lp))
-            if problem.constraints_x_free() else _feasible_rows(problem, lp))
-    y = _kkt_walk(lp.Q, lp.c, rows)
-    if y is None:
-        return None
-    if y is False:
-        raise InfeasibleParameterError(
-            "no feasible point at this parameter; the model assumes a nonempty "
-            "feasible set wherever the value function is queried"
-        )
-    value = _qp_value(lp, y)
-    if definite:
-        mins = [y]
-    else:
-        # the solution set is { y in P : Q y = Q y*, c.y = c.y* }
-        Qy = [sum(q * v for q, v in zip(row, y)) for row in lp.Q]
-        cy = sum(ci * v for ci, v in zip(lp.c, y))
-        face = _row_polyhedron(rows, problem.m, C_eq=np.array([*lp.Q, lp.c], dtype=object),
-                               d_eq=np.array([*Qy, cy], dtype=object))
-        mins = _face_sample([list(v) for v in face.vertices().vertices])
-    return _exact_result(x, value, mins, "qp-exact", rational)
-
-
-def _solve_concave(problem, x, rational, lp):
-    """The exact QP path for negative definite Q: a strictly concave f is
-    least over a polytope only at vertices, so the minimizers are the
-    vertices where f is least, with no face sample between tied ones (it
-    would be a maximizer).  None when the vertex and ray systems of the
-    feasible set pass ``MAX_KKT_SYSTEMS``."""
-    poly, _ = _cached_feasible_set(problem, lp)  # pointed: the y_box is given
-    k, m = poly.C.shape[0], problem.m
-    if math.comb(k, m) + math.comb(k, m - 1) > MAX_KKT_SYSTEMS:
-        return None
-    vertices = _feasible_vertices(poly).vertices
-    values = [_qp_value(lp, v) for v in vertices]
-    best = min(values)
-    mins = [list(v) for v, val in zip(vertices, values) if val == best]
-    return _exact_result(x, best, mins, "qp-exact", rational)
 
 
 def _qp_value(lp, y):
@@ -560,13 +552,21 @@ def multiplier_polyhedron(gy, fy, inactive) -> Polyhedron:
     )
 
 
+def _active_set(problem, x, y, tol_act):
+    """x and y as float vectors, and the indices i of the g rows active at
+    (x, y): g_i(x, y) >= -tol_act."""
+    x = np.atleast_1d(np.asarray(x, float))
+    y = np.atleast_1d(np.asarray(y, float))
+    g = problem.eval_g(x, y) if problem.p else ()
+    return x, y, tuple(i for i in range(problem.p) if g[i] >= -tol_act)
+
+
 def multipliers(
     problem: ParametricProblem, x, y, tol_act: float = DEFAULT_TOL_ACT
 ) -> MultiplierPolyhedron:
     """Multiplier polyhedron { u >= 0 : grad_y f + gy^T u = 0, u_i = 0 off
     the active set } with enumerated vertices."""
-    x = np.atleast_1d(np.asarray(x, float))
-    y = np.atleast_1d(np.asarray(y, float))
+    x, y, active = _active_set(problem, x, y, tol_act)
     p = problem.p
     if p == 0:
         fy = problem.grad_y_f(x, y)
@@ -575,8 +575,6 @@ def multipliers(
         verts = [np.zeros(0)] if feasible else []
         return MultiplierPolyhedron(x=x, y=y, poly=Polyhedron(0), vertices=verts,
                                     active=(), bounded=True, feasible=feasible)
-    g = problem.eval_g(x, y)
-    active = tuple(i for i in range(p) if g[i] >= -tol_act)
     inactive = [i for i in range(p) if i not in active]
     poly = multiplier_polyhedron(problem.jac_y_g(x, y), problem.grad_y_f(x, y), inactive)
     vf = poly.vertices()
@@ -614,10 +612,7 @@ def check_licq(
     problem: ParametricProblem, x, y, tol_act: float = DEFAULT_TOL_ACT
 ) -> LicqReport:
     """Linear independence of active constraint gradients in y."""
-    x = np.atleast_1d(np.asarray(x, float))
-    y = np.atleast_1d(np.asarray(y, float))
-    g = problem.eval_g(x, y) if problem.p else np.zeros(0)
-    active = tuple(i for i in range(problem.p) if g[i] >= -tol_act)
+    x, y, active = _active_set(problem, x, y, tol_act)
     if not active:
         return LicqReport(holds=True, active=(), rank=0, min_singular=float("inf"))
     rank, min_singular = gradient_rank(problem.jac_y_g(x, y)[list(active)])
@@ -641,10 +636,7 @@ def check_mfcq(
     from its vertex/ray decomposition when it fits the enumeration
     budget, otherwise by an LP.  The witness has sup-norm at most 1.
     """
-    x = np.atleast_1d(np.asarray(x, float))
-    y = np.atleast_1d(np.asarray(y, float))
-    g = problem.eval_g(x, y) if problem.p else np.zeros(0)
-    active = tuple(i for i in range(problem.p) if g[i] >= -tol_act)
+    x, y, active = _active_set(problem, x, y, tol_act)
     if not active:
         return MfcqReport(holds=True, active=(), witness=np.zeros(problem.m))
     gy = problem.jac_y_g(x, y)[list(active)]
