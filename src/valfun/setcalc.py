@@ -1190,15 +1190,6 @@ class ConvexHullSet:
             raise ValueError("need at least one generator")
         self.dim = self.generators[0].shape[0]
 
-    def extreme_indices(self) -> list[int]:
-        """Indices of generators not representable by the others."""
-        out = []
-        for i in range(len(self.generators)):
-            others = [g for j, g in enumerate(self.generators) if j != i]
-            if not others or not _in_hull(self.generators[i], others, 1e-9):
-                out.append(i)
-        return out
-
     def member(self, point, tol: float = 1e-9) -> bool:
         return _in_hull(np.asarray(point, float), self.generators, tol)
 

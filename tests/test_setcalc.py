@@ -451,12 +451,6 @@ def test_hull_membership_and_certificate():
     assert hull.certificate([2.5, 1.0]) is None
 
 
-def test_hull_extreme_indices():
-    gens = [(0.0,), (1.0,), (0.5,)]
-    hull = ConvexHullSet(gens)
-    assert hull.extreme_indices() == [0, 1]
-
-
 def test_hull_certificates_random_battery(rng):
     # acceptance-grade check at small scale: random hulls, random queries
     gens = [rng.uniform(-1, 1, size=3) for _ in range(8)]
