@@ -154,9 +154,9 @@ def solve_value(problem: ParametricProblem, x, rational: bool = False) -> SolveR
     Pinned points win over every solve path; the exact paths apply to
     problems affine in y, and to convex and strictly concave quadratic
     ones with a y_box (see the module docstring); everything else needs a
-    y_box for multistart.  With ``rational=True`` the exact
-    paths also report exact value and minimizers (it is an error to ask
-    for rational results off them).
+    y_box for multistart.  With ``rational=True`` the exact paths also
+    report exact value and minimizers (it is an error to ask for rational
+    results off them).
     """
     x_raw = np.atleast_1d(np.asarray(x, dtype=object)).tolist()
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -235,7 +235,7 @@ def _solve_exact(problem, x, rational, x_raw):
             res.non_singleton = m > 0
             return res
         poly, pointed = _cached_feasible_set(problem, lp)
-        if not pointed:  # only without a y_box: box rows make the set pointed
+        if not pointed:
             raise UnboundedProblemError("feasible set has no vertices and no y_box is given")
         best, arg = _least_vertices(
             poly, lambda v: sum(ci * vi for ci, vi in zip(lp.c, v)) + lp.c0)
@@ -292,6 +292,7 @@ def _least_vertices(poly, value):
 
 
 def _no_feasible_point():
+    """The error of every exact path when the feasible set is empty."""
     return InfeasibleParameterError(
         "no feasible point at this parameter; the model assumes a nonempty "
         "feasible set wherever the value function is queried"
@@ -323,9 +324,10 @@ def _row_polyhedron(rows, m, **eqs):
 
 
 def _feasible_set(problem, lp):
-    """{ y : A y <= b } and whether it is pointed (A has full column rank)."""
+    """{ y : A y <= b } and whether it is pointed (A has full column rank,
+    as the y_box rows give it)."""
     poly = _row_polyhedron(_feasible_rows(problem, lp), problem.m)
-    return poly, matrix_rank_generic(poly.C) == problem.m
+    return poly, problem.y_box is not None or matrix_rank_generic(poly.C) == problem.m
 
 
 def _cached_feasible_set(problem, lp):
