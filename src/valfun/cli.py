@@ -6,14 +6,26 @@ problem file and its pinned points), ``report`` (one JSON document with
 everything).  Exit codes: 0 success, 1 when ``first-order``, ``hessian``
 or ``report`` prints an empty estimate (a diagnostic, not an error), 2 a
 stated hypothesis failed or the point is invalid, 64 usage errors.
+
+A process that starts here runs BLAS single-threaded unless the caller
+sets ``OPENBLAS_NUM_THREADS``.  numpy's bundled OpenBLAS starts one worker
+thread per extra core when it loads; valfun's matrices (at most 12 x 12
+Hessian pieces and 8 x 20 problem data) are far below its threading
+sizes, so the workers never get work but cost the process CPU.  A host
+that has loaded numpy before importing this module keeps its own
+threading.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+
+if "numpy" not in sys.modules:  # this process starts at the CLI
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -115,14 +115,19 @@ def _lagrangian_image_piece(ctx: PointContext, provenance) -> tuple:
     return Piece(mult.poly, gx.T, fx, provenance), [fx + gx.T @ u for u in mult.vertices]
 
 
-def _multiplier_records(mult, where: str, bounded_detail: str = "") -> list[HypothesisRecord]:
+def _multiplier_records(ctx: PointContext, where: str,
+                        bounded_detail: str = "") -> list[HypothesisRecord]:
+    mult = ctx.mult
     hyps = []
     if mult.empty:
         # an empty multiplier set leaves an empty image piece: the estimate
         # must not read as a clean (empty) answer
+        faces = kernel.unimplied_box_faces(ctx.problem, mult, ctx.tol_act)
+        cause = (f": it lies on the {faces}, which no row of g implies, and box rows get "
+                 "no multipliers") if faces else ""
         hyps.append(HypothesisRecord(
             "kkt-multiplier-exists", FAILED,
-            f"no KKT multiplier at {where}; its piece of the estimate is empty",
+            f"no KKT multiplier at {where}{cause}; its piece of the estimate is empty",
         ))
     if not mult.bounded:
         hyps.append(HypothesisRecord("bounded-multiplier-set", FAILED, bounded_detail))
@@ -150,7 +155,7 @@ def convex_mfcq_subdiff(
         raise HypothesisError("MFCQ fails at the supplied minimizer")
     hyps.append(convex_in_y_record(problem, "no flag supplied"))
     piece, gens = _lagrangian_image_piece(ctx, "convex-mfcq")
-    hyps.extend(_multiplier_records(ctx.mult, "the minimizer"))
+    hyps.extend(_multiplier_records(ctx, "the minimizer"))
     return SubdiffEstimate(
         xbar=xbar,
         formula="convex-mfcq",
@@ -177,7 +182,7 @@ def gauvin_dubeau(
         if not ctx.mfcq.holds:
             raise HypothesisError(f"MFCQ fails at minimizer {idx}")
         piece, g = _lagrangian_image_piece(ctx, f"gauvin-dubeau[y{idx}]")
-        hyps.extend(_multiplier_records(ctx.mult, f"minimizer {idx}", f"minimizer {idx}"))
+        hyps.extend(_multiplier_records(ctx, f"minimizer {idx}", f"minimizer {idx}"))
         pieces.append(piece)
         gens.extend(g)
     hyps.insert(0, HypothesisRecord("mfcq", VERIFIED, f"{len(ctxs)} minimizer(s)"))

@@ -310,8 +310,16 @@ def _local_derivative(gen, w, hyps=None, frozen=None):
                 frozen.append(k)
             return PolySet.from_point(lag0.Lxx @ w, f"gen{k}-frozen"), False
         if ctx.mult.empty:
+            residual = kernel.stationarity_residual(ctx.problem, ctx.mult)
+            faces = kernel.unimplied_box_faces(ctx.problem, ctx.mult, ctx.tol_act)
+            if faces:
+                raise HypothesisError(
+                    f"minimizer {k} lies on the {faces}, which no row of g implies; box rows "
+                    f"get no multipliers, so no u >= 0 meets stationarity there "
+                    f"(residual {residual:.3g})"
+                )
             raise HypothesisError(
-                f"no u >= 0 meets stationarity at minimizer {k}; "
+                f"no u >= 0 meets stationarity at minimizer {k} (residual {residual:.3g}); "
                 f"MFCQ {'holds' if ctx.mfcq.holds else 'fails'} there"
             )
         hyps.append(

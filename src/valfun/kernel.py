@@ -590,6 +590,58 @@ def multipliers(
     )
 
 
+def _cone_residual(G, t, max_support) -> float:
+    """Least |G_S v - t|_inf over the column supports S of G (at most
+    ``max_support`` columns) whose least-squares v is >= 0; the empty
+    support gives |t|_inf.  Numpy only."""
+    best = float(np.max(np.abs(t), initial=0.0))
+    for k in range(1, min(G.shape[1], max_support) + 1):
+        for S in itertools.combinations(range(G.shape[1]), k):
+            v = np.linalg.lstsq(G[:, S], t, rcond=None)[0]
+            if np.all(v >= 0):
+                best = min(best, float(np.max(np.abs(G[:, S] @ v - t))))
+    return best
+
+
+def _active_gradients(problem: ParametricProblem, mult: MultiplierPolyhedron) -> np.ndarray:
+    """The y-gradients of the active rows at the multiplier set's point,
+    one per column."""
+    if not mult.active:
+        return np.zeros((problem.m, 0))
+    return problem.jac_y_g(mult.x, mult.y)[list(mult.active)].T
+
+
+def stationarity_residual(problem: ParametricProblem, mult: MultiplierPolyhedron) -> float:
+    """How far (x, y) is from stationarity: |grad_y f|_inf with no active
+    row, else the least residual of grad_y f + gy_S^T u = 0, u >= 0, over
+    the supports S of the active rows."""
+    return _cone_residual(_active_gradients(problem, mult), -problem.grad_y_f(mult.x, mult.y),
+                          problem.m)
+
+
+def unimplied_box_faces(problem: ParametricProblem, mult: MultiplierPolyhedron,
+                        tol_act: float = DEFAULT_TOL_ACT) -> str:
+    """The y_box faces through y (within ``tol_act``) whose outward normal
+    is no nonnegative combination of the active gradients in y, named as
+    in "y_box faces y1 <= 2, y3 >= -1", or "" when there is none.  No row
+    of g implies such a face at y (for affine g, by Farkas, anywhere), and
+    box rows get no multipliers, so it can hold a minimizer at which no
+    u >= 0 meets stationarity."""
+    if problem.y_box is None:
+        return ""
+    G = _active_gradients(problem, mult)
+    faces = []
+    for j, (lo, hi) in enumerate(problem.y_box):
+        for bound, sign, op in ((lo, -1.0, ">="), (hi, 1.0, "<=")):
+            normal = np.zeros(problem.m)
+            normal[j] = sign
+            if abs(mult.y[j] - bound) <= tol_act and _cone_residual(G, normal, problem.m) > 1e-9:
+                faces.append(f"y{j + 1} {op} {bound:g}")
+    if not faces:
+        return ""
+    return f"y_box face{'s' if len(faces) > 1 else ''} {', '.join(faces)}"
+
+
 # ---------------------------------------------------------------------------
 # Constraint qualifications
 # ---------------------------------------------------------------------------

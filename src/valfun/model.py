@@ -347,12 +347,6 @@ def compile_block(exprs: Sequence[Expr], exact: bool = False) -> Callable:
     return ns["_fn"]
 
 
-def evaluate(e: Expr, x: Sequence, y: Sequence):
-    """Evaluate without caching the compiled code (for one-off checks)."""
-    x, y = _values(x), _values(y)
-    return _entry(compile_block([e], exact=_wants_exact(x, y)), e, x, y)
-
-
 def _values(v) -> list:
     """v as a list of Python numbers: numpy floats would turn a division by
     zero or an overflow into inf instead of raising."""

@@ -322,21 +322,6 @@ class Polyhedron:
     def whole(cls, dim) -> "Polyhedron":
         return cls(dim)
 
-    @classmethod
-    def from_box(cls, bounds) -> "Polyhedron":
-        dim = len(bounds)
-        C, d = [], []
-        for i, (lo, hi) in enumerate(bounds):
-            row = [0.0] * dim
-            row[i] = 1.0
-            C.append(list(row))
-            d.append(hi)
-            row = [0.0] * dim
-            row[i] = -1.0
-            C.append(row)
-            d.append(-lo)
-        return cls(dim, C=C, d=d)
-
     @property
     def rational(self) -> bool:
         return (

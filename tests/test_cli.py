@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -331,6 +332,26 @@ def test_report_path_loads_neither_hessian_nor_oracle():
     loaded = json.loads(proc.stdout)
     assert "valfun.kernel" in loaded
     assert "valfun.hessian" not in loaded and "valfun.oracle" not in loaded
+
+
+def _thread_count(env) -> int:
+    """Entries of /proc/self/task in a process that imports valfun.cli."""
+    script = "import valfun.cli, os; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and at least 2 cores")
+def test_cli_process_runs_blas_single_threaded():
+    # OpenBLAS starts a worker per extra core when numpy loads; a process
+    # that starts at the CLI asks for none, unless its caller chose a count
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    assert _thread_count(env) == 1
+    assert _thread_count({**env, "OPENBLAS_NUM_THREADS": "2"}) > 1
 
 
 def test_import_valfun_loads_no_submodule():

@@ -452,13 +452,44 @@ def _pinned(g, x, y):
     (["y1^2"], [1.0], [0.0], [2.0], "fails"),
 ])
 def test_compute_reports_mfcq_when_no_multiplier_exists(g, x, y, xund, mfcq):
+    # the residual is |f_y| = 2 |y1 - x1| in both cases: no row is active in
+    # the first, and in the second the active gradient is zero
+    residual = {"holds": "0.0002", "fails": "2"}[mfcq]
     prob = _pinned(g, x, y)
     ctx = coderiv.PointContext(prob, x, y)
     assert ctx.mult.empty and ctx.mfcq.holds == (mfcq == "holds")
     with pytest.raises(HypothesisError) as exc:
         compute(prob, HessianQuery(x, xund, [1.0]))
-    assert "no u >= 0 meets stationarity" in str(exc.value)
+    assert f"no u >= 0 meets stationarity at minimizer 0 (residual {residual});" in str(exc.value)
     assert f"MFCQ {mfcq} there" in str(exc.value)
+
+
+@pytest.mark.parametrize("g, faces", [
+    # a g row far from the minimizer: every box face through it is named
+    (["y1 + y2 + y3 - 5"], "y_box faces y1 >= -1, y2 >= -1, y3 >= -1"),
+    # an active g row whose gradient is no face normal implies no face
+    (["-y1 - y2 - 2"], "y_box faces y1 >= -1, y2 >= -1, y3 >= -1"),
+    # a g row repeating one face implies it: only the others are named
+    (["-y1 - 1"], "y_box faces y2 >= -1, y3 >= -1"),
+])
+def test_box_corner_minimizer_names_the_box_face(g, faces):
+    # a strictly concave QP is least at a corner of its y_box; box rows get
+    # no multipliers, so the multiplier set is empty and the Hessian error
+    # and the first-order record blame the box faces, not stationarity
+    prob = model.parse_problem({"n": 1, "m": 3, "g": g, "y_box": [[-1, 1]] * 3,
+                                "f": "-(y1^2 + y2^2 + y3^2) + x1*(y1 + 2*y2 + 3*y3)"})
+    res = kernel.solve_value(prob, [1.0])
+    assert res.certificate == "qp-exact"
+    assert [list(y) for y in res.minimizers] == [[-1.0, -1.0, -1.0]]
+    named = f"lies on the {faces}, which no row of g implies"
+    with pytest.raises(HypothesisError) as exc:
+        compute(prob, HessianQuery([1.0], [-6.0], [1.0]))
+    assert str(exc.value).startswith(f"minimizer 0 {named}; box rows get no multipliers")
+    assert str(exc.value).endswith("(residual 5)")
+    est = firstorder.gauvin_dubeau(prob, [1.0], minimizers=res.minimizers)
+    [rec] = [h for h in est.hypotheses if h.name == "kkt-multiplier-exists"]
+    assert rec.status == FAILED
+    assert rec.detail.startswith(f"no KKT multiplier at minimizer 0: it {named}")
 
 
 def test_compute_rejects_mismatched_case():

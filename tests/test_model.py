@@ -22,8 +22,8 @@ from valfun.model import (
     Sub,
     Var,
     classify,
+    compile_block,
     differentiate,
-    evaluate,
     kkt_residual,
     make_kkt,
     parse_expr,
@@ -34,6 +34,13 @@ from valfun.model import (
 )
 
 from conftest import BATTERY, load_instance, instance_raw
+
+
+def evaluate(e, x, y):
+    """e at (x, y) from a block compiled for this call, exact when an
+    entry is a Fraction."""
+    x, y = list(x), list(y)
+    return compile_block([e], exact=any(isinstance(v, Fraction) for v in (*x, *y)))(x, y)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,15 @@ from valfun.setcalc import (
 )
 
 
+def _box(bounds) -> Polyhedron:
+    """The box of the (lo, hi) pairs, rows y_i <= hi and -y_i <= -lo in turn."""
+    C, d = [], []
+    for e, (lo, hi) in zip(np.eye(len(bounds)), bounds):
+        C += [e, -e]
+        d += [hi, -lo]
+    return Polyhedron(len(bounds), C=C, d=d)
+
+
 def _vertex_set(vf, ndigits=9):
     return {tuple(round(float(c), ndigits) for c in v) for v in vf.vertices}
 
@@ -68,7 +77,7 @@ def test_matrix_rank_generic_exact_vs_float():
 
 
 def test_unit_cube_vertices():
-    box = Polyhedron.from_box([(-1.0, 1.0)] * 3)
+    box = _box([(-1.0, 1.0)] * 3)
     vf = box.vertices()
     assert len(vf.vertices) == 8
     assert not vf.rays
@@ -172,13 +181,13 @@ class _Undecided:
 
 def test_undecided_lp_raises(monkeypatch):
     monkeypatch.setattr(setcalc, "linprog", lambda *a, **k: _Undecided())
-    box = Polyhedron.from_box([(1.0, 2.0)])
+    box = _box([(1.0, 2.0)])
     with pytest.raises(LpStatusError):
         box.feasible_point()
     # pieces past the enumeration budget take the LP route; the box leaves
     # out the origin, which would witness nonemptiness without an LP
     monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
-    S = PolySet(1, [Piece(Polyhedron.from_box([(1.0, 2.0)]), np.eye(1), np.zeros(1), "box")])
+    S = PolySet(1, [Piece(_box([(1.0, 2.0)]), np.eye(1), np.zeros(1), "box")])
     with pytest.raises(LpStatusError):
         S.coord_range(0)
     with pytest.raises(LpStatusError):
@@ -273,7 +282,7 @@ def test_lp_range_contradiction_raises(monkeypatch):
 
     monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
     monkeypatch.setattr(setcalc, "linprog", infeasible_unless_feasibility)
-    S = PolySet(1, [Piece(Polyhedron.from_box([(0.0, 1.0)]), np.eye(1), np.zeros(1), "box")])
+    S = PolySet(1, [Piece(_box([(0.0, 1.0)]), np.eye(1), np.zeros(1), "box")])
     with pytest.raises(LpStatusError):
         S.coord_range(0)
 
@@ -307,8 +316,8 @@ def test_open_rows_excluded_from_membership():
 
 
 def test_product_combines_blocks():
-    a = Polyhedron.from_box([(0.0, 1.0)])
-    b = Polyhedron.from_box([(2.0, 3.0)])
+    a = _box([(0.0, 1.0)])
+    b = _box([(2.0, 3.0)])
     prod = a.product(b)
     assert prod.dim == 2
     assert _vertex_set(prod.vertices()) == {(0.0, 2.0), (0.0, 3.0), (1.0, 2.0), (1.0, 3.0)}
@@ -366,7 +375,7 @@ def test_member_monotone_in_tolerance():
 
 
 def test_polyset_scale_identity_and_exactness():
-    square = Polyhedron.from_box([(0.0, 1.0), (0.0, 1.0)])
+    square = _box([(0.0, 1.0), (0.0, 1.0)])
     S = PolySet(2, [Piece(square, np.eye(2), np.zeros(2), "p")])
     assert S.scale(1.0).member([0.5, 0.5])
     T = S.scale(2.0)
@@ -380,7 +389,7 @@ def test_polyset_scale_identity_and_exactness():
 
 def test_affine_map_composition_associative():
     # mapping a segment by M then N equals mapping by N@M in one go
-    seg = Polyhedron.from_box([(0.0, 1.0)])
+    seg = _box([(0.0, 1.0)])
     S = PolySet(1, [Piece(seg, np.array([[1.0]]), np.array([0.5]), "seg")])
     M = np.array([[2.0]])
     N = np.array([[-1.0]])
@@ -392,7 +401,7 @@ def test_affine_map_composition_associative():
 
 
 def test_minkowski_sum_of_segments():
-    seg = Polyhedron.from_box([(0.0, 1.0)])
+    seg = _box([(0.0, 1.0)])
     S = PolySet(1, [Piece(seg, np.array([[1.0]]), np.array([0.0]), "a")])
     T = PolySet(1, [Piece(seg, np.array([[1.0]]), np.array([10.0]), "b")])
     MS = S.minkowski(T)
