@@ -45,7 +45,6 @@ _EXPORTS = {
     ),
     "setcalc": (
         "ConvexHullSet", "MemberVerdict", "Piece", "Polyhedron", "PolySet", "convex_hull",
-        "member", "scale", "vertices",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -68,35 +67,4 @@ def __getattr__(name):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "ParametricProblem", "NamedPoint", "KktPoint", "Partition", "LagrangianEval",
-    "parse_problem", "parse_expr", "load_problem", "problem_to_json",
-    "classify", "differentiate", "make_kkt", "verify_concave_convex",
-    "verify_convex_in_y",
-    # set calculus
-    "Polyhedron", "PolySet", "Piece", "MemberVerdict", "ConvexHullSet",
-    "vertices", "member", "scale", "convex_hull",
-    # inner solves
-    "SolveResult", "MultiplierPolyhedron", "solve_value", "multipliers",
-    "check_licq", "check_mfcq",
-    # first order
-    "SubdiffEstimate", "auto_estimate", "danskin", "convex_mfcq_subdiff",
-    "gauvin_dubeau",
-    # coderivatives
-    "Branch", "BranchFamily", "CoderivEstimate", "CqReport", "FiniteGeneratorMap",
-    "build_branch_family", "branch_family", "coderivative_lambda", "coderivative_S",
-    "check_cq_lambda", "hull_coderivative", "solution_map_lipschitz_like",
-    # second order
-    "HessianQuery", "HessianEstimate", "SensitivityResult", "sensitivity_system",
-    "hessian_unperturbed", "hessian_single_single", "hessian_single_s",
-    "hessian_single_lambda", "lp_lhs_hessian", "lp_lhs_rhs_hessian",
-    "route", "compute",
-    # errors
-    "ValfunError", "ParseError", "ProblemFormatError", "EvaluationError",
-    "DimensionError", "InfeasibleParameterError", "UnboundedProblemError",
-    "KktValidationError", "HypothesisError", "DegeneracyError",
-    "CaseRoutingError", "BranchCapError", "LpStatusError",
-    "UsageError",
-]
+__all__ = ["__version__", *_ORIGIN]

@@ -290,10 +290,10 @@ def _cq_report(fam: BranchFamily, M) -> CqReport:
 class PointContext:
     """A minimizer y at the parameter x, with the data the estimates there
     share, each item built on first use and then reused: the multiplier
-    set, the MFCQ report, and per multiplier vertex j the KKT point, the
-    map matrix and, per flavor and branch cap, the zero-covector branch
-    family and its CQ report.  ``tol_act`` decides the active constraints
-    of all of them."""
+    set, the MFCQ report read off it, and per multiplier vertex j the KKT
+    point, the map matrix and, per flavor and branch cap, the
+    zero-covector branch family and its CQ report.  ``tol_act`` decides
+    the active constraints of all of them."""
 
     def __init__(self, problem: ParametricProblem, x, y, tol_act: float = DEFAULT_TOL_ACT):
         self.problem = problem
@@ -308,7 +308,7 @@ class PointContext:
 
     @cached_property
     def mfcq(self) -> kernel.MfcqReport:
-        return kernel.check_mfcq(self.problem, self.x, self.y, self.tol_act)
+        return kernel.check_mfcq(self.problem, self.x, self.y, self.tol_act, mult=self.mult)
 
     def _item(self, key, build):
         if key not in self._items:

@@ -933,6 +933,12 @@ def compute(
     fo = firstorder.auto_estimate(problem, _fvec(query.xbar), contexts=ctxs)
     verdict = fo.member(_fvec(query.xund), MEMBERSHIP_TOL)
     if verdict.status == "outside":
+        causes = [h.detail for h in fo.hypotheses
+                  if h.name == "kkt-multiplier-exists" and h.status == FAILED]
+        if causes and fo.result.is_empty():
+            # no base gradient is at fault: the estimate holds none
+            raise HypothesisError(
+                f"the first-order estimate ({fo.formula}) is empty: {'; '.join(causes)}")
         raise HypothesisError(
             f"base gradient is not in the first-order estimate "
             f"({fo.formula}); distance at least {verdict.distance:.3e}"

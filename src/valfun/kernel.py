@@ -30,10 +30,9 @@ The heuristic path can miss global minimizers; results carry an
 over minimizers may be incomplete.
 
 Inner-LP unboundedness is read off the exact rays of the feasible set,
-and MFCQ off the cached vertex/ray decomposition of { d : G d <= -1 }.
-scipy is imported only on first use: for SLSQP multistart, and for the
-MFCQ linear program when that set is too large to enumerate
-(``setcalc.MAX_VFORM_SUBSETS``).
+and MFCQ off the multiplier set (bounded when nonempty, Gauvin 1977) or,
+when that is empty, off the rays of its recession cone.  scipy is
+imported only on first use, for SLSQP multistart.
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ from .errors import (
     UnboundedProblemError,
 )
 from .model import DEFAULT_TOL_ACT, ParametricProblem, degree_in, is_affine_in, per_problem
-from .setcalc import Polyhedron, _check_status, _gauss_int, _int_row, linprog, matrix_rank_generic
+from .setcalc import Polyhedron, _gauss_int, _int_row, matrix_rank_generic
+from .setcalc import linprog  # noqa: F401  (unused here; bench/tracer.py hooks kernel.linprog)
 
 VALUE_TIE_TOL = 1e-7
 MINIMIZER_DEDUP_TOL = 1e-6
@@ -516,13 +516,11 @@ class MultiplierPolyhedron:
     vertices: list[np.ndarray] = field(default_factory=list)
     active: tuple[int, ...] = ()
     bounded: bool = True
-    feasible: bool = True  # False only for the constraint-free stationarity test
 
     @property
     def empty(self) -> bool:
-        if not self.feasible:
-            return True
-        return not self.vertices and self.poly.is_empty()
+        # u >= 0 makes the set pointed: nonempty iff it has a vertex
+        return not self.vertices
 
     def is_singleton(self) -> bool:
         return len(self.vertices) == 1 and self.bounded
@@ -575,8 +573,7 @@ def multipliers(
         feasible = np.max(np.abs(fy), initial=0.0) <= 1e-6
         # dim-0 set: nonempty iff stationarity holds without constraints
         verts = [np.zeros(0)] if feasible else []
-        return MultiplierPolyhedron(x=x, y=y, poly=Polyhedron(0), vertices=verts,
-                                    active=(), bounded=True, feasible=feasible)
+        return MultiplierPolyhedron(x=x, y=y, poly=Polyhedron(0), vertices=verts)
     inactive = [i for i in range(p) if i not in active]
     poly = multiplier_polyhedron(problem.jac_y_g(x, y), problem.grad_y_f(x, y), inactive)
     vf = poly.vertices()
@@ -659,7 +656,6 @@ class LicqReport:
 class MfcqReport:
     holds: bool
     active: tuple[int, ...]
-    witness: np.ndarray | None
 
 
 def check_licq(
@@ -682,39 +678,22 @@ def gradient_rank(gy) -> tuple[int, float]:
 
 
 def check_mfcq(
-    problem: ParametricProblem, x, y, tol_act: float = DEFAULT_TOL_ACT
+    problem: ParametricProblem, x, y, tol_act: float = DEFAULT_TOL_ACT,
+    mult: MultiplierPolyhedron | None = None,
 ) -> MfcqReport:
-    """Existence of a direction d with gy_i . d < 0 for all active i.
+    """Existence of a direction d with gy_i . d < 0 for all active i, read
+    off the multiplier set ``mult`` at (x, y) (built when not given).
 
-    That holds iff Q = { d : gy_A d <= -1 } is nonempty.  Q is decided
-    from its vertex/ray decomposition when it fits the enumeration
-    budget, otherwise by an LP.  The witness has sup-norm at most 1.
+    By Gordan's alternative MFCQ fails iff some u >= 0, u != 0, supported
+    on the active rows has gy^T u = 0.  Those u form the recession cone of
+    the multiplier set, so a nonempty set satisfies MFCQ iff it is bounded
+    (Gauvin 1977).  For an empty set the cone is decomposed itself: it is
+    pointed, so MFCQ holds iff it has no ray.
     """
-    x, y, active = _active_set(problem, x, y, tol_act)
-    if not active:
-        return MfcqReport(holds=True, active=(), witness=np.zeros(problem.m))
-    gy = problem.jac_y_g(x, y)[list(active)]
-    Q = Polyhedron(problem.m, C=gy, d=-np.ones(len(active)))
-    if Q.enumerable():
-        vf = Q.vertices()
-        if vf.empty:
-            return MfcqReport(holds=False, active=active, witness=None)
-        w = np.asarray(vf.vertices[0] if vf.vertices else vf.anchor, float)
-        return MfcqReport(holds=True, active=active, witness=w / np.max(np.abs(w)))
-    return _mfcq_lp(gy, active, problem.m)
-
-
-def _mfcq_lp(gy, active, m) -> MfcqReport:
-    # max t  s.t.  gy d + t <= 0, |d| <= 1, t <= 1
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([gy, np.ones((len(active), 1))])
-    b_ub = np.zeros(len(active))
-    bounds = [(-1, 1)] * m + [(None, 1)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    # feasible (d = 0, t = 0) and bounded: only an optimum decides
-    _check_status(res, "MFCQ", decided=(0,))
-    t = -res.fun
-    if t > 1e-9:
-        return MfcqReport(holds=True, active=active, witness=res.x[:m])
-    return MfcqReport(holds=False, active=active, witness=None)
+    if mult is None:
+        mult = multipliers(problem, x, y, tol_act)
+    if not mult.active or not mult.empty:
+        return MfcqReport(holds=mult.bounded, active=mult.active)
+    inactive = [i for i in range(problem.p) if i not in mult.active]
+    cone = multiplier_polyhedron(problem.jac_y_g(mult.x, mult.y), np.zeros(problem.m), inactive)
+    return MfcqReport(holds=not cone.vertices().rays, active=mult.active)

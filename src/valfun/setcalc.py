@@ -43,13 +43,14 @@ from .errors import DimensionError, LpStatusError
 RANK_TOL = 1e-9
 DEDUP_TOL = 1e-6
 #: Largest active-set subset count C(k, r-l) + C(k, r-l-1) (k rows, r
-#: free variables, lineality l) for which emptiness, boundedness,
-#: coordinate ranges and ``kernel.check_mfcq`` come from the enumerated
-#: decomposition rather than LPs.  Ten covers the largest pieces of the
-#: test battery (k=4, r=2).  At this size, on dense random rows with two
-#: equality rows, a decomposition costs 0.6-2.4 ms in floats and 0.6-3.1 ms
-#: exactly (medians, r <= 8), no more than the one 2.7-3.3 ms HiGHS call of
-#: an emptiness check.
+#: free variables, lineality l) for which emptiness, boundedness and
+#: coordinate ranges come from the enumerated decomposition rather than
+#: LPs.  Ten covers the largest pieces of the test battery (k=4, r=2).  At
+#: this size, on dense random rows with two equality rows, a decomposition
+#: costs 0.6-2.4 ms in floats and 0.6-3.1 ms exactly (medians, r <= 8), no
+#: more than the one 2.7-3.3 ms HiGHS call of an emptiness check.  The
+#: multiplier sets of ``kernel`` are decomposed whatever their size, and
+#: MFCQ is read off them.
 MAX_VFORM_SUBSETS = 10
 #: HiGHS statuses that decide a query: optimal, infeasible, unbounded.
 DECIDED_LP_STATUSES = (0, 2, 3)
@@ -702,10 +703,10 @@ def _lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, options=None
     )
 
 
-def _check_status(res, query: str, decided=DECIDED_LP_STATUSES) -> None:
-    """Raise unless the LP ended in a status of ``decided``: by default
-    optimal, infeasible or unbounded, the statuses that answer a query."""
-    if res.status not in decided:
+def _check_status(res, query: str) -> None:
+    """Raise unless the LP ended optimal, infeasible or unbounded, the
+    statuses that answer a query."""
+    if res.status not in DECIDED_LP_STATUSES:
         raise LpStatusError(f"{query} LP ended undecided: status {res.status} ({res.message})")
 
 
@@ -1243,18 +1244,3 @@ def _caratheodory_reduce(point, generators, support, weights):
         weights = [max(w, 0.0) / total for w in weights]
     order = np.argsort(support)
     return [support[i] for i in order], [weights[i] for i in order]
-
-
-# Convenience wrappers matching the public operation names.
-
-
-def vertices(P: Polyhedron) -> VForm:
-    return P.vertices()
-
-
-def member(point, S: PolySet, tol: float = 1e-9) -> MemberVerdict:
-    return S.member(point, tol)
-
-
-def scale(S: PolySet, t: float) -> PolySet:
-    return S.scale(t)

@@ -492,6 +492,23 @@ def test_box_corner_minimizer_names_the_box_face(g, faces):
     assert rec.detail.startswith(f"no KKT multiplier at minimizer 0: it {named}")
 
 
+def test_empty_first_order_estimate_names_the_box_face():
+    # with g depending on x the first-order estimate is gauvin-dubeau; its
+    # only piece is empty, so the precheck must give the failed record's
+    # cause, not blame the base gradient
+    prob = model.parse_problem({"n": 1, "m": 3, "g": ["y1 + y2 + y3 - x1 - 5"],
+                                "y_box": [[-1, 1]] * 3,
+                                "f": "-(y1^2 + y2^2 + y3^2) + x1*(y1 + 2*y2 + 3*y3)"})
+    fo = firstorder.auto_estimate(prob, [1.0])
+    assert fo.formula == "gauvin-dubeau" and fo.result.is_empty()
+    with pytest.raises(HypothesisError) as exc:
+        compute(prob, HessianQuery([1.0], [0.0], [1.0]))
+    assert str(exc.value).startswith(
+        "the first-order estimate (gauvin-dubeau) is empty: no KKT multiplier at minimizer 0: "
+        "it lies on the y_box faces y1 >= -1, y2 >= -1, y3 >= -1, which no row of g implies")
+    assert "distance" not in str(exc.value)
+
+
 def test_compute_rejects_mismatched_case():
     prob = load_instance("shiftbox")
     with pytest.raises(CaseRoutingError):

@@ -7,7 +7,6 @@ drawn on purpose.  Examples are derandomized, so the run is fixed."""
 from __future__ import annotations
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from valfun import kernel, setcalc
-from valfun.errors import InfeasibleParameterError, LpStatusError, UnboundedProblemError
+from valfun.errors import InfeasibleParameterError, UnboundedProblemError
 from valfun.kernel import check_mfcq, solve_value
 from valfun.model import parse_problem
 
@@ -42,14 +41,16 @@ def _problem(A, b=None, c=None):
 @st.composite
 def jacobians(draw):
     """Active Jacobian rows (k <= 5, m <= 4), now and then with one row
-    repeated or negated."""
+    repeated or negated, and a cost vector c of the objective c.y, so
+    that the multiplier set { u >= 0 : G^T u = -c } is empty as often as
+    not."""
     m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rows = [[draw(st.integers(-3, 3)) for _ in range(m)] for _ in range(k)]
     extra = draw(st.sampled_from(["none", "duplicate", "opposite"]))
     if extra != "none":
         row = rows[draw(st.integers(0, k - 1))]
         rows.append(list(row) if extra == "duplicate" else [-v for v in row])
-    return rows
+    return rows, [draw(st.integers(-3, 3)) for _ in range(m)]
 
 
 def _gordan_fails(G):
@@ -65,17 +66,12 @@ def _gordan_fails(G):
 
 @SETTINGS
 @given(jacobians())
-def test_mfcq_agrees_with_gordan(rows):
+def test_mfcq_agrees_with_gordan(data):
+    rows, c = data
     m = len(rows[0])
-    rep = check_mfcq(_problem(rows), [0.0], np.zeros(m))
+    rep = check_mfcq(_problem(rows, c=c), [0.0], np.zeros(m))
     assert rep.active == tuple(range(len(rows)))
     assert rep.holds == (not _gordan_fails(rows))
-    if rep.holds:
-        w = np.asarray(rep.witness, dtype=float)
-        assert np.all(np.array(rows, dtype=float) @ w < 0)
-        assert np.max(np.abs(w)) <= 1.0 + 1e-12
-    else:
-        assert rep.witness is None
 
 
 def test_small_mfcq_needs_no_lp(monkeypatch):
@@ -87,16 +83,24 @@ def test_small_mfcq_needs_no_lp(monkeypatch):
     assert not check_mfcq(_problem([[1, 2], [-1, -2]]), [0.0], [0.0, 0.0]).holds
 
 
-def test_undecided_mfcq_lp_raises(monkeypatch):
-    # the MFCQ LP is feasible (d = 0, t = 0) and bounded: a status other
-    # than optimal decides nothing and must not read as "MFCQ fails"
-    def iteration_limit(*args, **kwargs):
-        return SimpleNamespace(status=4, message="numerical difficulties", fun=None, x=None)
+@pytest.mark.parametrize("rows, c, empty, holds", [
+    # five active rows at m = 3, past the enumeration budget of an LP query
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]], [0, 0, 0], False, True),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [-1, -1, -1]], [0, 0, 0], False, False),
+    # costs that no u >= 0 balances: an empty multiplier set
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]], [1, 1, 1], True, True),
+    ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [1, 1, 0], [0, -1, 0]], [0, 0, 1], True, False),
+])
+def test_mfcq_is_decided_without_any_lp(monkeypatch, rows, c, empty, holds):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called")
 
     monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
-    monkeypatch.setattr(kernel, "linprog", iteration_limit)
-    with pytest.raises(LpStatusError, match="MFCQ LP ended undecided: status 4"):
-        check_mfcq(_problem([[1, 0], [0, 1]]), [0.0], [0.0, 0.0])
+    monkeypatch.setattr(kernel, "linprog", no_lp)
+    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    prob, y = _problem(rows, c=c), [0.0, 0.0, 0.0]
+    assert kernel.multipliers(prob, [0.0], y).empty == empty
+    assert check_mfcq(prob, [0.0], y).holds == holds
 
 
 @st.composite
