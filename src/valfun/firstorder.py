@@ -108,8 +108,9 @@ def _lagrangian_image_piece(ctx: PointContext, provenance) -> tuple:
     point as one piece, plus the generator points at multiplier vertices."""
     problem, mult = ctx.problem, ctx.mult
     fx = problem.grad_x_f(ctx.x, ctx.y)
-    if problem.p == 0:
-        piece = Piece(Polyhedron.whole(0), np.zeros((problem.n, 0)), fx, provenance)
+    if problem.p == 0:  # Lambda is {()} when grad_y f vanishes, else empty
+        src = Polyhedron.whole(0) if mult.vertices else Polyhedron(0, C=np.zeros((1, 0)), d=[-1.0])
+        piece = Piece(src, np.zeros((problem.n, 0)), fx, provenance)
         return piece, [fx] if mult.vertices else []
     gx = problem.jac_x_g(ctx.x, ctx.y)
     return Piece(mult.poly, gx.T, fx, provenance), [fx + gx.T @ u for u in mult.vertices]

@@ -19,7 +19,11 @@ and affine-hull paths to exact arithmetic, run in integers by
 fraction-free elimination.  A set whose rows admit the origin is nonempty
 without further work; otherwise emptiness, like boundedness, coordinate
 ranges and membership, is read off one cached vertex/ray decomposition per
-polyhedron, so they are exact on rational data too.  Pieces too large to
+polyhedron, so they are exact on rational data too.  The equality rows are
+eliminated once per polyhedron, and the decomposition is built on that
+cached hull; a coordinate range reads off the hull alone whether a piece
+not yet decomposed maps to a constant, and skips the piece when that
+constant lies inside the range already found.  Pieces too large to
 enumerate (``MAX_VFORM_SUBSETS``), membership farther than the tolerance
 from every decomposition point, open rows and hull weights take
 floating-point LPs, each raising :class:`LpStatusError` unless the solver
@@ -253,10 +257,22 @@ class VForm:
         return not self.points
 
 
+class _Hull(NamedTuple):
+    """The equality rows eliminated: their solutions are z = (z0 + N t) / det
+    for t in R^r.  Rational data gives Python ints and det > 0."""
+
+    z0: list
+    N: np.ndarray
+    det: int | float
+
+
 class _Reduced(NamedTuple):
-    """The equality rows eliminated: z = (z0 + N t) / det with t in
-    { t : Cp t <= dp }; ``lin`` is a basis of { t : Cp t = 0 }.  Rational
-    data gives Python ints (rows of [Cp | dp] scaled) and det > 0."""
+    """The inequality rows on the cached ``_Hull``: z = (z0 + N t) / det
+    with t in { t : Cp t <= dp }; ``lin`` is a basis of { t : Cp t = 0 }.
+    Rational data gives Python ints (rows of [Cp | dp] scaled) and det > 0.
+    The hull alone answers whether a map is constant on the set
+    (``_piece_constant``), so a coordinate range that skips a piece never
+    builds this."""
 
     z0: list
     N: np.ndarray
@@ -290,6 +306,7 @@ class Polyhedron:
         for i in self.open_rows:
             if not 0 <= i < self.C.shape[0]:
                 raise DimensionError(f"open row index {i} out of range")
+        self._hull = _UNSET
         self._reduction = _UNSET
         self._decomp = None
         self._point = _UNSET
@@ -452,16 +469,22 @@ class Polyhedron:
             self._decomp = self._decompose()
         return self._decomp
 
-    def _reduced(self) -> _Reduced | None:
-        """The equality rows eliminated; None when they are inconsistent.
-        Cached."""
-        if self._reduction is _UNSET:
-            self._reduction = self._reduce()
-        return self._reduction
+    def _eq_hull(self) -> _Hull | None:
+        """The equality rows eliminated, once; None when they are
+        inconsistent.  Cached."""
+        if self._hull is _UNSET:
+            self._hull = self._eliminate_eqs()
+        return self._hull
 
-    def _reduce(self):
+    def _eliminate_eqs(self):
         if self.rational:
-            return self._reduce_int()
+            sol = _gauss_int([_int_row(list(a) + [b]) for a, b in zip(self.C_eq, self.d_eq)],
+                             self.dim)
+            if sol is None:
+                return None
+            z0, basis, det = sol
+            return _Hull(np.array(z0, dtype=object),
+                         np.array(basis, dtype=object).T.reshape(self.dim, len(basis)), det)
         z0, basis = solve_linear(
             self.C_eq if self.C_eq.shape[0] else np.zeros((0, self.dim)),
             self.d_eq if self.d_eq.shape[0] else [],
@@ -469,8 +492,23 @@ class Polyhedron:
         )
         if z0 is None:
             return None
-        r, k = len(basis), self.C.shape[0]
-        N = np.array(basis, dtype=float).T.reshape(self.dim, r)
+        return _Hull(z0, np.array(basis, dtype=float).T.reshape(self.dim, len(basis)), 1.0)
+
+    def _reduced(self) -> _Reduced | None:
+        """The inequality rows on the equality hull; None when the equality
+        rows are inconsistent.  Cached."""
+        if self._reduction is _UNSET:
+            self._reduction = self._reduce()
+        return self._reduction
+
+    def _reduce(self):
+        if self.rational:
+            return self._reduce_int()
+        hull = self._eq_hull()
+        if hull is None:
+            return None
+        z0, N, _ = hull
+        r, k = N.shape[1], self.C.shape[0]
         if r == 0:  # z0 is the only candidate; _decompose tests it directly
             return _Reduced(z0, N, np.zeros((k, 0)), None, [], 1.0)
         Cm = _as_float(self.C)
@@ -481,19 +519,17 @@ class Polyhedron:
 
     def _reduce_int(self):
         """``_reduce`` on rational data, in integers."""
-        sol = _gauss_int([_int_row(list(a) + [b]) for a, b in zip(self.C_eq, self.d_eq)],
-                         self.dim)
-        if sol is None:
+        hull = self._eq_hull()
+        if hull is None:
             return None
-        z0, basis, det = sol
-        z0, r = np.array(z0, dtype=object), len(basis)
-        N = np.array(basis, dtype=object).T.reshape(self.dim, r)
+        z0, N, det = hull
+        basis = N.T.tolist()
         # row [c | d] of [C | d] stands for (C N) t <= d det - c . z0, times det
         rows = [_int_row(list(a) + [b]) for a, b in zip(self.C, self.d)]
         Cp = np.array([[_dot(row, w) for w in basis] for row in rows],
-                      dtype=object).reshape(len(rows), r)
+                      dtype=object).reshape(len(rows), len(basis))
         dp = np.array([row[-1] * det - _dot(row, z0) for row in rows], dtype=object)
-        lin = _gauss_int([list(row) + [0] for row in Cp], r)[1]
+        lin = _gauss_int([list(row) + [0] for row in Cp], len(basis))[1]
         return _Reduced(z0, N, Cp, dp, lin, det)
 
     def enumerable(self) -> bool:
@@ -901,9 +937,20 @@ class PolySet:
     def coord_range(self, i: int):
         """Range of coordinate i over the set union: (lo, hi), infinite
         when unbounded, (inf, -inf) when the set is empty.  Exact on
-        rational pieces up to the final rounding to float."""
+        rational pieces up to the final rounding to float.
+
+        Only pieces that can still widen the range are ranged: a piece not
+        yet decomposed whose image in coordinate i is a constant (read off
+        the equality hull by ``_piece_constant``) inside the range found so
+        far is skipped, and the scan stops once the range is (-inf, inf)."""
         lo, hi = float("inf"), float("-inf")
         for pc in self.pieces:
+            if lo == -math.inf and hi == math.inf:
+                break
+            if pc.poly._decomp is None:  # a cached decomposition is cheaper to read
+                val = _piece_constant(pc, i)
+                if val is not None and lo <= val <= hi:
+                    continue
             plo, phi = _piece_range(pc, i)
             lo, hi = min(lo, plo), max(hi, phi)
         return lo, hi
@@ -914,22 +961,21 @@ class PolySet:
     def is_zero_singleton(self, tol: float = 1e-9) -> bool:
         """True when the set is nonempty and equals {0} within tol.
 
-        Uses exact affine-hull reasoning when a piece carries rational
-        data and its map kills the hull directions; otherwise checks the
-        piece's coordinate ranges.
+        A coordinate that ``_piece_constant`` reads as constant on a
+        nonempty piece is checked by its value, exactly on rational data;
+        any other by its range over the piece.
         """
         nonempty = False
         for pc in self.pieces:
             if pc.poly.is_empty():
                 continue
             nonempty = True
-            val = _piece_constant_value(pc)
-            if val is not None:
-                if any(abs(float(v)) > tol for v in val):
-                    return False
-                continue
             for i in range(self.target_dim):
-                lo, hi = PolySet(self.target_dim, [pc]).coord_range(i)
+                val = _piece_constant(pc, i)
+                if val is None:
+                    lo, hi = PolySet(self.target_dim, [pc]).coord_range(i)
+                else:
+                    lo = hi = val
                 if not (-tol <= lo and hi <= tol):
                     return False
         return nonempty
@@ -1127,25 +1173,26 @@ def _refine_open(pc: Piece, point, tol: float):
     return "inside" if mu > tol else "boundary"
 
 
-def _piece_constant_value(pc: Piece):
-    """Exact image value when the piece's map is constant on the affine
-    hull of its equality rows, read off the cached reduction
-    z = (z0 + N t) / det: the map is constant when A N = 0, with value
-    A z0 / det + b.  None when that cannot be certified."""
+def _piece_constant(pc: Piece, i: int):
+    """The value of coordinate i on the piece when its map is constant on
+    the affine hull of the equality rows, read off the cached
+    z = (z0 + N t) / det: constant when A[i] N = 0 (exactly on rational
+    data, within RANK_TOL on floats), with value A[i] z0 / det + b[i].  None
+    when that cannot be certified or the equality rows are inconsistent.
+    Whether the piece is empty is not decided here."""
     src = pc.poly
-    if src.dim == 0:
-        return list(pc.b)
-    red = src._reduced()
-    if red is None:
+    hull = src._eq_hull()
+    if hull is None:
         return None
     if src.rational:
-        if any(v != 0 for v in (pc.A @ red.N).flat):
+        row = pc.A[i]
+        if any(v != 0 for v in row @ hull.N):
             return None
-        return list(pc.A @ _frac_vec(red.z0, red.det) + pc.b)
-    A = _as_float(pc.A)
-    if np.max(np.abs(A @ red.N), initial=0.0) > RANK_TOL:
+        return _dot(row, _frac_vec(hull.z0, hull.det)) + pc.b[i]
+    row = _as_float(pc.A[i])
+    if np.max(np.abs(row @ hull.N), initial=0.0) > RANK_TOL:
         return None
-    return list(A @ np.array(red.z0, dtype=float) + pc.b)
+    return float(row @ np.array(hull.z0, dtype=float)) + pc.b[i]
 
 
 # ---------------------------------------------------------------------------

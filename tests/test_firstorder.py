@@ -106,6 +106,14 @@ def test_missing_multiplier_is_a_failed_hypothesis():
                 gauvin_dubeau(prob, [0.0], minimizers=[[0.0]])):
         assert est.generators
         assert all(h.name != "kkt-multiplier-exists" for h in est.hypotheses)
+    # with no g rows at all the multiplier set is empty when f_y != 0 (here
+    # f_y = -0.4 at the pinned y = 0.3) and its piece is empty too
+    free = parse_problem({"n": 1, "m": 1, "f": "(y1 - x1)^2 + x1*y1", "g": []})
+    for y, empty in (([0.3], True), ([0.5], False)):
+        est = gauvin_dubeau(free, [1.0], minimizers=[y])
+        assert est.result.is_empty() is empty and (not est.generators) is empty
+        failed = [h.status for h in est.hypotheses if h.name == "kkt-multiplier-exists"]
+        assert failed == (["failed"] if empty else [])
 
 
 def test_gauvin_dubeau_square_style_data():

@@ -287,6 +287,71 @@ def test_lp_range_contradiction_raises(monkeypatch):
         S.coord_range(0)
 
 
+def _segments(num, k):
+    """k segments { z : z1 + z2 = 1, j <= z1 <= j + 1 } of R^2, each mapped
+    by z1 + z2: k different pieces whose images are all {1}."""
+    dt = object if num is Fraction else float
+    arr = lambda vals, shape: np.array([num(v) for v in vals], dtype=dt).reshape(shape)
+    return [Piece(Polyhedron(2, C=arr([1, 0, -1, 0], (2, 2)), d=arr([j + 1, -j], (2,)),
+                             C_eq=arr([1, 1], (1, 2)), d_eq=arr([1], (1,))),
+                  arr([1, 1], (1, 2)), arr([0], (1,)), f"segment{j}") for j in range(k)]
+
+
+@pytest.mark.parametrize("num", [float, Fraction])
+def test_equal_constant_pieces_decompose_once(monkeypatch, num):
+    calls, real = [], setcalc.Polyhedron._decompose
+
+    def count(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(setcalc.Polyhedron, "_decompose", count)
+    assert PolySet(1, _segments(num, 5)).coord_range(0) == (1.0, 1.0)
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("num", [float, Fraction])
+def test_constant_pieces_inside_the_range_need_no_lp(monkeypatch, num):
+    # past the enumeration budget every segment would take range LPs; the
+    # point {1} opens the range, and each segment's constant lies inside it
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
+    point = PolySet.from_point(np.array([num(1)], dtype=object if num is Fraction else float))
+    S = point.union(PolySet(1, _segments(num, 5)))
+    assert S.coord_range(0) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("num", [float, Fraction])
+def test_constant_test_eliminates_the_equality_rows_once(monkeypatch, num):
+    # the skip builds the equality hull and nothing else; vertices() later
+    # builds the inequality rows on that hull instead of eliminating again
+    widths, real_gauss, real_int = [], setcalc._gauss, setcalc._gauss_int
+
+    def gauss(A_rows, b_vec, exact):
+        widths.append(len(A_rows[0]) if A_rows else 0)
+        return real_gauss(A_rows, b_vec, exact)
+
+    def gauss_int(rows, ncols):
+        widths.append(ncols)
+        return real_int(rows, ncols)
+
+    monkeypatch.setattr(setcalc, "_gauss", gauss)
+    monkeypatch.setattr(setcalc, "_gauss_int", gauss_int)
+    dt = object if num is Fraction else float
+    arr = lambda vals: np.array([num(v) for v in vals], dtype=dt)
+    simplex = Polyhedron(3, C=-np.eye(3, dtype=dt) * num(1), d=arr([0, 0, 0]),
+                         C_eq=arr([1, 1, 1]).reshape(1, 3), d_eq=arr([1]))
+    S = PolySet.from_point(arr([1])).union(
+        PolySet(1, [Piece(simplex, arr([2, 2, 2]).reshape(1, 3), arr([-1]), "simplex")]))
+    assert S.coord_range(0) == (1.0, 1.0)
+    assert simplex._reduction is setcalc._UNSET and simplex._decomp is None
+    assert len(simplex.vertices().points) == 3
+    assert widths.count(3) == 1
+
+
 def test_empty_polyhedron_detected():
     P = Polyhedron(
         1,

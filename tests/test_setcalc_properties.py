@@ -26,10 +26,10 @@ INF = float("inf")
 
 
 @st.composite
-def polyhedra(draw, rational):
-    """(polyhedron, map A, offset b) with small integer or rational data.
-    Now and then the last variable is dropped from every row, which makes
-    the set non-pointed."""
+def polyhedra(draw, rational, t=None):
+    """(polyhedron, map A, offset b) with small integer or rational data,
+    A of ``t`` rows (drawn when not given).  Now and then the last variable
+    is dropped from every row, which makes the set non-pointed."""
     dim = draw(st.integers(1, 4))
     den = draw(st.sampled_from([1, 2, 4]))
     dt = object if rational else float
@@ -43,7 +43,8 @@ def polyhedra(draw, rational):
     def mat(m):
         return vec([x for row in m for x in row]).reshape(len(m), dim)
 
-    k, q, t = draw(st.integers(0, 5)), draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    k, q = draw(st.integers(0, 5)), draw(st.integers(0, 2))
+    t = draw(st.integers(1, 3)) if t is None else t
     C, C_eq, A = ([ints(-3, 3, dim) for _ in range(n)] for n in (k, q, t))
     if draw(st.booleans()):
         for row in C + C_eq:
@@ -121,6 +122,65 @@ def test_float_polyhedra_agree_with_lp(case):
 @given(polyhedra(rational=True))
 def test_rational_polyhedra_agree_with_lp(case):
     _check(*case)
+
+
+@st.composite
+def piece_unions(draw, rational):
+    """(t, pieces): pieces of ``polyhedra`` in R^t, in a random order.  Each
+    is plain (often unbounded or non-pointed), "constant" (its map a
+    combination of the equality rows shifted by 0 or 1, so equal constants
+    recur), "empty" (a row pair that contradicts), "inconsistent" (an
+    equality pair that contradicts) or "open" (some rows flagged open)."""
+    t = draw(st.integers(1, 2))
+    dt = object if rational else float
+    one = Fraction(1) if rational else 1.0
+    pieces = []
+    for _ in range(draw(st.integers(1, 6))):
+        poly, A, b = draw(polyhedra(rational, t))
+        kind = draw(st.sampled_from(["plain", "constant", "empty", "inconsistent", "open"]))
+        C, d, C_eq, d_eq, opens = poly.C, poly.d, poly.C_eq, poly.d_eq, ()
+        row = np.array([one] * poly.dim, dtype=dt).reshape(1, poly.dim)
+        if kind == "constant":
+            W = np.array([draw(st.integers(-2, 2)) for _ in range(t * C_eq.shape[0])],
+                         dtype=dt).reshape(t, C_eq.shape[0])
+            A = W @ C_eq
+            b = np.array([one * draw(st.integers(0, 1)) for _ in range(t)], dtype=dt) - W @ d_eq
+        elif kind == "empty":  # sum z <= 0 and -sum z <= -1
+            C, d = np.vstack([C, row, -row]), np.concatenate([d, [0 * one, -one]])
+        elif kind == "inconsistent":  # sum z = 0 and sum z = 1
+            C_eq, d_eq = np.vstack([C_eq, row, row]), np.concatenate([d_eq, [0 * one, one]])
+        elif kind == "open":
+            opens = [j for j in range(C.shape[0]) if draw(st.booleans())]
+        pieces.append(Piece(Polyhedron(poly.dim, C, d, C_eq, d_eq, opens), A, b, kind))
+    return t, pieces
+
+
+def _check_union_ranges(t, pieces):
+    # the union's range, skips and early stop included, is the plain union
+    # of the piece ranges; each side reads its own uncached copies
+    for i in range(t):
+        fresh = lambda: [Piece(_fresh(pc.poly), pc.A, pc.b, pc.provenance) for pc in pieces]
+        got = PolySet(t, fresh()).coord_range(i)
+        want = (INF, -INF)
+        for pc in fresh():
+            lo, hi = setcalc._piece_range(pc, i)
+            want = (min(want[0], lo), max(want[1], hi))
+        if pieces[0].poly.rational:
+            assert got == want
+        else:
+            assert _same(got[0], want[0]) and _same(got[1], want[1]), (got, want)
+
+
+@SETTINGS
+@given(piece_unions(rational=False))
+def test_float_union_ranges_are_the_union_of_piece_ranges(case):
+    _check_union_ranges(*case)
+
+
+@SETTINGS
+@given(piece_unions(rational=True))
+def test_rational_union_ranges_are_the_union_of_piece_ranges(case):
+    _check_union_ranges(*case)
 
 
 @pytest.mark.parametrize("dt", [float, object])
@@ -402,15 +462,16 @@ def image_cases(draw, rational):
 
 def _check_zero_singleton(poly, A, b):
     S = PolySet(A.shape[0], [Piece(poly, A, b, "p")])
-    poly._reduced()  # cached: the constant test reads it and solves nothing
+    poly._reduced()  # cached: the constant test reads its hull and solves nothing
     with mock.patch.object(setcalc, "solve_linear", side_effect=AssertionError("re-solved")):
         got = S.is_zero_singleton(ZERO_TOL)
-        val = setcalc._piece_constant_value(S.pieces[0])
+        vals = [setcalc._piece_constant(S.pieces[0], i) for i in range(A.shape[0])]
     ranges = [S.coord_range(i) for i in range(A.shape[0])]
     nonempty = not poly.is_empty()
     assert got == (nonempty and all(-ZERO_TOL <= lo and hi <= ZERO_TOL for lo, hi in ranges))
-    if val is not None and nonempty:
-        assert all(_same(lo, float(v)) and _same(hi, float(v)) for (lo, hi), v in zip(ranges, val))
+    if nonempty:
+        assert all(_same(lo, float(v)) and _same(hi, float(v))
+                   for (lo, hi), v in zip(ranges, vals) if v is not None)
 
 
 @SETTINGS
