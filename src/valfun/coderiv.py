@@ -38,7 +38,7 @@ from . import kernel
 from .errors import BranchCapError, HypothesisError
 from .model import DEFAULT_TOL_ACT, KktPoint, ParametricProblem, Partition, kkt_point
 from .reporting import ASSUMED, FAILED, VERIFIED, HypothesisRecord, convex_in_y_record
-from .setcalc import Piece, Polyhedron, PolySet, _as_float
+from .setcalc import Piece, Polyhedron, PolySet, _as_float, _eq_block, _int_row
 
 DEFAULT_BRANCH_CAP = 8
 
@@ -74,9 +74,12 @@ def build_branch_family(
     """Construct the branch family from raw constraint-gradient rows.
 
     ``gy`` is the p x m matrix of constraint gradients in y (rational
-    entries allowed, the rows are copied verbatim into the polyhedra).
-    The cap bounds cases^|theta|; exceeding it raises with the theta size
-    in the message so callers can re-run with a larger cap.
+    entries allowed, the rows are copied verbatim into the polyhedra).  On
+    rational data each row [gy_i | -u*_i] is scaled to integers once for
+    the whole family, and every branch takes its integer rows from those
+    and from unit rows.  The cap bounds cases^|theta|; exceeding it raises
+    with the theta size in the message so callers can re-run with a larger
+    cap.
     """
     gy = np.asarray(gy)
     if gy.dtype != object:
@@ -99,67 +102,62 @@ def build_branch_family(
     dim = m + p
     exact = gy.dtype == object or u_star.dtype == object
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    dt = object if exact else float
+    # the integer row of [gy_i | 0] with rhs -u*_i, scaled once
+    scaled = [_int_row([*gy[i], -u_star[i]]) for i in range(p)] if exact else ()
 
-    def arow(i, neg=False):
-        # row of (a, c) coefficients picking gy_i . a
+    def arow(i, neg):
+        # row of (a, c) coefficients picking gy_i . a, with rhs -u*_i (both
+        # negated when ``neg``), and its integer row on rational data
         row = [zero] * dim
         for k in range(m):
             row[k] = -gy[i, k] if neg else gy[i, k]
-        return row
+        irow = None
+        if exact:
+            irow = [-v if neg else v for v in scaled[i][:m] + [0] * p + scaled[i][m:]]
+        return row, (u_star[i] if neg else -u_star[i]), irow
 
-    def crow(i, neg=False):
-        row = [zero] * dim
-        row[m + i] = -one if neg else one
-        return row
+    def crow(i, neg):
+        # the unit row picking c_i (negated when ``neg``), with rhs 0
+        row, irow = [zero] * dim, [0] * (dim + 1)
+        row[m + i], irow[m + i] = (-one, -1) if neg else (one, 1)
+        return row, zero, irow
 
-    base_eq, base_eq_rhs = [], []
-    for i in partition.nu:
-        base_eq.append(arow(i))
-        base_eq_rhs.append(-u_star[i])
-    for i in partition.eta:
-        base_eq.append(crow(i))
-        base_eq_rhs.append(zero)
+    # every row a branch can take, built once for the family: row i is
+    # [gy_i | 0], p + i its negation, 2p + i the unit row of c_i, 3p + i its
+    # negation
+    table = [arow(i, False) for i in range(p)] + [arow(i, True) for i in range(p)] \
+        + [crow(i, False) for i in range(p)] + [crow(i, True) for i in range(p)]
+    R = np.array([t[0] for t in table], dtype=dt).reshape(len(table), dim)
+    rhs = np.array([t[1] for t in table], dtype=dt)
 
+    def pick(idx):
+        # the rows idx of the table, shaped as Polyhedron shapes them
+        if not idx:
+            return np.zeros((0, dim)), np.zeros(0), [] if exact else None
+        return R[idx], rhs[idx], [table[j][2] for j in idx] if exact else None
+
+    base_eq = [*partition.nu, *(2 * p + i for i in partition.eta)]
     case_names = ("c0", "E0", "pos") if flavor == "M" else ("nn", "np")
     branches = []
     for assign in itertools.product(range(n_cases), repeat=len(theta)):
-        eq, eq_rhs = list(base_eq), list(base_eq_rhs)
-        ineq, ineq_rhs, opens = [], [], []
+        eq, ineq, opens = list(base_eq), [], []
         for idx, i in zip(assign, theta):
             case = case_names[idx]
             if case == "c0":
-                eq.append(crow(i))
-                eq_rhs.append(zero)
+                eq.append(2 * p + i)
             elif case == "E0":
-                eq.append(arow(i))
-                eq_rhs.append(-u_star[i])
+                eq.append(i)
             elif case == "pos":
                 # u*_i + gy_i . a > 0  and  c_i > 0   (stored as closures)
-                ineq.append(arow(i, neg=True))
-                ineq_rhs.append(u_star[i])
-                opens.append(len(ineq) - 1)
-                ineq.append(crow(i, neg=True))
-                ineq_rhs.append(zero)
-                opens.append(len(ineq) - 1)
+                ineq += [p + i, 3 * p + i]
+                opens += [len(ineq) - 2, len(ineq) - 1]
             elif case == "nn":
-                ineq.append(crow(i, neg=True))
-                ineq_rhs.append(zero)
-                ineq.append(arow(i, neg=True))
-                ineq_rhs.append(u_star[i])
+                ineq += [3 * p + i, p + i]
             else:  # "np"
-                ineq.append(crow(i))
-                ineq_rhs.append(zero)
-                ineq.append(arow(i))
-                ineq_rhs.append(-u_star[i])
-        kw = dict(dtype=object) if exact else dict(dtype=float)
-        poly = Polyhedron(
-            dim,
-            C=np.array(ineq, **kw) if ineq else None,
-            d=np.array(ineq_rhs, **kw) if ineq else None,
-            C_eq=np.array(eq, **kw) if eq else None,
-            d_eq=np.array(eq_rhs, **kw) if eq else None,
-            open_rows=opens,
-        )
+                ineq += [2 * p + i, i]
+        (C, d, rows), (C_eq, d_eq, eq_rows) = pick(ineq), pick(eq)
+        poly = Polyhedron._shaped(dim, C, d, C_eq, d_eq, frozenset(opens), rows, eq_rows)
         label = ",".join(
             f"g{i + 1}:{case_names[idx]}" for idx, i in zip(assign, theta)
         ) or "base"
@@ -201,8 +199,8 @@ def slice_pieces(fam: BranchFamily, M, ystar, off, label) -> list[Piece]:
     """Pieces of  { M[:n] z + off : M[n:] z = -ystar, z in a branch of fam },
     n = len(off); ``label(branch)`` names each piece."""
     n = len(off)
-    return [Piece(br.poly.with_eqs(M[n:], -ystar), M[:n], off, label(br))
-            for br in fam.branches]
+    link = _eq_block(fam.dim, M[n:], -ystar)  # shaped and scaled once for every branch
+    return [Piece(br.poly._with_block(link), M[:n], off, label(br)) for br in fam.branches]
 
 
 def chain_pieces(outer: Branch, M, inner, ystar, off, label) -> list[Piece]:
@@ -214,8 +212,9 @@ def chain_pieces(outer: Branch, M, inner, ystar, off, label) -> list[Piece]:
     pieces = []
     for k, (Mk, fam) in enumerate(inner):
         link, value = np.hstack([M[n:], Mk[n:]]), np.hstack([M[:n], Mk[:n]])
+        link = _eq_block(link.shape[1], link, -ystar)
         for br in fam.branches:
-            prod = outer.poly.product(br.poly).with_eqs(link, -ystar)
+            prod = outer.poly.product(br.poly)._with_block(link)
             pieces.append(Piece(prod, value, off, label(k, br)))
     return pieces
 
@@ -264,8 +263,9 @@ def _cq_report(fam: BranchFamily, M) -> CqReport:
     only_zero = True
     vanishes = True
     dim = fam.dim
+    kernel_rows = _eq_block(dim, M, np.zeros(M.shape[0]))
     for br in fam.branches:
-        sliced = br.poly.with_eqs(M, np.zeros(M.shape[0]))
+        sliced = br.poly._with_block(kernel_rows)
         probe = PolySet(dim, [Piece(sliced, np.eye(dim), np.zeros(dim), br.label)])
         if not probe.is_empty() and not probe.is_zero_singleton(tol=1e-9):
             only_zero = False

@@ -623,8 +623,11 @@ def hessian_single_lambda(
 
 
 def _frac(v) -> np.ndarray:
-    """v as an object array of Fractions, at least one-dimensional."""
+    """v as an object array of Fractions, at least one-dimensional; an
+    object array that holds only Fractions is returned as it is."""
     arr = np.atleast_1d(np.asarray(v, dtype=object))
+    if all(isinstance(x, Fraction) for x in arr.flat):
+        return arr
     return np.array([Fraction(x) for x in arr.flat], dtype=object).reshape(arr.shape)
 
 
@@ -652,11 +655,36 @@ def lp_lhs_hessian(
     if A.ndim != 2:
         raise ValueError("matrix expected")
     b = _frac(b)
+    if len(b) != A.shape[0]:
+        raise ValueError("query/length mismatch with the program data")
+    return _lp_lhs(_lp_lhs_constants(A, b), query, flavor, branch_cap)
+
+
+def _lp_lhs_constants(A, b):
+    """(A, b, M, 0_p, 0_m) for ``_lp_lhs``: the program data and the map
+    matrix and zero vectors of its slices, which depend on A alone."""
+    p, m = A.shape
+    M = coderivative_map_matrix(_frac(np.eye(m)), _frac(np.zeros((p, m))),
+                                _frac(np.zeros((m, m))), A)
+    return (A, b, *_read_only(M, _frac(np.zeros(p)), _frac(np.zeros(m))))
+
+
+@per_problem
+def _lp_lhs_data(problem: ParametricProblem):
+    """``_lp_lhs_constants`` of ``lp_cost_parametric_data``, built once per
+    problem; None when the problem is not of that form."""
+    data = lp_cost_parametric_data(problem)
+    return None if data is None else _lp_lhs_constants(*data)
+
+
+def _lp_lhs(constants, query, flavor, branch_cap) -> HessianEstimate:
+    """``lp_lhs_hessian`` on the ``_lp_lhs_constants`` of the program."""
+    A, b, M, zero_p, zero_m = constants
     p, m = A.shape
     xbar = _frac(query.xbar)
     ybar = _frac(query.xund)
     xstar = _frac(query.xstar)
-    if len(xbar) != m or len(b) != p:
+    if len(xbar) != m:
         raise ValueError("query/length mismatch with the program data")
     g = A @ ybar - b
     if any(gi > 0 for gi in g):
@@ -679,9 +707,6 @@ def lp_lhs_hessian(
                 "multiplier-vertex-union", ASSUMED, "unbounded multiplier set; vertices only"
             )
         )
-    M = coderivative_map_matrix(_frac(np.eye(m)), _frac(np.zeros((p, m))),
-                                _frac(np.zeros((m, m))), A)
-    zero_p, zero_m = _frac(np.zeros(p)), _frac(np.zeros(m))
     pieces = []
     for j, u in enumerate(vf.vertices):
         fam = build_branch_family(A, partition_of(g, u, 0), zero_p, flavor, branch_cap)
@@ -912,12 +937,12 @@ def compute(
     if case == "auto":
         case, info = route(problem, query)
     if case == "lp-lhs":
-        data = lp_cost_parametric_data(problem)
+        data = _lp_lhs_data(problem)
         if data is None:
             raise CaseRoutingError(
                 "problem is not of the cost-parametric LP form min{x.y : Ay <= b}"
             )
-        return lp_lhs_hessian(data[0], data[1], query, flavor, branch_cap)
+        return _lp_lhs(data, query, flavor, branch_cap)
     if case == "lp-lhs-rhs":
         data = lp_rhs_parametric_data(problem)
         if data is None:

@@ -318,9 +318,11 @@ def _feasible_rows(problem, lp):
 
 def _row_polyhedron(rows, m, **eqs):
     """{ y : a y <= b } over the integer rows [a | b], with equality rows
-    ``C_eq``, ``d_eq`` if given."""
-    return Polyhedron(m, C=np.array([r[:m] for r in rows], dtype=object).reshape(len(rows), m),
-                      d=np.array([r[m] for r in rows], dtype=object), **eqs)
+    ``C_eq``, ``d_eq`` if given.  The rows are integers already, so they
+    are the polyhedron's integer rows as they are."""
+    C = np.array([r[:m] for r in rows], dtype=object).reshape(len(rows), m)
+    return Polyhedron._holding([list(r) for r in rows], None, m, C=C,
+                               d=np.array([r[m] for r in rows], dtype=object), **eqs)
 
 
 def _feasible_set(problem, lp):
@@ -587,17 +589,31 @@ def multipliers(
     )
 
 
-def _cone_residual(G, t, max_support) -> float:
-    """Least |G_S v - t|_inf over the column supports S of G (at most
-    ``max_support`` columns) whose least-squares v is >= 0; the empty
-    support gives |t|_inf.  Numpy only."""
-    best = float(np.max(np.abs(t), initial=0.0))
-    for k in range(1, min(G.shape[1], max_support) + 1):
-        for S in itertools.combinations(range(G.shape[1]), k):
-            v = np.linalg.lstsq(G[:, S], t, rcond=None)[0]
-            if np.all(v >= 0):
-                best = min(best, float(np.max(np.abs(G[:, S] @ v - t))))
-    return best
+def _cone_residual(G, t) -> float:
+    """|G v - t|_inf at the v >= 0 of least |G v - t|_2, from one
+    non-negative least-squares solve: the active-set method of Lawson and
+    Hanson (1974, ch. 23), numpy only.  It frees one column of G at a time,
+    at most 3 k times for k columns, and solves one least-squares problem
+    on the free columns per step; with no column the residual is |t|_inf."""
+    k = G.shape[1]
+    tol = 10 * max(G.shape) * np.spacing(1.0) * max(1.0, float(np.max(np.abs(G), initial=0.0)))
+    v, free = np.zeros(k), np.zeros(k, dtype=bool)
+    for _ in range(3 * k):
+        w = G.T @ (t - G @ v)  # the descent direction of the 2-norm residual
+        if free.all() or not np.any(w[~free] > tol):
+            break
+        free[np.argmax(np.where(free, -np.inf, w))] = True
+        while True:  # least squares on the free columns, back inside v >= 0
+            s = np.zeros(k)
+            s[free] = np.linalg.lstsq(G[:, free], t, rcond=None)[0]
+            if not np.any(s[free] < 0):
+                break
+            neg = free & (s < 0)
+            alpha = float(np.min(v[neg] / (v[neg] - s[neg])))
+            v = v + alpha * (s - v)
+            free &= v > tol
+        v = s
+    return float(np.max(np.abs(G @ v - t), initial=0.0))
 
 
 def _active_gradients(problem: ParametricProblem, mult: MultiplierPolyhedron) -> np.ndarray:
@@ -610,10 +626,9 @@ def _active_gradients(problem: ParametricProblem, mult: MultiplierPolyhedron) ->
 
 def stationarity_residual(problem: ParametricProblem, mult: MultiplierPolyhedron) -> float:
     """How far (x, y) is from stationarity: |grad_y f|_inf with no active
-    row, else the least residual of grad_y f + gy_S^T u = 0, u >= 0, over
-    the supports S of the active rows."""
-    return _cone_residual(_active_gradients(problem, mult), -problem.grad_y_f(mult.x, mult.y),
-                          problem.m)
+    row, else |grad_y f + gy_A^T u|_inf over the active rows A at the
+    u >= 0 that makes that residual least in the 2-norm."""
+    return _cone_residual(_active_gradients(problem, mult), -problem.grad_y_f(mult.x, mult.y))
 
 
 def unimplied_box_faces(problem: ParametricProblem, mult: MultiplierPolyhedron,
@@ -632,7 +647,7 @@ def unimplied_box_faces(problem: ParametricProblem, mult: MultiplierPolyhedron,
         for bound, sign, op in ((lo, -1.0, ">="), (hi, 1.0, "<=")):
             normal = np.zeros(problem.m)
             normal[j] = sign
-            if abs(mult.y[j] - bound) <= tol_act and _cone_residual(G, normal, problem.m) > 1e-9:
+            if abs(mult.y[j] - bound) <= tol_act and _cone_residual(G, normal) > 1e-9:
                 faces.append(f"y{j + 1} {op} {bound:g}")
     if not faces:
         return ""

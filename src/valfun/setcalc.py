@@ -16,8 +16,12 @@ carriers:
 Arithmetic is float by default with 1e-9 pivot/rank tolerances.  Arrays
 of ``fractions.Fraction`` (dtype=object) switch the vertex-enumeration
 and affine-hull paths to exact arithmetic, run in integers by
-fraction-free elimination.  A set whose rows admit the origin is nonempty
-without further work; otherwise emptiness, like boundedness, coordinate
+fraction-free elimination.  Their working form is the integer rows, each
+row scaled once per polyhedron to integers: a slice or product inherits
+its parent's and scales only its new rows, builders that hold them hand
+them in, and the equality hull, the reduced rows and every candidate of
+the enumeration stay Python int lists.  A set whose rows admit the origin
+is nonempty without further work; otherwise emptiness, like coordinate
 ranges and membership, is read off one cached vertex/ray decomposition per
 polyhedron, so they are exact on rational data too.  The equality rows are
 eliminated once per polyhedron, and the decomposition is built on that
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -47,9 +52,8 @@ from .errors import DimensionError, LpStatusError
 RANK_TOL = 1e-9
 DEDUP_TOL = 1e-6
 #: Largest active-set subset count C(k, r-l) + C(k, r-l-1) (k rows, r
-#: free variables, lineality l) for which emptiness, boundedness and
-#: coordinate ranges come from the enumerated decomposition rather than
-#: LPs.  Ten covers the largest pieces of the test battery (k=4, r=2).  At
+#: free variables, lineality l) for which emptiness and coordinate ranges
+#: come from the enumerated decomposition rather than LPs.  Ten covers the largest pieces of the test battery (k=4, r=2).  At
 #: this size, on dense random rows with two equality rows, a decomposition
 #: costs 0.6-2.4 ms in floats and 0.6-3.1 ms exactly (medians, r <= 8), no
 #: more than the one 2.7-3.3 ms HiGHS call of an emptiness check.  The
@@ -118,17 +122,22 @@ def _gauss_int(rows, ncols):
     Gauss-Jordan, so the divisions by the previous pivot are exact."""
     nrows, r, prev, pivots = len(rows), 0, 1, []
     for c in range(ncols):
-        best = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if best is None:
+        for best in range(r, nrows):
+            if rows[best][c]:
+                break
+        else:
             continue
         rows[r], rows[best] = rows[best], rows[r]
         pr = rows[r]
         piv = pr[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i == r or (not f and piv == prev):
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r:
                 continue
-            rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], pr)]
+            if f:
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip(row, pr)]
+            elif piv != prev:
+                rows[i] = [piv * a // prev for a in row]
         pivots.append((r, c))
         prev, r = piv, r + 1
         if r == nrows:
@@ -259,27 +268,37 @@ class VForm:
 
 class _Hull(NamedTuple):
     """The equality rows eliminated: their solutions are z = (z0 + N t) / det
-    for t in R^r.  Rational data gives Python ints and det > 0."""
+    for t in R^r.  On floats N is a dim x r array and det is 1.0.  On
+    rational data the parts are as ``_gauss_int`` returns them: z0 is an int
+    list, N the list of the r columns of N (int lists of length dim) and
+    det an int > 0."""
 
     z0: list
-    N: np.ndarray
+    N: list | np.ndarray
     det: int | float
 
 
 class _Reduced(NamedTuple):
     """The inequality rows on the cached ``_Hull``: z = (z0 + N t) / det
     with t in { t : Cp t <= dp }; ``lin`` is a basis of { t : Cp t = 0 }.
-    Rational data gives Python ints (rows of [Cp | dp] scaled) and det > 0.
-    The hull alone answers whether a map is constant on the set
-    (``_piece_constant``), so a coordinate range that skips a piece never
-    builds this."""
+    On rational data z0 and N are the hull's int lists, Cp and dp are int
+    lists (rows of [Cp | dp] scaled), and ``lin`` and every vertex and ray
+    system of ``_decompose`` stay int lists; Fractions are built only for
+    the points and rays kept.  The hull alone answers whether a map is
+    constant on the set (``_piece_constant``), so a coordinate range that
+    skips a piece never builds this."""
 
     z0: list
-    N: np.ndarray
-    Cp: np.ndarray
-    dp: np.ndarray
+    N: list | np.ndarray
+    Cp: list | np.ndarray
+    dp: list | np.ndarray | None
     lin: list
     det: int | float
+
+    @property
+    def r(self) -> int:
+        """The number of coordinates t of the hull."""
+        return len(self.N) if isinstance(self.N, list) else self.N.shape[1]
 
 
 _UNSET = object()
@@ -292,24 +311,56 @@ class Polyhedron:
     the closure.  Construct via the classmethods or by stacking rows on
     an existing instance.  The row arrays are private read-only copies, so
     the cached decomposition and feasible point never go stale.
+
+    On rational data every exact query works on the integer rows, each row
+    of [C | d] and of [C_eq | d_eq] times the lcm of its denominators
+    (``_int_row``).  They are scaled once per polyhedron, on first use, or
+    not at all: a slice (``with_eqs``), a product or a closure inherits its
+    parent's and scales only its new rows, and builders that hold them
+    already hand them in (``_holding``).
     """
 
     def __init__(self, dim, C=None, d=None, C_eq=None, d_eq=None, open_rows=()):
         self.dim = int(dim)
-        self.C = self._mat(C, self.dim)
-        self.d = self._vec(d, self.C.shape[0])
-        self.C_eq = self._mat(C_eq, self.dim)
-        self.d_eq = self._vec(d_eq, self.C_eq.shape[0])
-        for arr in (self.C, self.d, self.C_eq, self.d_eq):
-            arr.setflags(write=False)
-        self.open_rows = frozenset(int(i) for i in open_rows)
+        C, C_eq = self._mat(C, self.dim), self._mat(C_eq, self.dim)
+        self._adopt(C, self._vec(d, C.shape[0]), C_eq, self._vec(d_eq, C_eq.shape[0]),
+                    frozenset(int(i) for i in open_rows))
         for i in self.open_rows:
             if not 0 <= i < self.C.shape[0]:
                 raise DimensionError(f"open row index {i} out of range")
+
+    def _adopt(self, C, d, C_eq, d_eq, open_rows, rows=None, eq_rows=None):
+        """Take rows shaped as ``__init__`` shapes them, read-only from now
+        on, with their integer rows when known (None: scaled on first use)."""
+        self.C, self.d, self.C_eq, self.d_eq = C, d, C_eq, d_eq
+        for arr in (C, d, C_eq, d_eq):
+            arr.setflags(write=False)
+        self.open_rows = open_rows
+        self._ints, self._eq_ints = rows, eq_rows
         self._hull = _UNSET
         self._reduction = _UNSET
         self._decomp = None
         self._point = _UNSET
+
+    @classmethod
+    def _shaped(cls, dim, C, d, C_eq, d_eq, open_rows, rows, eq_rows) -> "Polyhedron":
+        """A polyhedron of rows already shaped as ``__init__`` shapes them
+        (those of a slice, product or closure, or of a branch family), taken
+        without reshaping or copying."""
+        poly = cls.__new__(cls)
+        poly.dim = dim
+        poly._adopt(C, d, C_eq, d_eq, open_rows, rows, eq_rows)
+        return poly
+
+    @classmethod
+    def _holding(cls, rows, eq_rows, *args, **kwargs) -> "Polyhedron":
+        """``Polyhedron(*args, **kwargs)`` on rational data whose integer rows
+        the caller holds already: ``rows`` for [C | d] and ``eq_rows`` for
+        [C_eq | d_eq], each equal to ``_int_row`` of the row (None: scaled on
+        first use)."""
+        poly = cls(*args, **kwargs)
+        poly._ints, poly._eq_ints = rows, eq_rows
+        return poly
 
     @staticmethod
     def _mat(M, dim):
@@ -349,36 +400,54 @@ class Polyhedron:
             or self.d_eq.dtype == object
         )
 
+    def _int_rows(self) -> list:
+        """The integer rows of [C | d] (rational data): scaled once, or
+        inherited."""
+        if self._ints is None:
+            self._ints = [_int_row([*a, b]) for a, b in zip(self.C, self.d)]
+        return self._ints
+
+    def _int_eq_rows(self) -> list:
+        """The integer rows of [C_eq | d_eq] (rational data): scaled once,
+        or inherited."""
+        if self._eq_ints is None:
+            self._eq_ints = [_int_row([*a, b]) for a, b in zip(self.C_eq, self.d_eq)]
+        return self._eq_ints
+
     def with_eqs(self, E2, f2) -> "Polyhedron":
-        E2 = self._mat(E2, self.dim)
-        f2 = self._vec(f2, E2.shape[0])
-        return Polyhedron(
-            self.dim,
-            C=self.C,
-            d=self.d,
-            C_eq=_stack(self.C_eq, E2),
-            d_eq=_cat(self.d_eq, f2),
-            open_rows=self.open_rows,
-        )
+        return self._with_block(_eq_block(self.dim, E2, f2))
+
+    def _with_block(self, block) -> "Polyhedron":
+        """``with_eqs`` of the rows of an ``_eq_block``.  A rational slice of
+        a rational polyhedron inherits our integer rows, followed by the
+        block's (scaled here when the block is float)."""
+        E2, f2, new = block
+        rows = eq_rows = None
+        if self.rational:
+            if new is None:
+                new = [_int_row([*a, b]) for a, b in zip(E2, f2)]
+            rows, eq_rows = self._int_rows(), self._int_eq_rows() + new
+        return Polyhedron._shaped(self.dim, self.C, self.d, _stack(self.C_eq, E2),
+                                  _stack(self.d_eq, f2), self.open_rows, rows, eq_rows)
 
     def product(self, other: "Polyhedron") -> "Polyhedron":
-        """Cartesian product, variables of ``other`` appended after ours."""
+        """Cartesian product, variables of ``other`` appended after ours.
+        The product of two rational polyhedra inherits both their integer
+        rows, padded with zeros."""
         da, db = self.dim, other.dim
         C = _block_diag(self.C, other.C, da, db)
         C_eq = _block_diag(self.C_eq, other.C_eq, da, db)
-        opens = set(self.open_rows)
-        opens.update(self.C.shape[0] + i for i in other.open_rows)
-        return Polyhedron(
-            da + db,
-            C=C,
-            d=_cat(self.d, other.d),
-            C_eq=C_eq,
-            d_eq=_cat(self.d_eq, other.d_eq),
-            open_rows=opens,
-        )
+        opens = frozenset(self.open_rows | {self.C.shape[0] + i for i in other.open_rows})
+        rows = eq_rows = None
+        if self.rational and other.rational:
+            rows = _pad_rows(self._int_rows(), other._int_rows(), da, db)
+            eq_rows = _pad_rows(self._int_eq_rows(), other._int_eq_rows(), da, db)
+        return Polyhedron._shaped(da + db, C, _stack(self.d, other.d), C_eq,
+                                  _stack(self.d_eq, other.d_eq), opens, rows, eq_rows)
 
     def closure(self) -> "Polyhedron":
-        return Polyhedron(self.dim, self.C, self.d, self.C_eq, self.d_eq, ())
+        return Polyhedron._shaped(self.dim, self.C, self.d, self.C_eq, self.d_eq, frozenset(),
+                                  self._ints, self._eq_ints)
 
     # -- point queries --------------------------------------------------------
 
@@ -444,15 +513,6 @@ class Polyhedron:
             return self.vertices().empty
         return self.feasible_point() is None
 
-    def is_bounded(self) -> bool:
-        """True when the closure is empty or every coordinate range of it
-        is finite, read by ``_piece_range`` of the identity image."""
-        if self.is_empty():
-            return True
-        dt = object if self.rational else float
-        ident = Piece(self, np.eye(self.dim, dtype=dt), np.zeros(self.dim, dtype=dt))
-        return all(math.isfinite(v) for i in range(self.dim) for v in _piece_range(ident, i))
-
     # -- vertex enumeration ----------------------------------------------------
 
     def vertices(self) -> VForm:
@@ -478,13 +538,8 @@ class Polyhedron:
 
     def _eliminate_eqs(self):
         if self.rational:
-            sol = _gauss_int([_int_row(list(a) + [b]) for a, b in zip(self.C_eq, self.d_eq)],
-                             self.dim)
-            if sol is None:
-                return None
-            z0, basis, det = sol
-            return _Hull(np.array(z0, dtype=object),
-                         np.array(basis, dtype=object).T.reshape(self.dim, len(basis)), det)
+            sol = _gauss_int(list(self._int_eq_rows()), self.dim)  # a new outer list: rows stay
+            return None if sol is None else _Hull(*sol)
         z0, basis = solve_linear(
             self.C_eq if self.C_eq.shape[0] else np.zeros((0, self.dim)),
             self.d_eq if self.d_eq.shape[0] else [],
@@ -523,13 +578,11 @@ class Polyhedron:
         if hull is None:
             return None
         z0, N, det = hull
-        basis = N.T.tolist()
         # row [c | d] of [C | d] stands for (C N) t <= d det - c . z0, times det
-        rows = [_int_row(list(a) + [b]) for a, b in zip(self.C, self.d)]
-        Cp = np.array([[_dot(row, w) for w in basis] for row in rows],
-                      dtype=object).reshape(len(rows), len(basis))
-        dp = np.array([row[-1] * det - _dot(row, z0) for row in rows], dtype=object)
-        lin = _gauss_int([list(row) + [0] for row in Cp], len(basis))[1]
+        rows = self._int_rows()
+        Cp = [[_dot(row, w) for w in N] for row in rows]
+        dp = [row[-1] * det - _dot(row, z0) for row in rows]
+        lin = _gauss_int([row + [0] for row in Cp], len(N))[1]
         return _Reduced(z0, N, Cp, dp, lin, det)
 
     def enumerable(self) -> bool:
@@ -537,19 +590,19 @@ class Polyhedron:
         red = self._reduced()
         if red is None:
             return True
-        k, s = red.Cp.shape[0], red.N.shape[1] - len(red.lin)
+        k, s = len(red.Cp), red.r - len(red.lin)
         return _comb(k, s) + _comb(k, s - 1) <= MAX_VFORM_SUBSETS
 
     def _decompose(self) -> VForm:
         """Active-set enumeration on the reduced rows, in integers on rational
-        data: Fractions are built only for the points and rays kept."""
+        data: the candidates are int lists tested by int dot products, and
+        Fractions are built only for the points and rays kept."""
         exact = self.rational
-        dt = object if exact else float
         red = self._reduced()
         if red is None:
             return VForm((), ())
         z0, N, Cp, dp, lin, det = red
-        k, r, l = Cp.shape[0], N.shape[1], len(lin)
+        k, r, l = len(Cp), red.r, len(lin)
         if r == 0:  # the integer slacks dp of z0 / det (det > 0) decide exact data
             z = _frac_vec(z0, det) if exact else np.array(z0, dtype=float)
             z.setflags(write=False)
@@ -559,34 +612,36 @@ class Polyhedron:
         section = [list(v) for v in lin]
         scale = 1 if exact else max(1.0, float(np.max(np.abs(_as_float(dp)))) if k else 1.0)
         slack = 0 if exact else RANK_TOL * scale
+        vec = (lambda t: t) if exact else (lambda t: np.array(t, dtype=float))
         verts_t = []  # (t, D): the vertex is t / D in the reduced coordinates
         for J in itertools.combinations(range(k), r - l):
             sol = _solve([Cp[i] for i in J] + section, [dp[i] for i in J] + [0] * l, r, exact)
             if sol is None or sol[1]:
                 continue  # singular or rank-deficient
             t, _, D = sol
-            t = np.array(t, dtype=dt)
-            vals = Cp @ t
+            t = vec(t)
+            vals = _matvec(Cp, t)
             if all(vals[i] <= dp[i] * D + slack for i in range(k)):
                 verts_t.append((t, D))
-        rays_t = [sign * np.array(v, dtype=dt) for v in lin for sign in (1, -1)]
+        rays_t = [vec([sign * x for x in v]) for v in lin for sign in (1, -1)]
         if r - l >= 1:
             tol = 0 if exact else RANK_TOL
             for J in itertools.combinations(range(k), r - l - 1):
                 null = _solve([Cp[i] for i in J] + section, [0] * (r - 1), r, exact)[1]
                 if len(null) != 1:
                     continue
-                t = np.array(null[0], dtype=dt)
-                rays_t += [c for c in (t, -t) if all(v <= tol for v in Cp @ c)]
+                t = vec(null[0])
+                rays_t += [c for c in (t, vec([-x for x in t]))
+                           if all(v <= tol for v in _matvec(Cp, c))]
         rays_t = [t for t in rays_t if _nonzero(t)]
         if exact:  # rays scaled so their first nonzero t-entry is +-1
-            points = _dedup([_frac_vec(N @ t + D * z0, det * D) for t, D in verts_t], True)
-            rays = _dedup([_frac_vec(N @ t, det * abs(next(v for v in t if v)))
-                           for t in rays_t], True)
+            points = _distinct_fracs([([D * a + b for a, b in zip(z0, _combine(N, t))], det * D)
+                                      for t, D in verts_t])
+            rays = _distinct_fracs([(_combine(N, t), det * abs(next(v for v in t if v)))
+                                    for t in rays_t])
         else:
-            points = [_affine(z0, N, t) for t in _dedup([t for t, _ in verts_t], False)]
-            rays = [N @ t for t in _dedup([_normalize_ray(t) for t in rays_t], False)]
-        points, rays = tuple(sorted(points, key=_sort_key)), tuple(sorted(rays, key=_sort_key))
+            points = _sorted([_affine(z0, N, t) for t in _dedup([t for t, _ in verts_t])])
+            rays = _sorted([N @ t for t in _dedup([_normalize_ray(t) for t in rays_t])])
         for v in points + rays:
             v.setflags(write=False)
         return VForm(points, rays, l)
@@ -611,23 +666,15 @@ class Polyhedron:
 
 
 def _stack(A, B):
+    """The rows of A, then those of B (vectors: the entries), as object
+    arrays when either is one."""
     if A.shape[0] == 0:
         return B
     if B.shape[0] == 0:
         return A
-    if A.dtype == object or B.dtype == object:
-        return np.vstack([A.astype(object), B.astype(object)])
-    return np.vstack([A, B])
-
-
-def _cat(a, b):
-    if a.shape[0] == 0:
-        return b
-    if b.shape[0] == 0:
-        return a
-    if a.dtype == object or b.dtype == object:
-        return np.concatenate([a.astype(object), b.astype(object)])
-    return np.concatenate([a, b])
+    if A.dtype != B.dtype:
+        A, B = A.astype(object), B.astype(object)
+    return np.concatenate([A, B])
 
 
 def _block_diag(A, B, da, db):
@@ -644,8 +691,47 @@ def _block_diag(A, B, da, db):
     return out
 
 
+def _eq_block(dim, E, f):
+    """Equality rows [E | f] shaped as ``with_eqs`` takes them, read-only:
+    (E, f, their integer rows on rational data, else None).  A caller that
+    slices several polyhedra by the same rows builds this once."""
+    E = Polyhedron._mat(E, dim)
+    f = Polyhedron._vec(f, E.shape[0])
+    E.setflags(write=False)
+    f.setflags(write=False)
+    exact = E.dtype == object or f.dtype == object
+    return E, f, [_int_row([*a, b]) for a, b in zip(E, f)] if exact else None
+
+
+def _pad_rows(rows_a, rows_b, da, db):
+    """Integer rows [a | b] of A (da columns) and of B (db columns) laid out
+    as the rows of ``_block_diag(A, B)``."""
+    za, zb = [0] * da, [0] * db
+    return [row[:da] + zb + row[da:] for row in rows_a] + [za + row for row in rows_b]
+
+
 def _dot(row, vec):
-    return sum(a * b for a, b in zip(row, vec))
+    return sum(map(operator.mul, row, vec))
+
+
+def _matvec(M, t):
+    """M t for M a float array, or a list of int rows (rational data)."""
+    return M @ t if isinstance(M, np.ndarray) else [_dot(row, t) for row in M]
+
+
+def _combine(N, t):
+    """N t for N given as the list of its int columns (rational data)."""
+    return [_dot(t, row) for row in zip(*N)]
+
+
+def _sparse(row):
+    """The nonzero entries (j, a) of a map row: the rows of a coderivative
+    map are mostly unit rows."""
+    return [(j, a) for j, a in enumerate(row) if a]
+
+
+def _sparse_dot(entries, vec):
+    return sum(a * vec[j] for j, a in entries)
 
 
 def _affine(z0, N, t):
@@ -658,20 +744,26 @@ def _frac_vec(v, den):
     return np.array([Fraction(a, den) for a in v], dtype=object)
 
 
-def _dedup(points, exact):
+def _distinct_fracs(pairs):
+    """The distinct vectors v / den of the integer pairs (v, den > 0) as
+    Fraction arrays, in the order of ``_sorted`` (a / den is the float of
+    the entry v_i / den, first occurrences first among equal keys).  Equal
+    vectors are found in lowest terms (v and den divided by their common
+    gcd), so Fractions are built for the distinct ones only."""
+    out = {}
+    for v, den in pairs:
+        g = math.gcd(den, *v)
+        out.setdefault((den // g, *(a // g for a in v)), (v, den))
+    kept = sorted(out.values(), key=lambda pair: tuple(a / pair[1] for a in pair[0]))
+    return tuple(_frac_vec(v, den) for v, den in kept)
+
+
+def _dedup(points):
+    """The float points, dropping any within DEDUP_TOL of one kept before."""
     out = []
     for pt in points:
-        dup = False
-        for q in out:
-            if exact:
-                if all(a == b for a, b in zip(pt, q)):
-                    dup = True
-                    break
-            else:
-                if np.max(np.abs(_as_float(pt) - _as_float(q)), initial=0.0) <= DEDUP_TOL:
-                    dup = True
-                    break
-        if not dup:
+        if not any(np.max(np.abs(_as_float(pt) - _as_float(q)), initial=0.0) <= DEDUP_TOL
+                   for q in out):
             out.append(pt)
     return out
 
@@ -709,8 +801,9 @@ def _normalize_ray(t):
     return arr / np.linalg.norm(arr)
 
 
-def _sort_key(v):
-    return tuple(float(x) for x in v)
+def _sorted(vectors) -> tuple:
+    """The float vectors in the lexicographic order of their entries."""
+    return tuple(sorted(vectors, key=lambda v: tuple(float(x) for x in v)))
 
 
 def _num_list(arr):
@@ -1029,7 +1122,8 @@ def _piece_range(pc: Piece, i: int):
     side a ray points to."""
     src = pc.poly
     row, off = pc.A[i], pc.b[i]
-    if not any(v != 0 for v in row):
+    entries = _sparse(row)
+    if not entries:
         return (float("inf"), float("-inf")) if src.is_empty() else (float(off), float(off))
     if not src.enumerable():
         return _lp_range(pc, i)
@@ -1037,9 +1131,9 @@ def _piece_range(pc: Piece, i: int):
     if not dec.points:
         return float("inf"), float("-inf")
     if src.rational and pc.A.dtype == object and pc.b.dtype == object:
-        vals = [_dot(row, v) for v in dec.points]
+        vals = [_sparse_dot(entries, v) for v in dec.points]
         lo, hi = float(min(vals) + off), float(max(vals) + off)
-        slopes = [(_dot(row, r), 0) for r in dec.rays]
+        slopes = [(_sparse_dot(entries, r), 0) for r in dec.rays]
     else:
         row, off = _as_float(row), float(off)
         vals = [float(row @ _as_float(v)) for v in dec.points]
@@ -1177,18 +1271,19 @@ def _piece_constant(pc: Piece, i: int):
     """The value of coordinate i on the piece when its map is constant on
     the affine hull of the equality rows, read off the cached
     z = (z0 + N t) / det: constant when A[i] N = 0 (exactly on rational
-    data, within RANK_TOL on floats), with value A[i] z0 / det + b[i].  None
-    when that cannot be certified or the equality rows are inconsistent.
-    Whether the piece is empty is not decided here."""
+    data, over the nonzero entries of A[i] only; within RANK_TOL on
+    floats), with value A[i] z0 / det + b[i].  None when that cannot be
+    certified or the equality rows are inconsistent.  Whether the piece is
+    empty is not decided here."""
     src = pc.poly
     hull = src._eq_hull()
     if hull is None:
         return None
     if src.rational:
-        row = pc.A[i]
-        if any(v != 0 for v in row @ hull.N):
+        entries = _sparse(pc.A[i])
+        if any(_sparse_dot(entries, w) for w in hull.N):
             return None
-        return _dot(row, _frac_vec(hull.z0, hull.det)) + pc.b[i]
+        return sum(a * Fraction(hull.z0[j], hull.det) for j, a in entries) + pc.b[i]
     row = _as_float(pc.A[i])
     if np.max(np.abs(row @ hull.N), initial=0.0) > RANK_TOL:
         return None

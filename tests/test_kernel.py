@@ -297,6 +297,35 @@ def test_degenerate_lp_multiplier_vertices():
     assert vs == [(0.0, 0.25, 0.0), (0.5, 0.0, 0.0)]
 
 
+@pytest.mark.parametrize("in_cone", [True, False])
+def test_stationarity_residual_is_one_nnls_solve(monkeypatch, in_cone):
+    # 14 active rows in m = 8: every support of up to 8 rows would take
+    # 12,910 least-squares solves; one NNLS takes a few per row
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(5)
+    G = rng.integers(-2, 3, size=(8, 14)).astype(float)
+    u = np.where(rng.random(14) < 0.5, rng.integers(1, 4, size=14), 0)
+    fy = -(G @ u) if in_cone else rng.integers(-3, 4, size=8).astype(float)
+    lin = lambda coef: " + ".join(f"({c:g})*y{j + 1}" for j, c in enumerate(coef))
+    prob = parse_problem({"n": 1, "m": 8, "f": lin(fy) + " + x1*y1",
+                          "g": [lin(row) for row in G.T]})
+    mult = kernel.MultiplierPolyhedron(x=np.zeros(1), y=np.zeros(8), poly=Polyhedron(0),
+                                       active=tuple(range(14)))
+    calls, real = [], np.linalg.lstsq
+
+    def count(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", count)
+    residual = kernel.stationarity_residual(prob, mult)
+    v = nnls(G, -fy)[0]
+    assert residual == pytest.approx(np.max(np.abs(G @ v + fy)), abs=1e-9)
+    assert (residual < 1e-9) == in_cone
+    assert 0 < len(calls) <= 3 * 14
+
+
 # ---------------------------------------------------------------------------
 # Constraint qualifications
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,16 @@ def _box(bounds) -> Polyhedron:
         C += [e, -e]
         d += [hi, -lo]
     return Polyhedron(len(bounds), C=C, d=d)
+
+
+def is_bounded(poly) -> bool:
+    """True when the closure of ``poly`` is empty or every coordinate range
+    of it is finite, read by ``_piece_range`` of the identity image."""
+    if poly.is_empty():
+        return True
+    dt = object if poly.rational else float
+    ident = Piece(poly, np.eye(poly.dim, dtype=dt), np.zeros(poly.dim, dtype=dt))
+    return all(math.isfinite(v) for i in range(poly.dim) for v in setcalc._piece_range(ident, i))
 
 
 def _vertex_set(vf, ndigits=9):
@@ -92,7 +103,7 @@ def test_halfline_has_ray():
     assert _vertex_set(vf) == {(0.0,)}
     assert len(vf.rays) == 1
     assert float(vf.rays[0][0]) > 0
-    assert not P.is_bounded()
+    assert not is_bounded(P)
 
 
 def test_affine_subspace_anchor():
@@ -170,7 +181,7 @@ def test_small_pieces_need_no_lp(monkeypatch):
     monkeypatch.setattr(setcalc, "linprog", no_lp)
     P = Polyhedron(2, C=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], d=[0.0, 0.0, 1.0])
     S = PolySet(1, [Piece(P, np.array([[1.0, 2.0]]), np.array([0.5]), "tri")])
-    assert not S.is_empty() and P.is_bounded()
+    assert not S.is_empty() and is_bounded(P)
     assert S.coord_range(0) == (0.5, 2.5)
     assert not S.is_zero_singleton()
 
@@ -247,7 +258,7 @@ def test_lp_fallback_matches_enumeration(monkeypatch):
     want = [PolySet(1, [pc]).coord_range(0) for pc in pieces]
     monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
     assert [PolySet(1, [pc]).coord_range(0) for pc in pieces] == want
-    assert [P.is_bounded(), ray.is_bounded()] == [True, False]
+    assert [is_bounded(P), is_bounded(ray)] == [True, False]
 
 
 def test_lp_range_keeps_unbounded_side_on_false_infeasible(monkeypatch):
@@ -350,6 +361,39 @@ def test_constant_test_eliminates_the_equality_rows_once(monkeypatch, num):
     assert simplex._reduction is setcalc._UNSET and simplex._decomp is None
     assert len(simplex.vertices().points) == 3
     assert widths.count(3) == 1
+
+
+def test_slices_products_and_branches_scale_only_their_new_rows(monkeypatch):
+    # the integer rows are scaled once per row: a slice scales its j new
+    # rows, a product none, and the branches of an exact family none beyond
+    # the family's rows [gy_i | -u*_i]
+    from valfun import coderiv
+    from valfun.model import Partition
+
+    calls, real = [], setcalc._int_row
+
+    def count(row):
+        calls.append(1)
+        return real(row)
+
+    monkeypatch.setattr(setcalc, "_int_row", count)
+    monkeypatch.setattr(coderiv, "_int_row", count, raising=False)
+    F = lambda vals, *shape: np.array([Fraction(v, 3) for v in vals], dtype=object).reshape(shape)
+    P = Polyhedron(3, C=F([-3, 0, 0, 0, -3, 0, 0, 0, -3, 1, 1, 1], 4, 3), d=F([0, 0, 0, 2], 4),
+                   C_eq=F([1, -1, 0], 1, 3), d_eq=F([0], 1))
+    Q = Polyhedron(2, C=F([-3, 0, 0, -3, 2, 1], 3, 2), d=F([0, 0, 4], 3))
+    assert P.vertices().points and Q.vertices().points
+    calls.clear()
+    sliced = P.with_eqs(F([1, 0, 2, 0, 1, -1], 2, 3), F([1, 0], 2))
+    assert sliced.vertices().points and len(calls) == 2
+    calls.clear()
+    assert len(P.product(Q).vertices().points) == 9 and not calls
+    gy, u_star = F([3, 1, -1, 2, 1, 1], 3, 2), F([1, -2, 0], 3)
+    fam = coderiv.build_branch_family(gy, Partition(eta=(), theta=(0, 2), nu=(1,)), u_star,
+                                      branch_cap=9)
+    for br in fam.branches:
+        br.poly.vertices()
+    assert fam.branches and len(calls) == 3
 
 
 def test_empty_polyhedron_detected():

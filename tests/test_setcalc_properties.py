@@ -2,9 +2,10 @@
 membership of random small polyhedra (float and rational, dim <= 4,
 including empty, unbounded and non-pointed ones) agree with plain
 ``scipy.optimize.linprog`` LPs written out here, exact elimination
-agrees with a plain Fraction Gauss-Jordan written out here, and the
-zero-singleton test agrees with the coordinate ranges.  Examples are
-derandomized, so the run is fixed."""
+agrees with a plain Fraction Gauss-Jordan written out here, the
+zero-singleton test agrees with the coordinate ranges, and the integer
+rows a rational polyhedron inherits or is handed are those of its public
+rows.  Examples are derandomized, so the run is fixed."""
 
 from __future__ import annotations
 
@@ -17,8 +18,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from valfun import setcalc
+from valfun import coderiv, kernel, setcalc
+from valfun.model import Partition
 from valfun.setcalc import Piece, Polyhedron, PolySet, matrix_rank_generic, solve_linear
+
+from test_setcalc import is_bounded
 
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -98,9 +102,9 @@ def _check(poly, A, b):
         bounded = all(
             _oracle_lp(poly, -sign * np.eye(poly.dim)[j]).status == 0
             for j in range(poly.dim) for sign in (1.0, -1.0))
-        assert poly.is_bounded() == bounded
+        assert is_bounded(poly) == bounded
         with mock.patch.object(setcalc, "MAX_VFORM_SUBSETS", 0):  # range LPs
-            assert _fresh(poly).is_bounded() == bounded
+            assert is_bounded(_fresh(poly)) == bounded
         vf = poly.vertices()
         assert (not vf.vertices) == (vf.anchor is not None)
         for v in vf.vertices + ([vf.anchor] if vf.anchor is not None else []):
@@ -190,7 +194,7 @@ def test_non_pointed_ranges(dt):
     P = Polyhedron(3, C=C, d=np.array([1, 1, 2], dtype=dt))
     S = PolySet(3, [Piece(P, np.eye(3, dtype=dt), np.zeros(3, dtype=dt), "slab")])
     assert [S.coord_range(i) for i in range(3)] == [(-1.0, 1.0), (-INF, 2.0), (-INF, INF)]
-    assert not P.is_bounded() and not P.is_empty()
+    assert not is_bounded(P) and not P.is_empty()
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +423,7 @@ def _check_emptiness(case):
     if kind == "empty":
         assert not points
     red = fresh._reduced()
-    if poly.rational and red is not None and red.N.shape[1] == 0:
+    if poly.rational and red is not None and not red.N:
         z = setcalc._frac_vec(red.z0, red.det)
         assert all(v >= 0 for v in red.dp) == poly.contains_point(z, 0)
 
@@ -484,3 +488,72 @@ def test_float_zero_singleton_agrees_with_ranges(case):
 @given(image_cases(rational=True))
 def test_rational_zero_singleton_agrees_with_ranges(case):
     _check_zero_singleton(*case)
+
+
+# ---------------------------------------------------------------------------
+# Integer rows: inherited or handed in, always those of the public rows
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def exact_families(draw):
+    """(gy, partition, u*, flavor) of an exact branch family: p <= 3 rows
+    in m <= 2 variables, each index in eta, theta or nu at random."""
+    m, p = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    frac = lambda: Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3])))
+    gy = np.array([frac() for _ in range(p * m)], dtype=object).reshape(p, m)
+    sets = {"eta": [], "theta": [], "nu": []}
+    for i in range(p):
+        sets[draw(st.sampled_from(sorted(sets)))].append(i)
+    u_star = np.array([frac() for _ in range(p)], dtype=object)
+    return gy, Partition(**{k: tuple(v) for k, v in sets.items()}), u_star, \
+        draw(st.sampled_from(["M", "C"]))
+
+
+@st.composite
+def int_row_cases(draw):
+    """Rational polyhedra whose integer rows come from somewhere else than
+    their own scaling: slices, products and slices of products of
+    ``polyhedra``, the branches of an exact family and their slices, and
+    the feasible and face sets of ``kernel``; plain ones besides."""
+    kind = draw(st.sampled_from(["plain", "slice", "product", "product-slice", "branch",
+                                 "kernel"]))
+    frac = lambda: Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2])))
+    fracs = lambda n: np.array([frac() for _ in range(n)], dtype=object)
+    if kind == "branch":
+        gy, part, u_star, flavor = draw(exact_families())
+        fam = coderiv.build_branch_family(gy, part, u_star, flavor, branch_cap=27)
+        M = fracs(3 * fam.dim).reshape(3, fam.dim)
+        ystar = fracs(3 - 1)
+        sliced = coderiv.slice_pieces(fam, M, ystar, fracs(1), lambda br: br.label)
+        return [br.poly for br in fam.branches] + [pc.poly for pc in sliced]
+    if kind == "kernel":
+        m, k = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+        rows = [tuple(draw(st.integers(-3, 3)) for _ in range(m + 1)) for _ in range(k)]
+        q = draw(st.integers(1, 2))
+        face = kernel._row_polyhedron(rows, m, C_eq=fracs(q * m).reshape(q, m), d_eq=fracs(q))
+        return [kernel._row_polyhedron(rows, m), face]
+    P = draw(polyhedra(rational=True))[0]
+    if draw(st.booleans()):
+        P.vertices()  # a parent with its rows and decomposition cached
+    if kind in ("product", "product-slice"):
+        P = P.product(draw(polyhedra(rational=True))[0])
+    if kind in ("slice", "product-slice"):
+        j = draw(st.integers(1, 2))
+        P = P.with_eqs(fracs(j * P.dim).reshape(j, P.dim), fracs(j))
+    return [P]
+
+
+def _vform(vf):
+    return [list(v) for v in vf.points], [list(v) for v in vf.rays], vf.lineality
+
+
+@SETTINGS
+@given(int_row_cases())
+def test_integer_rows_are_those_of_the_public_rows(polys):
+    for poly in polys:
+        assert poly.rational
+        assert poly._int_rows() == [setcalc._int_row([*a, b]) for a, b in zip(poly.C, poly.d)]
+        assert poly._int_eq_rows() == [setcalc._int_row([*a, b])
+                                       for a, b in zip(poly.C_eq, poly.d_eq)]
+        assert _vform(poly.vertices()) == _vform(_fresh(poly).vertices())
