@@ -513,9 +513,10 @@ def exact_families(draw):
 @st.composite
 def int_row_cases(draw):
     """Rational polyhedra whose integer rows come from somewhere else than
-    their own scaling: slices, products and slices of products of
-    ``polyhedra``, the branches of an exact family and their slices, and
-    the feasible and face sets of ``kernel``; plain ones besides."""
+    their own scaling: slices (by rational or float rows), products and
+    slices of products of ``polyhedra``, the branches of an exact family,
+    their closures and their slices, and the feasible and face sets of
+    ``kernel``; plain ones besides."""
     kind = draw(st.sampled_from(["plain", "slice", "product", "product-slice", "branch",
                                  "kernel"]))
     frac = lambda: Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2])))
@@ -526,7 +527,8 @@ def int_row_cases(draw):
         M = fracs(3 * fam.dim).reshape(3, fam.dim)
         ystar = fracs(3 - 1)
         sliced = coderiv.slice_pieces(fam, M, ystar, fracs(1), lambda br: br.label)
-        return [br.poly for br in fam.branches] + [pc.poly for pc in sliced]
+        return [br.poly for br in fam.branches] + [br.poly.closure() for br in fam.branches] \
+            + [pc.poly for pc in sliced]
     if kind == "kernel":
         m, k = draw(st.integers(1, 3)), draw(st.integers(0, 5))
         rows = [tuple(draw(st.integers(-3, 3)) for _ in range(m + 1)) for _ in range(k)]
@@ -540,7 +542,10 @@ def int_row_cases(draw):
         P = P.product(draw(polyhedra(rational=True))[0])
     if kind in ("slice", "product-slice"):
         j = draw(st.integers(1, 2))
-        P = P.with_eqs(fracs(j * P.dim).reshape(j, P.dim), fracs(j))
+        E, f = fracs(j * P.dim).reshape(j, P.dim), fracs(j)
+        if draw(st.booleans()):  # float rows: the slice scales them itself
+            E, f = E.astype(float), f.astype(float)
+        P = P.with_eqs(E, f)
     return [P]
 
 
