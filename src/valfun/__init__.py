@@ -44,7 +44,7 @@ _EXPORTS = {
         "parse_problem", "problem_to_json", "verify_concave_convex", "verify_convex_in_y",
     ),
     "setcalc": (
-        "ConvexHullSet", "MemberVerdict", "Piece", "Polyhedron", "PolySet", "convex_hull",
+        "ConvexHullSet", "MemberVerdict", "Piece", "Polyhedron", "PolySet",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -26,6 +26,7 @@ requested covector.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +39,7 @@ from . import kernel
 from .errors import BranchCapError, HypothesisError
 from .model import DEFAULT_TOL_ACT, KktPoint, ParametricProblem, Partition, kkt_point
 from .reporting import ASSUMED, FAILED, VERIFIED, HypothesisRecord, convex_in_y_record
-from .setcalc import Piece, Polyhedron, PolySet, _as_float, _eq_block, _int_row
+from .setcalc import Piece, Polyhedron, PolySet, _eq_block, _int_row, weight_polytope
 
 DEFAULT_BRANCH_CAP = 8
 
@@ -500,10 +501,11 @@ def hull_coderivative(
 ) -> CoderivEstimate:
     """Coderivative estimate of a hull-valued map at (xbar, ybar).
 
-    Enumerates supports of ybar among the generators (at most d+1 of
-    them, d the target-space dimension), takes the vertices of each
-    support's weight polytope, and for each vertex weight a sums the
-    per-generator coderivatives at the scaled covectors a_s * ystar.
+    Decomposes the weight polytope of ybar among the generators once
+    (``setcalc.weight_polytope``): each vertex weight a has at most d+1
+    positive entries, d the target-space dimension, and the pieces are
+    the sums of the per-generator coderivatives at the scaled covectors
+    a_s * ystar, taken by support size, then support.
 
     The zero-covector sum condition is verified piecewise: it holds
     whenever every per-generator coderivative at 0 is {0}.  Failure is
@@ -512,12 +514,8 @@ def hull_coderivative(
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     ystar = np.atleast_1d(np.asarray(ystar, dtype=float))
     gens = [np.atleast_1d(np.asarray(g, float)) for g in gen_map.generators]
-    d = ybar.shape[0]
-    ok = True
-    for s in range(len(gens)):
-        if not gen_map.coderiv(s, np.zeros(d)).is_zero_singleton(tol=1e-9):
-            ok = False
-            break
+    ok = all(gen_map.coderiv(s, np.zeros(ybar.shape[0])).is_zero_singleton(tol=1e-9)
+             for s in range(len(gens)))
     hyps = [
         HypothesisRecord(
             "hull-sum-qualification",
@@ -527,39 +525,18 @@ def hull_coderivative(
         )
     ]
 
+    actives = []
+    for w in weight_polytope(gens, ybar).vertices().vertices:
+        active = tuple((s, round(float(ws), 12)) for s, ws in enumerate(w) if ws > 1e-9)
+        if active and active not in actives:
+            actives.append(active)
     pieces_out: list[Piece] = []
-    seen = set()
-    for size in range(1, min(len(gens), d + 1) + 1):
-        for support in itertools.combinations(range(len(gens)), size):
-            W = Polyhedron(
-                size,
-                C=-np.eye(size),
-                d=np.zeros(size),
-                C_eq=np.vstack(
-                    [np.column_stack([gens[s] for s in support]), np.ones((1, size))]
-                ),
-                d_eq=np.concatenate([ybar, [1.0]]),
-            )
-            vf = W.vertices()
-            for w in vf.vertices:
-                w = _as_float(w)
-                active = tuple(
-                    (support[j], round(float(w[j]), 12))
-                    for j in range(size)
-                    if w[j] > 1e-9
-                )
-                if not active or active in seen:
-                    continue
-                seen.add(active)
-                summed = None
-                for s, weight in active:
-                    part = gen_map.coderiv(s, weight * ystar)
-                    summed = part if summed is None else summed.minkowski(part)
-                tag = "+".join(f"b{s}*{weight:g}" for s, weight in active)
-                for pc in summed.pieces:
-                    pieces_out.append(
-                        Piece(pc.poly, pc.A, pc.b, f"hull[{tag}]|{pc.provenance}")
-                    )
+    for active in sorted(actives, key=lambda a: (len(a), [s for s, _ in a])):
+        summed = functools.reduce(PolySet.minkowski,
+                                  [gen_map.coderiv(s, weight * ystar) for s, weight in active])
+        tag = "+".join(f"b{s}*{weight:g}" for s, weight in active)
+        pieces_out += [Piece(pc.poly, pc.A, pc.b, f"hull[{tag}]|{pc.provenance}")
+                       for pc in summed.pieces]
     if not pieces_out:
         hyps.append(
             HypothesisRecord(

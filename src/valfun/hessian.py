@@ -660,13 +660,18 @@ def lp_lhs_hessian(
     return _lp_lhs(_lp_lhs_constants(A, b), query, flavor, branch_cap)
 
 
-def _lp_lhs_constants(A, b):
-    """(A, b, M, 0_p, 0_m) for ``_lp_lhs``: the program data and the map
-    matrix and zero vectors of its slices, which depend on A alone."""
+def _lp_constants(A, v, Lxy, gx):
+    """(A, v, M, 0_p, 0_m) for ``_lp_lhs`` and ``_lp_lhs_rhs``: the program
+    data and the map matrix of their slices for the constant blocks Lxy,
+    gx, Lyy = 0 and gy = A, with its zero vectors; built once per program."""
     p, m = A.shape
-    M = coderivative_map_matrix(_frac(np.eye(m)), _frac(np.zeros((p, m))),
-                                _frac(np.zeros((m, m))), A)
-    return (A, b, *_read_only(M, _frac(np.zeros(p)), _frac(np.zeros(m))))
+    M = coderivative_map_matrix(_frac(Lxy), _frac(gx), _frac(np.zeros((m, m))), A)
+    return (A, v, *_read_only(M, _frac(np.zeros(p)), _frac(np.zeros(m))))
+
+
+def _lp_lhs_constants(A, b):
+    """``_lp_constants`` of min { x . y : A y <= b }: Lxy = I, gx = 0."""
+    return _lp_constants(A, b, np.eye(A.shape[1]), np.zeros(A.shape))
 
 
 @per_problem
@@ -737,6 +742,25 @@ def lp_lhs_rhs_hessian(
     A = _frac(A)
     if A.ndim != 2:
         raise ValueError("matrix expected")
+    return _lp_lhs_rhs(_lp_lhs_rhs_constants(A, cost), query, flavor, branch_cap)
+
+
+def _lp_lhs_rhs_constants(A, cost):
+    """``_lp_constants`` of min { c . y : A y <= x }: Lxy = 0, gx = -I."""
+    return _lp_constants(A, cost, np.zeros(A.shape), -np.eye(A.shape[0]))
+
+
+@per_problem
+def _lp_lhs_rhs_data(problem: ParametricProblem):
+    """``_lp_lhs_rhs_constants`` of ``lp_rhs_parametric_data``, built once
+    per problem; None when the problem is not of that form."""
+    data = lp_rhs_parametric_data(problem)
+    return None if data is None else _lp_lhs_rhs_constants(*data)
+
+
+def _lp_lhs_rhs(constants, query, flavor, branch_cap) -> HessianEstimate:
+    """``lp_lhs_rhs_hessian`` on the ``_lp_lhs_rhs_constants`` of the program."""
+    A, cost, M, zero_p, zero_m = constants
     p, m = A.shape
     xbar = _frac(query.xbar)
     xstar = _frac(query.xstar)
@@ -800,9 +824,6 @@ def lp_lhs_rhs_hessian(
             )
         )
         return _exact_estimate(query, "lp-lhs-rhs", PolySet.empty(n), hyps)
-    M = coderivative_map_matrix(_frac(np.zeros((n, m))), _frac(-np.eye(p)),
-                                _frac(np.zeros((m, m))), A)
-    zero_p, zero_m = _frac(np.zeros(p)), _frac(np.zeros(m))
     pieces = []
     for k, y in enumerate(ys):
         g = A @ y - xbar
@@ -944,13 +965,12 @@ def compute(
             )
         return _lp_lhs(data, query, flavor, branch_cap)
     if case == "lp-lhs-rhs":
-        data = lp_rhs_parametric_data(problem)
+        data = _lp_lhs_rhs_data(problem)
         if data is None:
             raise CaseRoutingError(
                 "problem is not of the RHS-parametric LP form min{c.y : Ay <= x}"
             )
-        return lp_lhs_rhs_hessian(data[0], query, cost=data[1], flavor=flavor,
-                                  branch_cap=branch_cap)
+        return _lp_lhs_rhs(data, query, flavor, branch_cap)
 
     ctxs, under = info.get("contexts"), info.get("under")
     if ctxs is None:

@@ -29,9 +29,10 @@ cached hull; a coordinate range reads off the hull alone whether a piece
 not yet decomposed maps to a constant, and skips the piece when that
 constant lies inside the range already found.  Pieces too large to
 enumerate (``MAX_VFORM_SUBSETS``), membership farther than the tolerance
-from every decomposition point, open rows and hull weights take
-floating-point LPs, each raising :class:`LpStatusError` unless the solver
-reports a definite answer.
+from every decomposition point and open rows take floating-point LPs,
+each raising :class:`LpStatusError` unless the solver reports a definite
+answer.  Convex-hull questions read the vertices of one weight polytope
+(``weight_polytope``) and solve no LP.
 
 scipy is imported on first use only, for those LPs.
 """
@@ -941,17 +942,8 @@ class PolySet:
         pts = [np.asarray(p, dtype=float) for p in points]
         if not pts:
             return cls.empty(0)
-        k = len(pts)
-        dim = pts[0].shape[0]
-        simplex = Polyhedron(
-            k,
-            C=-np.eye(k),
-            d=np.zeros(k),
-            C_eq=np.ones((1, k)),
-            d_eq=np.ones(1),
-        )
-        A = np.column_stack(pts) if dim else np.zeros((0, k))
-        return cls(dim, [Piece(simplex, A, np.zeros(dim), provenance)])
+        G = np.column_stack(pts)
+        return cls(G.shape[0], [Piece(_simplex(len(pts)), G, np.zeros(G.shape[0]), provenance)])
 
     # -- algebra ---------------------------------------------------------------
 
@@ -1295,6 +1287,19 @@ def _piece_constant(pc: Piece, i: int):
 # ---------------------------------------------------------------------------
 
 
+def _simplex(k) -> Polyhedron:
+    """The weights w >= 0 with sum(w) = 1 in R^k."""
+    return Polyhedron(k, C=-np.eye(k), d=np.zeros(k), C_eq=np.ones((1, k)), d_eq=np.ones(1))
+
+
+def weight_polytope(generators, point) -> Polyhedron:
+    """W(G, q) = { w >= 0 : sum(w) = 1, G w = q }, G holding the generators
+    as columns: the simplex of ``PolySet.from_hull`` sliced by G w = q.
+    Its vertices are basic solutions, each with at most dim+1 positive
+    weights (Caratheodory), so they are those of every support's face."""
+    return _simplex(len(generators)).with_eqs(np.column_stack(generators), point)
+
+
 @dataclass
 class HullCertificate:
     """Convex-combination witness: point = sum_i weights[i] * generators[support[i]],
@@ -1309,8 +1314,8 @@ class HullCertificate:
 
 
 class ConvexHullSet:
-    """Convex hull of finitely many generators with LP membership and
-    Caratheodory-reduced certificates."""
+    """Convex hull of finitely many generators; membership and certificates
+    read the first vertex of the weight polytope of the point."""
 
     def __init__(self, generators):
         self.generators = [np.asarray(g, dtype=float) for g in generators]
@@ -1319,70 +1324,17 @@ class ConvexHullSet:
         self.dim = self.generators[0].shape[0]
 
     def member(self, point, tol: float = 1e-9) -> bool:
-        return _in_hull(np.asarray(point, float), self.generators, tol)
+        return self.certificate(point, tol) is not None
 
     def certificate(self, point, tol: float = 1e-9) -> HullCertificate | None:
-        """Weights over at most dim+1 generators reconstructing ``point``."""
+        """The support and weights of the first vertex of the weight
+        polytope, at most dim+1 generators; None when it has no vertex or
+        that vertex reconstructs ``point`` worse than max(tol, 1e-8)."""
         point = np.asarray(point, dtype=float)
-        w = _hull_weights(point, self.generators, tol)
-        if w is None:
+        verts = weight_polytope(self.generators, point).vertices().vertices
+        if not verts:
             return None
-        support = [i for i, wi in enumerate(w) if wi > 1e-12]
-        weights = [w[i] for i in support]
-        support, weights = _caratheodory_reduce(point, self.generators, support, weights)
-        return HullCertificate(point=point, support=support, weights=weights)
-
-
-def convex_hull(points) -> ConvexHullSet:
-    return ConvexHullSet(points)
-
-
-def _in_hull(point, generators, tol) -> bool:
-    return _hull_weights(point, generators, tol) is not None
-
-
-def _hull_weights(point, generators, tol):
-    k = len(generators)
-    dim = len(point)
-    G = np.column_stack([np.asarray(g, float) for g in generators]) if dim else np.zeros((0, k))
-    A_eq = np.vstack([G, np.ones((1, k))])
-    b_eq = np.concatenate([point, [1.0]])
-    res = _lp(np.zeros(k), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * k)
-    _check_status(res, "hull weights")
-    if res.status != 0:
-        return None
-    w = np.clip(res.x, 0.0, None)
-    recon = G @ w if dim else np.zeros(0)
-    if np.max(np.abs(recon - point), initial=0.0) > max(tol, 1e-8):
-        return None
-    return list(w / max(w.sum(), 1e-300))
-
-
-def _caratheodory_reduce(point, generators, support, weights):
-    """Prune a convex combination to at most dim+1 supports by walking
-    along null directions of the lifted generator matrix."""
-    dim = len(point)
-    support = list(support)
-    weights = [float(w) for w in weights]
-    while len(support) > dim + 1:
-        G = np.vstack([
-            np.column_stack([generators[i] for i in support]) if dim else np.zeros((0, len(support))),
-            np.ones((1, len(support))),
-        ])
-        _, null = _gauss([list(r) for r in G], [0.0] * G.shape[0], False)
-        if not null:
-            break  # pragma: no cover - rank bound guarantees a null vector
-        nu = np.array(null[0], dtype=float)
-        if np.all(nu <= 1e-15):
-            nu = -nu
-        steps = [
-            (weights[j] / nu[j], j) for j in range(len(support)) if nu[j] > 1e-15
-        ]
-        t, drop = min(steps)
-        weights = [w - t * nv for w, nv in zip(weights, nu)]
-        del support[drop], weights[drop]
-        # renormalize tiny drift
-        total = sum(weights)
-        weights = [max(w, 0.0) / total for w in weights]
-    order = np.argsort(support)
-    return [support[i] for i in order], [weights[i] for i in order]
+        support = [i for i, wi in enumerate(verts[0]) if wi > 1e-12]
+        cert = HullCertificate(point, support, [float(verts[0][i]) for i in support])
+        error = np.max(np.abs(cert.reconstruct(self.generators) - point), initial=0.0)
+        return cert if error <= max(tol, 1e-8) else None

@@ -370,16 +370,21 @@ def test_structure_detection_tables():
     ("rhslp", ([2.0, 1.0], [0.0, -1.0], [1.0, 1.0]), "lp-lhs-rhs"),
 ])
 def test_lp_form_probes_run_once_per_problem(monkeypatch, name, query, case):
-    # each probe reads the derivative table once; later computes, routed
-    # or with the case given, reuse its read-only answer
+    # each probe reads the derivative table once, and the map matrix of the
+    # case is built once; later computes, routed or with the case given,
+    # reuse their read-only answers
     prob = load_instance(name)
     reads, real = [], prob._dtable
     monkeypatch.setattr(prob, "_dtable", lambda: reads.append(1) or real())
+    maps, real_map = [], hessian.coderivative_map_matrix
+    monkeypatch.setattr(hessian, "coderivative_map_matrix",
+                        lambda *a: maps.append(1) or real_map(*a))
     counts = []
     for given in ("auto", case, "auto", case):
         assert compute(prob, HessianQuery(*query, case=given)).case == case
         counts.append(len(reads))
     assert counts[0] > 0 and counts == counts[:1] * 4
+    assert len(maps) == 1
     data = (lp_cost_parametric_data if case == "lp-lhs" else lp_rhs_parametric_data)(prob)
     assert not any(arr.flags.writeable for arr in data)
 

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from valfun import setcalc
+from valfun.coderiv import FiniteGeneratorMap, hull_coderivative
 from valfun.errors import LpStatusError
 from valfun.setcalc import (
     ConvexHullSet,
     Piece,
     PolySet,
     Polyhedron,
-    convex_hull,
     matrix_rank_generic,
     solve_linear,
 )
@@ -226,15 +226,6 @@ def test_origin_witness_needs_no_lp(monkeypatch, num):
     assert P._reduction is setcalc._UNSET and P._decomp is None
 
 
-def test_undecided_hull_weights_raise(monkeypatch):
-    monkeypatch.setattr(setcalc, "linprog", lambda *a, **k: _Undecided())
-    hull = convex_hull([np.zeros(1), np.ones(1)])
-    with pytest.raises(LpStatusError):
-        hull.member([0.5])
-    with pytest.raises(LpStatusError):
-        hull.certificate([0.5])
-
-
 def test_undecided_open_row_margin_raises(monkeypatch):
     # the distance LP decides; the open-row margin LP after it does not
     real, calls = setcalc.linprog, []
@@ -443,7 +434,7 @@ def test_simplex_r4_vertices_match_lp_hull():
     assert _vertex_set(vf) == {
         tuple(1.0 if j == i else 0.0 for j in range(dim)) for i in range(dim)
     }
-    hull = convex_hull([np.asarray(v, float) for v in vf.vertices])
+    hull = ConvexHullSet([np.asarray(v, float) for v in vf.vertices])
     center = np.full(dim, 1.0 / dim)
     assert hull.member(center)
     assert not hull.member(np.full(dim, 0.3))
@@ -555,7 +546,7 @@ def test_polyset_to_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# Convex hulls with Caratheodory certificates
+# Convex hulls: certificates and the hull coderivative read one weight polytope
 # ---------------------------------------------------------------------------
 
 
@@ -581,3 +572,31 @@ def test_hull_certificates_random_battery(rng):
         assert cert is not None
         assert len(cert.support) <= 4
         assert cert.reconstruct(gens) == pytest.approx(point, abs=1e-9)
+
+
+def test_hull_queries_solve_no_lp(monkeypatch):
+    # certificates, membership and the hull coderivative all read the
+    # vertices of the weight polytope; none of them calls linprog
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a hull query called linprog")
+
+    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    gens = [np.array(v, float) for v in [(0, 0), (2, 0), (0, 2)]]
+    hull = ConvexHullSet(gens)
+    inside, outside = np.array([0.6, 1.0]), np.array([2.0, 2.0])  # 0.2 g0 + 0.3 g1 + 0.5 g2
+    cert = hull.certificate(inside)
+    assert cert.support == [0, 1, 2]
+    assert cert.weights == pytest.approx([0.2, 0.3, 0.5], abs=1e-12)
+    assert hull.member(inside)
+    assert hull.certificate(outside) is None and not hull.member(outside)
+
+    gm = FiniteGeneratorMap(
+        gens, lambda k, w: PolySet.from_point((k + 1) * np.asarray(w, float), f"gen{k}"), 2)
+    est = hull_coderivative(gm, inside, [1.0, 0.0])
+    assert [pc.provenance for pc in est.result.pieces] == [
+        "hull[b0*0.2+b1*0.3+b2*0.5]|gen0+gen1+gen2"]
+    assert est.result.member([0.2 + 0.6 + 1.5, 0.0])
+    est = hull_coderivative(gm, outside, [1.0, 0.0])
+    assert est.result.is_empty()
+    assert [h.status for h in est.hypotheses if h.name == "target-in-generator-hull"] == [
+        "failed"]

@@ -3,12 +3,16 @@ membership of random small polyhedra (float and rational, dim <= 4,
 including empty, unbounded and non-pointed ones) agree with plain
 ``scipy.optimize.linprog`` LPs written out here, exact elimination
 agrees with a plain Fraction Gauss-Jordan written out here, the
-zero-singleton test agrees with the coordinate ranges, and the integer
+zero-singleton test agrees with the coordinate ranges, the integer
 rows a rational polyhedron inherits or is handed are those of its public
-rows.  Examples are derandomized, so the run is fixed."""
+rows, and on degenerate generator sets the hull coderivative agrees with
+a per-support enumeration written out here and every hull certificate
+is a valid Caratheodory witness.  Examples are derandomized, so the run
+is fixed."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -20,7 +24,9 @@ from scipy.optimize import linprog
 
 from valfun import coderiv, kernel, setcalc
 from valfun.model import Partition
-from valfun.setcalc import Piece, Polyhedron, PolySet, matrix_rank_generic, solve_linear
+from valfun.setcalc import (
+    ConvexHullSet, Piece, Polyhedron, PolySet, matrix_rank_generic, solve_linear,
+)
 
 from test_setcalc import is_bounded
 
@@ -562,3 +568,85 @@ def test_integer_rows_are_those_of_the_public_rows(polys):
         assert poly._int_eq_rows() == [setcalc._int_row([*a, b])
                                        for a, b in zip(poly.C_eq, poly.d_eq)]
         assert _vform(poly.vertices()) == _vform(_fresh(poly).vertices())
+
+
+@st.composite
+def degenerate_hulls(draw):
+    """(generators, queries) in dim <= 3: at most 7 float generators, one
+    of them repeated and three of them collinear (the middle one halfway),
+    and queries that are convex combinations of them, some moved off by a
+    small offset."""
+    dim = draw(st.integers(1, 3))
+    den = draw(st.sampled_from([1, 2, 4]))
+    point = lambda: np.array([draw(st.integers(-3, 3)) / den for _ in range(dim)])
+    gens = [point() for _ in range(draw(st.integers(1, 3)))]
+    a, b = point(), point()
+    gens += [gens[draw(st.integers(0, len(gens) - 1))].copy(), a, (a + b) / 2, b]
+    order = draw(st.permutations(range(len(gens))))
+    gens = [gens[i] for i in order]
+    queries = []
+    for _ in range(3):
+        w = np.array([draw(st.integers(0, 2)) for _ in gens], dtype=float)
+        assume(w.sum() > 0)
+        offset = point() / 4 if draw(st.booleans()) else np.zeros(dim)
+        queries.append(sum(wi * g for wi, g in zip(w / w.sum(), gens)) + offset)
+    return gens, queries
+
+
+def _generator_map(gens):
+    """A generator map whose coderivative at generator k is the point
+    (k + 1) * covector + k."""
+    return coderiv.FiniteGeneratorMap(
+        gens, lambda k, w: PolySet.from_point((k + 1) * np.asarray(w, float) + k, f"g{k}"),
+        len(gens[0]))
+
+
+def _per_support_hull(gen_map, ybar, ystar):
+    """The hull coderivative pieces by the enumeration of supports: every
+    support of at most d+1 generators, the vertices of its own weight
+    polytope, each weight vector's first occurrence kept."""
+    gens, d = gen_map.generators, len(ybar)
+    pieces, seen = [], set()
+    for size in range(1, min(len(gens), d + 1) + 1):
+        for support in itertools.combinations(range(len(gens)), size):
+            W = Polyhedron(size, C=-np.eye(size), d=np.zeros(size),
+                           C_eq=np.vstack([np.column_stack([gens[s] for s in support]),
+                                           np.ones((1, size))]),
+                           d_eq=np.concatenate([ybar, [1.0]]))
+            for w in W.vertices().vertices:
+                active = tuple((support[j], round(float(w[j]), 12))
+                               for j in range(size) if w[j] > 1e-9)
+                if not active or active in seen:
+                    continue
+                seen.add(active)
+                summed = None
+                for s, weight in active:
+                    part = gen_map.coderiv(s, weight * ystar)
+                    summed = part if summed is None else summed.minkowski(part)
+                tag = "+".join(f"b{s}*{weight:g}" for s, weight in active)
+                pieces += [Piece(pc.poly, pc.A, pc.b, f"hull[{tag}]|{pc.provenance}")
+                           for pc in summed.pieces]
+    return PolySet(gen_map.target_dim, pieces)
+
+
+@SETTINGS
+@given(degenerate_hulls())
+def test_hull_coderivative_agrees_with_per_support_enumeration(case):
+    gens, queries = case
+    dim = len(gens[0])
+    gen_map, hull = _generator_map(gens), ConvexHullSet(gens)
+    ystar = np.arange(1.0, dim + 1.0)
+    for q in queries:
+        got = coderiv.hull_coderivative(gen_map, q, ystar).result
+        ref = _per_support_hull(gen_map, q, ystar)
+        assert [pc.provenance for pc in got.pieces] == [pc.provenance for pc in ref.pieces]
+        samples = [pc.b for pc in ref.pieces] + [pc.b + 0.5 for pc in ref.pieces] + [q]
+        for z in samples:
+            assert got.member(z).status == ref.member(z).status
+        cert = hull.certificate(q)
+        assert (cert is not None) == bool(ref.pieces)
+        if cert is not None:
+            w = np.array(cert.weights)
+            assert len(cert.support) <= dim + 1
+            assert w.min() >= -1e-12 and abs(w.sum() - 1.0) <= 1e-9
+            assert np.max(np.abs(cert.reconstruct(gens) - q)) <= 1e-9
