@@ -16,7 +16,7 @@ _EXPORTS = {
     "coderiv": (
         "Branch", "BranchFamily", "CoderivEstimate", "CqReport", "FiniteGeneratorMap",
         "branch_family", "build_branch_family", "check_cq_lambda", "coderivative_S",
-        "coderivative_lambda", "hull_coderivative", "solution_map_lipschitz_like",
+        "coderivative_lambda", "hull_coderivative",
     ),
     "errors": (
         "BranchCapError", "CaseRoutingError", "DegeneracyError", "DimensionError",
@@ -40,7 +40,7 @@ _EXPORTS = {
     ),
     "model": (
         "KktPoint", "LagrangianEval", "NamedPoint", "ParametricProblem", "Partition",
-        "classify", "differentiate", "load_problem", "make_kkt", "parse_expr",
+        "differentiate", "load_problem", "make_kkt", "parse_expr",
         "parse_problem", "problem_to_json", "verify_concave_convex", "verify_convex_in_y",
     ),
     "setcalc": (

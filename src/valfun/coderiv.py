@@ -467,17 +467,6 @@ def solution_coderivative(ctx: PointContext, ystar, flavor: str = "M",
     return CoderivEstimate(kind="S", covector=ystar, result=PolySet(n, pieces), hypotheses=hyps)
 
 
-def solution_map_lipschitz_like(
-    problem: ParametricProblem, xbar, ybar, branch_cap: int = DEFAULT_BRANCH_CAP
-) -> bool:
-    """True when the zero-image qualification holds at every multiplier
-    vertex, certifying the Lipschitz-like property and hence
-    D*S(xbar|ybar)(0) = {0}."""
-    ctx = PointContext(problem, xbar, ybar)
-    return not ctx.mult.empty and all(
-        ctx.cq(j, "M", branch_cap).image_vanishes for j in range(len(ctx.mult.vertices)))
-
-
 # ---------------------------------------------------------------------------
 # Hull coderivative: maps with finitely generated convex values
 # ---------------------------------------------------------------------------

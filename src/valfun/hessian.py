@@ -796,9 +796,8 @@ def _lp_lhs_rhs(constants, query, flavor, branch_cap) -> HessianEstimate:
     face = Polyhedron(m, C=A, d=xbar, C_eq=A[supp] if supp else None,
                       d_eq=xbar[supp] if supp else None)
     vf = face.vertices()
-    ys = list(vf.vertices)
+    ys = kernel._face_sample(list(vf.vertices))
     if len(ys) > 1:
-        ys.append(sum(ys) / len(ys))
         hyps.append(
             HypothesisRecord(
                 "complementary-face",

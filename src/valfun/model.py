@@ -851,13 +851,6 @@ class Partition:
     ambiguous: tuple[int, ...] = ()
 
 
-def classify(problem: ParametricProblem, x, y, u, tol_act: float = DEFAULT_TOL_ACT) -> Partition:
-    x = _as_vector(x, problem.n, "x")
-    y = _as_vector(y, problem.m, "y")
-    u = _as_vector(u, problem.p, "u", allow_empty=True)
-    return partition_of(problem.eval_g(x, y), u, tol_act)
-
-
 def partition_of(g, u, tol_act: float = DEFAULT_TOL_ACT) -> Partition:
     """The partition of constraint values g and multipliers u; with
     ``tol_act=0`` on exact data every index is decided exactly."""

@@ -27,12 +27,14 @@ polyhedron, so they are exact on rational data too.  The equality rows are
 eliminated once per polyhedron, and the decomposition is built on that
 cached hull; a coordinate range reads off the hull alone whether a piece
 not yet decomposed maps to a constant, and skips the piece when that
-constant lies inside the range already found.  Pieces too large to
-enumerate (``MAX_VFORM_SUBSETS``), membership farther than the tolerance
-from every decomposition point and open rows take floating-point LPs,
-each raising :class:`LpStatusError` unless the solver reports a definite
-answer.  Convex-hull questions read the vertices of one weight polytope
-(``weight_polytope``) and solve no LP.
+constant lies inside the range already found.  Membership reads two
+coordinate ranges over float pieces lifted by one variable: the distance
+to a piece is the low end of its lifted sup-norm gap, and the margin of
+its open rows the high end of their lifted slack.  Only pieces too large
+to enumerate (``MAX_VFORM_SUBSETS``), lifted ones included, take
+floating-point LPs (HiGHS), each raising :class:`LpStatusError` unless the
+solver reports a definite answer.  Convex-hull questions read the
+vertices of one weight polytope (``weight_polytope``) and solve no LP.
 
 scipy is imported on first use only, for those LPs.
 """
@@ -54,12 +56,12 @@ RANK_TOL = 1e-9
 DEDUP_TOL = 1e-6
 #: Largest active-set subset count C(k, r-l) + C(k, r-l-1) (k rows, r
 #: free variables, lineality l) for which emptiness and coordinate ranges
-#: come from the enumerated decomposition rather than LPs.  Ten covers the largest pieces of the test battery (k=4, r=2).  At
-#: this size, on dense random rows with two equality rows, a decomposition
-#: costs 0.6-2.4 ms in floats and 0.6-3.1 ms exactly (medians, r <= 8), no
-#: more than the one 2.7-3.3 ms HiGHS call of an emptiness check.  The
-#: multiplier sets of ``kernel`` are decomposed whatever their size, and
-#: MFCQ is read off them.
+#: come from the enumerated decomposition rather than LPs.  Ten covers the
+#: largest pieces of the test battery (k=4, r=2).  At this size, on dense
+#: random rows with two equality rows, a decomposition costs 0.6-2.4 ms in
+#: floats and 0.6-3.1 ms exactly (medians, r <= 8), no more than the one
+#: 2.7-3.3 ms HiGHS call of an emptiness check.  The multiplier sets of
+#: ``kernel`` are decomposed whatever their size, and MFCQ is read off them.
 MAX_VFORM_SUBSETS = 10
 #: HiGHS statuses that decide a query: optimal, infeasible, unbounded.
 DECIDED_LP_STATUSES = (0, 2, 3)
@@ -994,6 +996,7 @@ class PolySet:
         Finds, per piece, min_t { t : z in source, |A z + b - point| <= t }.
         A point within tol of the closure refines against the open rows:
         interior of every open row -> "inside", touching one -> "boundary".
+        Both are coordinate ranges over lifted pieces (``_lifted``).
         The reported distance is the best infinity-norm value, a valid
         lower bound for the Euclidean distance to the set.
         """
@@ -1174,7 +1177,8 @@ def _lp_range(pc: Piece, i: int):
 def _piece_distance(pc: Piece, point, tol):
     """min_t { t : z in closure(source), |A z + b - point|_inf <= t }, None
     when empty; at most tol, which is all ``member`` asks, once a
-    decomposition point maps within tol of ``point``.  LP otherwise."""
+    decomposition point maps within tol of ``point``.  Otherwise the low
+    end of t over the lifted piece (``_lifted``)."""
     src = pc.poly
     if src.dim == 0:
         return None if src.is_empty() else _sup_dist(pc.b, point)
@@ -1184,31 +1188,8 @@ def _piece_distance(pc: Piece, point, tol):
             dist = _sup_dist(A @ _as_float(z) + b, point)
             if dist <= tol:
                 return dist
-    nz, dimt = src.dim, pc.target_dim
-    nvar = nz + 1
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-    A_ub_rows, b_ub = [], []
-    if src.C.shape[0]:
-        A_ub_rows.append(np.hstack([_as_float(src.C), np.zeros((src.C.shape[0], 1))]))
-        b_ub.append(_as_float(src.d))
-    Af = _as_float(pc.A)
-    bf = _as_float(pc.b)
-    ones = np.ones((dimt, 1))
-    A_ub_rows.append(np.hstack([Af, -ones]))
-    b_ub.append(point - bf)
-    A_ub_rows.append(np.hstack([-Af, -ones]))
-    b_ub.append(bf - point)
-    A_ub = np.vstack(A_ub_rows)
-    b_ub = np.concatenate(b_ub)
-    A_eq = b_eq = None
-    if src.C_eq.shape[0]:
-        A_eq = np.hstack([_as_float(src.C_eq), np.zeros((src.C_eq.shape[0], 1))])
-        b_eq = _as_float(src.d_eq)
-    bounds = [(None, None)] * nz + [(0, None)]
-    res = _lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
-    _check_status(res, "piece distance")
-    return float(res.fun) if res.status == 0 else None
+    lo = _piece_range(_lifted(pc, point), 0)[0]
+    return None if lo == math.inf else lo
 
 
 def _sup_dist(v, point) -> float:
@@ -1217,46 +1198,35 @@ def _sup_dist(v, point) -> float:
 
 def _refine_open(pc: Piece, point, tol: float):
     """Given the closure touches ``point``, decide inside vs boundary with
-    respect to the open rows: maximize the worst open-row margin subject
-    to mapping onto the point (within tol)."""
-    src = pc.poly
-    if not src.open_rows:
+    respect to the open rows: the high end of the worst open-row margin
+    over the lifted piece (``_lifted``), "boundary" when that is empty."""
+    if not pc.poly.open_rows:
         return "inside"
-    nz = src.dim
-    nvar = nz + 1  # z, mu
-    c = np.zeros(nvar)
-    c[-1] = -1.0  # maximize mu
-    rows, rhs = [], []
-    Cf = _as_float(src.C)
-    df = _as_float(src.d)
-    for i in range(src.C.shape[0]):
-        row = np.zeros(nvar)
-        row[:nz] = Cf[i]
-        if i in src.open_rows:
-            row[-1] = 1.0
-        rows.append(row)
-        rhs.append(df[i])
-    Af = _as_float(pc.A)
-    bf = _as_float(pc.b)
-    for i in range(pc.target_dim):
-        row = np.zeros(nvar)
-        row[:nz] = Af[i]
-        rows.append(row.copy())
-        rhs.append(point[i] - bf[i] + tol)
-        row[:nz] = -Af[i]
-        rows.append(row)
-        rhs.append(bf[i] - point[i] + tol)
-    A_eq = b_eq = None
-    if src.C_eq.shape[0]:
-        A_eq = np.hstack([_as_float(src.C_eq), np.zeros((src.C_eq.shape[0], 1))])
-        b_eq = _as_float(src.d_eq)
-    bounds = [(None, None)] * nz + [(None, 1.0)]
-    res = _lp(c, A_ub=np.vstack(rows), b_ub=np.array(rhs), A_eq=A_eq, b_eq=b_eq, bounds=bounds)
-    _check_status(res, "open-row margin")
-    if res.status != 0:
-        return "boundary"
-    mu = -res.fun
-    return "inside" if mu > tol else "boundary"
+    return "inside" if _piece_range(_lifted(pc, point, tol), 0)[1] > tol else "boundary"
+
+
+def _lifted(pc: Piece, point, tol=None) -> Piece:
+    """The source of ``pc`` lifted by one variable s and mapped to s, in
+    float rows.  With no tol, the distance set
+    { (z, s) : z in closure(source), |A z + b - point|_inf <= s, s >= 0 };
+    with tol, the open-row margin set { (z, s) : C_i z + s <= d_i on the
+    open rows, C_j z <= d_j on the others, C_eq z = d_eq,
+    |A z + b - point|_inf <= tol, s <= 1 }."""
+    src = pc.poly
+    k, t = src.C.shape[0], pc.target_dim
+    A, gap = _as_float(pc.A), point - _as_float(pc.b)
+    if tol is None:  # s bounds the map rows and s >= 0
+        col, slack = np.zeros(k), np.zeros(t)
+        map_s, last, bound = -np.ones(t), -1.0, 0.0
+    else:  # s is the margin of the open rows and s <= 1
+        col, slack = np.array([float(i in src.open_rows) for i in range(k)]), np.full(t, tol)
+        map_s, last, bound = np.zeros(t), 1.0, 1.0
+    C = np.vstack([np.column_stack([_as_float(src.C), col]), np.column_stack([A, map_s]),
+                   np.column_stack([-A, map_s]), np.eye(1, src.dim + 1, src.dim) * last])
+    d = np.concatenate([_as_float(src.d), gap + slack, slack - gap, [bound]])
+    C_eq = np.column_stack([_as_float(src.C_eq), np.zeros(src.C_eq.shape[0])])
+    lifted = Polyhedron(src.dim + 1, C, d, C_eq, _as_float(src.d_eq))
+    return Piece(lifted, np.eye(1, src.dim + 1, src.dim), np.zeros(1), pc.provenance)
 
 
 def _piece_constant(pc: Piece, i: int):

@@ -21,13 +21,13 @@ from valfun.model import (
     Pow,
     Sub,
     Var,
-    classify,
     compile_block,
     differentiate,
     kkt_residual,
     make_kkt,
     parse_expr,
     parse_problem,
+    partition_of,
     problem_to_json,
     verify_concave_convex,
     verify_convex_in_y,
@@ -402,9 +402,9 @@ def test_float_block_raises_the_error_of_eval_block():
 
 def test_classify_partition():
     prob = load_instance("quadfit")
-    part = classify(prob, [1.5], [1.0], [1.0, 0.0])
+    part = partition_of(prob.eval_g([1.5], [1.0]), [1.0, 0.0])
     assert part.nu == (0,) and part.eta == (1,) and part.theta == ()
-    part = classify(prob, [1.0], [1.0], [0.0, 0.0])
+    part = partition_of(prob.eval_g([1.0], [1.0]), [0.0, 0.0])
     assert part.theta == (0,) and part.eta == (1,)
     assert part.ambiguous == ()
 
@@ -413,7 +413,7 @@ def test_classify_ambiguous_goes_to_theta():
     prob = load_instance("quadfit")
     # active constraint with a multiplier just below the tolerance on the
     # negative side: neither cleanly zero nor positive
-    part = classify(prob, [1.5], [1.0], [-5e-4, 0.0], tol_act=1e-7)
+    part = partition_of(prob.eval_g([1.5], [1.0]), [-5e-4, 0.0], tol_act=1e-7)
     assert 0 in part.theta
     assert 0 in part.ambiguous
 

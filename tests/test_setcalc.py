@@ -227,19 +227,36 @@ def test_origin_witness_needs_no_lp(monkeypatch, num):
 
 
 def test_undecided_open_row_margin_raises(monkeypatch):
-    # the distance LP decides; the open-row margin LP after it does not
+    # past the enumeration budget the two LPs of the distance range decide;
+    # the first LP of the open-row margin range after them does not
     real, calls = setcalc.linprog, []
 
-    def second_undecided(*args, **kwargs):
+    def third_undecided(*args, **kwargs):
         calls.append(1)
-        return real(*args, **kwargs) if len(calls) == 1 else _Undecided()
+        return real(*args, **kwargs) if len(calls) <= 2 else _Undecided()
 
-    monkeypatch.setattr(setcalc, "linprog", second_undecided)
+    monkeypatch.setattr(setcalc, "linprog", third_undecided)
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
     P = Polyhedron(1, C=[[-1.0]], d=[0.0], open_rows=(0,))
     S = PolySet(1, [Piece(P, np.eye(1), np.zeros(1), "open")])
     with pytest.raises(LpStatusError):
         S.member([0.5])
-    assert len(calls) == 2
+    assert len(calls) == 3
+
+
+def test_membership_of_small_pieces_needs_no_lp(monkeypatch):
+    # the distance and the open-row margin are ranges over lifted pieces
+    # that fit the enumeration budget; at 0.5 and at -1 no decomposition
+    # point of the piece maps within tol of the query
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    P = Polyhedron(1, C=[[-1.0]], d=[0.0], open_rows=(0,))
+    S = PolySet(1, [Piece(P, np.eye(1), np.zeros(1), "open")])
+    assert S.member([0.5]) == setcalc.MemberVerdict("inside", "open", 0.0)
+    assert S.member([0.0]) == setcalc.MemberVerdict("boundary", "open", 0.0)
+    assert S.member([-1.0]) == setcalc.MemberVerdict("outside", "open", 1.0)
 
 
 def test_lp_fallback_matches_enumeration(monkeypatch):

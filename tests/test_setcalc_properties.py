@@ -1,6 +1,7 @@
 """Property tests: emptiness, boundedness, coordinate ranges and
-membership of random small polyhedra (float and rational, dim <= 4,
-including empty, unbounded and non-pointed ones) agree with plain
+membership (open-row margins included, by enumeration and by LPs) of
+random small polyhedra (float and rational, dim <= 4, including empty,
+unbounded and non-pointed ones) agree with plain
 ``scipy.optimize.linprog`` LPs written out here, exact elimination
 agrees with a plain Fraction Gauss-Jordan written out here, the
 zero-singleton test agrees with the coordinate ranges, the integer
@@ -295,6 +296,16 @@ def test_exact_elimination_matches_fraction_gauss_jordan(case):
 MEMBER_TOL = 1e-6
 
 
+def _lifted_eqs(poly):
+    """The equality rows of ``poly`` as ``linprog`` arguments, with a zero
+    column for one extra variable."""
+    if not poly.C_eq.shape[0]:
+        return {}
+    fl = lambda a: np.asarray(a, dtype=float)
+    return dict(A_eq=np.hstack([fl(poly.C_eq), np.zeros((poly.C_eq.shape[0], 1))]),
+                b_eq=fl(poly.d_eq))
+
+
 def _oracle_distance(poly, A, b, q):
     """min t s.t. z in poly, |A z + b - q|_inf <= t; None when poly is empty."""
     fl = lambda a: np.asarray(a, dtype=float)
@@ -305,16 +316,31 @@ def _oracle_distance(poly, A, b, q):
     if poly.C.shape[0]:
         A_ub.append(np.hstack([fl(poly.C), np.zeros((poly.C.shape[0], 1))]))
         b_ub.append(fl(poly.d))
-    kw = {}
-    if poly.C_eq.shape[0]:
-        kw.update(A_eq=np.hstack([fl(poly.C_eq), np.zeros((poly.C_eq.shape[0], 1))]),
-                  b_eq=fl(poly.d_eq))
     c = np.zeros(nz + 1)
     c[-1] = 1.0
     res = linprog(c, A_ub=np.vstack(A_ub), b_ub=np.concatenate(b_ub),
-                  bounds=[(None, None)] * nz + [(0, None)], method="highs", **kw)
+                  bounds=[(None, None)] * nz + [(0, None)], method="highs", **_lifted_eqs(poly))
     assert res.status in (0, 2), res.message
     return res.fun if res.status == 0 else None
+
+
+def _oracle_margin(poly, A, b, q):
+    """max mu s.t. C_i z + mu <= d_i on the open rows, C_j z <= d_j on the
+    others, C_eq z = d_eq, |A z + b - q|_inf <= MEMBER_TOL and mu <= 1;
+    None when infeasible."""
+    fl = lambda a: np.asarray(a, dtype=float)
+    nz, dimt, k = poly.dim, len(q), poly.C.shape[0]
+    Af, gap = fl(A).reshape(dimt, nz), fl(q) - fl(b)
+    opens = np.array([float(i in poly.open_rows) for i in range(k)]).reshape(k, 1)
+    A_ub = np.vstack([np.hstack([fl(poly.C), opens]), np.hstack([Af, np.zeros((dimt, 1))]),
+                      np.hstack([-Af, np.zeros((dimt, 1))])])
+    b_ub = np.concatenate([fl(poly.d), gap + MEMBER_TOL, MEMBER_TOL - gap])
+    c = np.zeros(nz + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * nz + [(None, 1.0)],
+                  method="highs", **_lifted_eqs(poly))
+    assert res.status in (0, 2), res.message
+    return -res.fun if res.status == 0 else None
 
 
 @st.composite
@@ -375,6 +401,58 @@ def test_float_membership_agrees_with_lp(case):
 @given(member_cases(rational=True))
 def test_rational_membership_agrees_with_lp(case):
     _check_member(case)
+
+
+@st.composite
+def open_member_cases(draw):
+    """(polyhedron, A, b, queries): a nonempty float piece of ``polyhedra``
+    in dimension <= 3 with some rows flagged open, queried at the image of
+    a relative-interior point (the mean of its decomposition points plus
+    the sum of its rays), at the image of a point on the face of an open
+    row, and 1e-3 beyond a finite end of a coordinate range."""
+    poly, A, b = draw(polyhedra(rational=False))
+    k = poly.C.shape[0]
+    assume(poly.dim <= 3 and k and not _oracle_empty(poly))
+    opens = [i for i in range(k) if draw(st.booleans())] or [draw(st.integers(0, k - 1))]
+    poly = Polyhedron(poly.dim, poly.C, poly.d, poly.C_eq, poly.d_eq, opens)
+    vf = poly.vertices()
+    queries = [A @ (np.mean(vf.points, axis=0) + sum(vf.rays, np.zeros(poly.dim))) + b]
+    for i in opens:  # the first open row whose face is nonempty
+        res = _oracle_lp(poly, -poly.C[i])
+        if res.status == 0 and abs(res.fun + poly.d[i]) <= 1e-9:
+            queries.append(A @ res.x + b)
+            break
+    for j, sign in itertools.product(range(A.shape[0]), (1.0, -1.0)):
+        res = _oracle_lp(poly, -sign * A[j])
+        if res.status == 0:
+            queries.append(A @ res.x + b + sign * 1e-3 * np.eye(A.shape[0])[j])
+            break
+    return poly, A, b, queries
+
+
+def _check_open_member(poly, A, b, queries):
+    for q in queries:
+        got = PolySet(A.shape[0], [Piece(_fresh(poly), A, b, "p")]).member(q, MEMBER_TOL)
+        dist = _oracle_distance(poly, A, b, q)
+        if MEMBER_TOL / 2 < dist < 10 * MEMBER_TOL:
+            continue  # too close to the tolerance to call
+        if dist > MEMBER_TOL:
+            assert got.status == "outside" and _same(got.distance, dist), (got, dist)
+            continue
+        mu = _oracle_margin(poly, A, b, q)
+        if mu is not None and MEMBER_TOL / 2 < mu < 10 * MEMBER_TOL:
+            continue
+        assert got.status == ("inside" if mu is not None and mu > MEMBER_TOL
+                              else "boundary"), (got, mu)
+
+
+@pytest.mark.parametrize("budget", [setcalc.MAX_VFORM_SUBSETS, 0])
+@SETTINGS
+@given(case=open_member_cases())
+def test_open_row_membership_agrees_with_lp(budget, case):
+    # at budget 0 every distance and margin range is solved by LPs
+    with mock.patch.object(setcalc, "MAX_VFORM_SUBSETS", budget):
+        _check_open_member(*case)
 
 
 # ---------------------------------------------------------------------------
