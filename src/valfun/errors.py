@@ -63,8 +63,8 @@ class BranchCapError(ValfunError):
 
 
 class LpStatusError(ValfunError):
-    """An LP behind a set query ended without a definite answer (neither
-    optimal, infeasible nor unbounded), so the query cannot be decided."""
+    """The pivoting routine behind a set query found a float point off its
+    rows at their tolerance: the query is undecided, and no piece dropped."""
 
 
 class UsageError(ValfunError):

@@ -23,20 +23,20 @@ them in, and the equality hull, the reduced rows and every candidate of
 the enumeration stay Python int lists.  A set whose rows admit the origin
 is nonempty without further work; otherwise emptiness, like coordinate
 ranges and membership, is read off one cached vertex/ray decomposition per
-polyhedron, so they are exact on rational data too.  The equality rows are
+polyhedron, exact on rational data too.  The equality rows are
 eliminated once per polyhedron, and the decomposition is built on that
 cached hull; a coordinate range reads off the hull alone whether a piece
 not yet decomposed maps to a constant, and skips the piece when that
-constant lies inside the range already found.  Membership reads two
-coordinate ranges over float pieces lifted by one variable: the distance
-to a piece is the low end of its lifted sup-norm gap, and the margin of
-its open rows the high end of their lifted slack.  Only pieces too large
-to enumerate (``MAX_VFORM_SUBSETS``), lifted ones included, take
-floating-point LPs (HiGHS), each raising :class:`LpStatusError` unless the
-solver reports a definite answer.  Convex-hull questions read the
-vertices of one weight polytope (``weight_polytope``) and solve no LP.
-
-scipy is imported on first use only, for those LPs.
+constant lies inside the range already found.  Membership reads one end
+of a coordinate range over a float piece lifted by one variable: the
+distance to a piece is the low end of its lifted sup-norm gap, and the
+margin of its open rows the high end of their lifted slack.  Pieces too
+large to enumerate (``MAX_VFORM_SUBSETS``), lifted ones included, go to
+one pivoting routine on the same reduced rows (``_bland``, the simplex
+method with Bland's rule): phase 1 decides emptiness and each end of a
+range asked for is one phase 2, in integers on rational data and at
+RANK_TOL on floats.  Convex-hull questions read the vertices of one
+weight polytope (``weight_polytope``).  No query imports scipy.
 """
 
 from __future__ import annotations
@@ -55,18 +55,16 @@ from .errors import DimensionError, LpStatusError
 RANK_TOL = 1e-9
 DEDUP_TOL = 1e-6
 #: Largest active-set subset count C(k, r-l) + C(k, r-l-1) (k rows, r
-#: free variables, lineality l) for which emptiness and coordinate ranges
-#: come from the enumerated decomposition rather than LPs.  Ten covers the
-#: largest pieces of the test battery (k=4, r=2).  At this size, on dense
-#: random rows with two equality rows, a decomposition costs 0.6-2.4 ms in
-#: floats and 0.6-3.1 ms exactly (medians, r <= 8), no more than the one
-#: 2.7-3.3 ms HiGHS call of an emptiness check.  The multiplier sets of
-#: ``kernel`` are decomposed whatever their size, and MFCQ is read off them.
+#: free variables, lineality l) up to which set queries read the cached
+#: decomposition instead of pivoting (``_bland``); ten covers the battery's
+#: largest pieces (k=4, r=2).  At ten subsets (2-core machine, medians) the
+#: first range costs 0.2-0.45 ms by either route, each further one 0.03-0.06
+#: ms off the cached decomposition but 0.21-0.33 ms by pivoting.  ``kernel``
+#: decomposes its multiplier sets whatever their size and reads MFCQ off them.
 MAX_VFORM_SUBSETS = 10
-#: HiGHS statuses that decide a query: optimal, infeasible, unbounded.
-DECIDED_LP_STATUSES = (0, 2, 3)
 
 
+# Unused: bench/tracer.py binds this name (kernel imports it too).
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first use."""
     from scipy.optimize import linprog as scipy_linprog
@@ -294,7 +292,7 @@ class _Reduced(NamedTuple):
     z0: list
     N: list | np.ndarray
     Cp: list | np.ndarray
-    dp: list | np.ndarray | None
+    dp: list | np.ndarray
     lin: list
     det: int | float
 
@@ -473,43 +471,18 @@ class Polyhedron:
         return True
 
     def feasible_point(self):
-        """Any point of the closure via LP, or None when empty.  Memoized;
-        raises LpStatusError when the LP ends undecided."""
+        """A basic feasible point of the closure (phase 1 of ``_bland``),
+        Fractions on rational data, or None when it is empty.  Memoized;
+        kept as a name because the benchmark's tracer counts it."""
         if self._point is _UNSET:
-            self._point = self._lp_point()
+            self._point = _bland(self, np.zeros(self.dim))
         return self._point
-
-    def _lp_point(self):
-        if self.dim == 0:
-            ok = np.all(_as_float(self.d) >= -RANK_TOL) if self.d.shape[0] else True
-            ok = ok and (
-                np.all(np.abs(_as_float(self.d_eq)) <= RANK_TOL)
-                if self.d_eq.shape[0]
-                else True
-            )
-            return np.zeros(0) if ok else None
-        res = _lp(np.zeros(self.dim), **self._lp_rows())
-        _check_status(res, "feasible point")
-        if res.status != 0:
-            return None
-        res.x.setflags(write=False)
-        return res.x
-
-    def _lp_rows(self) -> dict:
-        """The rows as float ``linprog`` arguments."""
-        ineq, eq = self.C.shape[0] > 0, self.C_eq.shape[0] > 0
-        return {
-            "A_ub": _as_float(self.C) if ineq else None,
-            "b_ub": _as_float(self.d) if ineq else None,
-            "A_eq": _as_float(self.C_eq) if eq else None,
-            "b_eq": _as_float(self.d_eq) if eq else None,
-        }
 
     def is_empty(self) -> bool:
         """Whether the closure is empty.  When every d >= 0 and d_eq == 0
         the origin is a witness (a cone, such as a coderivative branch at a
         zero covector), decided without reduction or enumeration; otherwise
-        the cached decomposition answers, or an LP past MAX_VFORM_SUBSETS."""
+        the cached decomposition answers, or phase 1 past MAX_VFORM_SUBSETS."""
         if all(v >= 0 for v in self.d) and not any(self.d_eq):
             return False
         if self.enumerable():
@@ -567,8 +540,6 @@ class Polyhedron:
             return None
         z0, N, _ = hull
         r, k = N.shape[1], self.C.shape[0]
-        if r == 0:  # z0 is the only candidate; _decompose tests it directly
-            return _Reduced(z0, N, np.zeros((k, 0)), None, [], 1.0)
         Cm = _as_float(self.C)
         Cp = Cm @ N if k else np.zeros((0, r))
         dp = np.array([self.d[i] - _dot(Cm[i], z0) for i in range(k)], dtype=float)
@@ -822,24 +793,92 @@ def _num(v):
     return int(f) if f.is_integer() and abs(f) < 1e15 else f
 
 
-def _lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, options=None):
-    return linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=bounds if bounds is not None else [(None, None)] * len(c),
-        method="highs",
-        options=options,
-    )
+def _bland(poly, row):
+    """The simplex method with Bland's rule (1977) on the reduced rows
+    Cp t <= dp of ``poly``: the basic point where row . z is least after
+    phases 1 and 2 (row 0: phase 1 only), None when the closure is empty
+    or row . z is unbounded below.  With slacks s = dp - Cp t >= 0, row i
+    of T reads ``basic[i]`` = (T[i][-1] - sum_q T[i][q] nonbasic[q]) / D;
+    labels below r are the free t, which enter first and never leave, and
+    the last row is the objective c . t, c = row N.  Rational data pivot
+    in ints, each division by the old D exact (fraction-free, as in Avis's
+    lrs); float rows are scaled to sup-norm 1 and compared at RANK_TOL, and
+    a point off the rows at the decomposition's tolerance raises
+    LpStatusError.  Phase 1 minimizes Chvatal's x0, relaxing each slack."""
+    red = poly._reduced()
+    if red is None:
+        return None
+    exact, r, k, x0 = poly.rational, red.r, len(red.dp), red.r + len(red.dp)
+    Cp, dp = red.Cp, red.dp
+    if not exact:  # rows at sup-norm 1, so that one tolerance serves them all
+        n = np.max(np.abs(Cp), axis=1, initial=0.0)
+        n = np.where(n > RANK_TOL, n, 1.0)  # a row of rounding noise stays constant
+        Cp, dp = (Cp / n[:, None]).tolist(), (dp / n).tolist()
+    c = [_dot(row, w) for w in red.N] if exact else _as_float(row) @ red.N
+    c = _int_row(c) if exact else (c / max(1.0, np.max(np.abs(c), initial=0.0))).tolist()
+    T = [list(a) + [b] for a, b in zip(Cp, dp)] + [[-v for v in c] + [0]]
+    basic, nonbasic, D = list(range(r, x0)) + [-1], list(range(r)), 1
+    ctol = 0 if exact else RANK_TOL  # for the objective, c at sup-norm <= 1
+    tol = ctol * max(1.0, max(map(abs, dp), default=0.0))  # for rows, scaled by |dp| as in _decompose
+    div, ratio = (operator.floordiv, Fraction) if exact else (operator.truediv,) * 2
 
+    def pivot(p, q):  # exchange basic[p] and nonbasic[q], keeping D > 0
+        nonlocal D
+        rp, piv = T[p], T[p][q]
+        s = 1 if piv > 0 else -1
+        for i, old in enumerate(T):
+            if i != p:
+                T[i] = [s * div(a * piv - old[q] * b, D) for a, b in zip(old, rp)]
+                T[i][q] = -s * old[q]
+        T[p] = [s * a for a in rp]
+        T[p][q] = s * D
+        basic[p], nonbasic[q], D = nonbasic[q], basic[p], abs(piv)
 
-def _check_status(res, query: str) -> None:
-    """Raise unless the LP ended optimal, infeasible or unbounded, the
-    statuses that answer a query."""
-    if res.status not in DECIDED_LP_STATUSES:
-        raise LpStatusError(f"{query} LP ended undecided: status {res.status} ({res.message})")
+    def minimize(obj):  # False when a column enters that no row bounds
+        while True:
+            eps = tol * D
+            enter = [(lab, q) for q, lab in enumerate(nonbasic)
+                     if r <= lab < x0 and T[obj][q] > ctol * D]
+            if not enter:
+                return True
+            q = min(enter)[1]
+            rows = [i for i, lab in enumerate(basic) if lab >= r and T[i][q] > eps]
+            if not rows:
+                return False
+            rhs = lambda i: T[i][-1] if T[i][-1] > eps else 0  # degenerate rows tie
+            p = min(rows, key=lambda i: (ratio(rhs(i), T[i][q]), basic[i]))
+            if basic[obj] == x0 and T[obj][-1] * T[p][q] - T[obj][q] * rhs(p) <= eps * T[p][q]:
+                p = obj
+            pivot(p, q)
+            if nonbasic[q] == x0:
+                return True
+
+    for q in range(r):
+        rows = [i for i in range(k) if basic[i] >= r and abs(T[i][q]) > tol * D]
+        if rows:
+            pivot(max(rows, key=lambda i: abs(T[i][q])), q)
+        elif abs(T[k][q]) > ctol * D:  # a lineality direction along which c . t moves
+            return None
+    p = min((i for i in range(k) if basic[i] >= r), key=lambda i: T[i][-1], default=None)
+    if p is not None and T[p][-1] < -tol * D:
+        T[:] = [old[:-1] + [-D if lab >= r else 0, old[-1]] for lab, old in zip(basic, T)]
+        nonbasic.append(x0)
+        pivot(p, r)
+        minimize(p)
+        if basic[p] == x0:
+            return None
+    if not minimize(k):
+        return None
+    t = [next((old[-1] for lab, old in zip(basic, T) if lab == j), 0) for j in range(r)]
+    if exact:
+        Nt = _combine(red.N, t) if r else [0] * len(red.z0)
+        z = _frac_vec([D * a + b for a, b in zip(red.z0, Nt)], red.det * D)
+    else:
+        z = _affine(red.z0, red.N, np.array(t, dtype=float) / D)
+        if not poly.contains_point(z, RANK_TOL * max(1.0, np.max(np.abs(red.dp), initial=0.0))):
+            raise LpStatusError("a float basic point of the pivoting routine misses its rows")
+    z.setflags(write=False)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -1111,17 +1150,22 @@ def _add_vec(a, b):
     return _as_float(a) + _as_float(b)
 
 
-def _piece_range(pc: Piece, i: int):
+def _piece_range(pc: Piece, i: int, ends=(1, -1)):
     """(lo, hi) of coordinate i over one piece, (inf, -inf) when empty:
     extremes over the decomposition's points, opened to infinity on the
-    side a ray points to."""
+    side a ray points to.  Past MAX_VFORM_SUBSETS each end asked for in
+    ``ends`` (1: lo, -1: hi) is one phase 2 (``_bland``), and an end not
+    asked for keeps its empty value."""
     src = pc.poly
     row, off = pc.A[i], pc.b[i]
     entries = _sparse(row)
     if not entries:
         return (float("inf"), float("-inf")) if src.is_empty() else (float(off), float(off))
     if not src.enumerable():
-        return _lp_range(pc, i)
+        if src.feasible_point() is None:
+            return float("inf"), float("-inf")
+        end = lambda s, z: -s * math.inf if z is None else float(row @ z + off)
+        return tuple(end(s, _bland(src, s * row)) if s in ends else s * math.inf for s in (1, -1))
     dec = src.vertices()
     if not dec.points:
         return float("inf"), float("-inf")
@@ -1144,36 +1188,6 @@ def _piece_range(pc: Piece, i: int):
     return lo, hi
 
 
-def _lp_range(pc: Piece, i: int):
-    """``_piece_range`` by two LPs, for pieces too large to enumerate.
-
-    "Infeasible" on a piece that has a feasible point is a contradiction
-    (HiGHS presolve reports it for some unbounded LPs): the LP is solved
-    again without presolve, and a second contradiction raises."""
-    row, off = _as_float(pc.A[i]), float(pc.b[i])
-    rows = pc.poly._lp_rows()
-    lo, hi = float("inf"), float("-inf")
-    for sign in (1.0, -1.0):
-        res = _lp(sign * row, **rows)
-        _check_status(res, "coordinate range")
-        if res.status == 2:
-            if pc.poly.is_empty():
-                return float("inf"), float("-inf")
-            res = _lp(sign * row, **rows, options={"presolve": False})
-            if res.status == 2:
-                raise LpStatusError("coordinate range LP calls a nonempty piece infeasible")
-            _check_status(res, "coordinate range")
-        if res.status == 3:
-            if sign > 0:
-                lo = float("-inf")
-            else:
-                hi = float("inf")
-        elif res.status == 0:
-            val = (res.fun if sign > 0 else -res.fun) + off
-            lo, hi = min(lo, val), max(hi, val)
-    return lo, hi
-
-
 def _piece_distance(pc: Piece, point, tol):
     """min_t { t : z in closure(source), |A z + b - point|_inf <= t }, None
     when empty; at most tol, which is all ``member`` asks, once a
@@ -1188,7 +1202,7 @@ def _piece_distance(pc: Piece, point, tol):
             dist = _sup_dist(A @ _as_float(z) + b, point)
             if dist <= tol:
                 return dist
-    lo = _piece_range(_lifted(pc, point), 0)[0]
+    lo = _piece_range(_lifted(pc, point), 0, (1,))[0]
     return None if lo == math.inf else lo
 
 
@@ -1202,7 +1216,7 @@ def _refine_open(pc: Piece, point, tol: float):
     over the lifted piece (``_lifted``), "boundary" when that is empty."""
     if not pc.poly.open_rows:
         return "inside"
-    return "inside" if _piece_range(_lifted(pc, point, tol), 0)[1] > tol else "boundary"
+    return "inside" if _piece_range(_lifted(pc, point, tol), 0, (-1,))[1] > tol else "boundary"
 
 
 def _lifted(pc: Piece, point, tol=None) -> Piece:

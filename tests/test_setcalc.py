@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -176,9 +179,9 @@ def test_dimension_zero_rows(monkeypatch, num, budget, rows, empty):
 
 def test_small_pieces_need_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
-        raise AssertionError("linprog called")
+        raise AssertionError("the pivoting routine ran")
 
-    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    monkeypatch.setattr(setcalc, "_bland", no_lp)
     P = Polyhedron(2, C=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], d=[0.0, 0.0, 1.0])
     S = PolySet(1, [Piece(P, np.array([[1.0, 2.0]]), np.array([0.5]), "tri")])
     assert not S.is_empty() and is_bounded(P)
@@ -186,35 +189,14 @@ def test_small_pieces_need_no_lp(monkeypatch):
     assert not S.is_zero_singleton()
 
 
-class _Undecided:
-    status, message, x, fun = 4, "numerical difficulties", None, None
-
-
-def test_undecided_lp_raises(monkeypatch):
-    monkeypatch.setattr(setcalc, "linprog", lambda *a, **k: _Undecided())
-    box = _box([(1.0, 2.0)])
-    with pytest.raises(LpStatusError):
-        box.feasible_point()
-    # pieces past the enumeration budget take the LP route; the box leaves
-    # out the origin, which would witness nonemptiness without an LP
-    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
-    S = PolySet(1, [Piece(_box([(1.0, 2.0)]), np.eye(1), np.zeros(1), "box")])
-    with pytest.raises(LpStatusError):
-        S.coord_range(0)
-    with pytest.raises(LpStatusError):
-        S.is_empty()
-    with pytest.raises(LpStatusError):
-        S.member([1.5])
-
-
 @pytest.mark.parametrize("num", [float, Fraction])
 def test_origin_witness_needs_no_lp(monkeypatch, num):
-    # d >= 0 and d_eq == 0 put the origin in the closure: no LP, reduction
+    # d >= 0 and d_eq == 0 put the origin in the closure: no pivot, reduction
     # or enumeration, even past the enumeration budget and with open rows
     def no_lp(*args, **kwargs):
-        raise AssertionError("linprog called")
+        raise AssertionError("the pivoting routine ran")
 
-    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    monkeypatch.setattr(setcalc, "_bland", no_lp)
     monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
     dt = object if num is Fraction else float
     arr = lambda vals: np.array([num(v) for v in vals], dtype=dt)
@@ -226,37 +208,106 @@ def test_origin_witness_needs_no_lp(monkeypatch, num):
     assert P._reduction is setcalc._UNSET and P._decomp is None
 
 
-def test_undecided_open_row_margin_raises(monkeypatch):
-    # past the enumeration budget the two LPs of the distance range decide;
-    # the first LP of the open-row margin range after them does not
-    real, calls = setcalc.linprog, []
-
-    def third_undecided(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs) if len(calls) <= 2 else _Undecided()
-
-    monkeypatch.setattr(setcalc, "linprog", third_undecided)
-    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
-    P = Polyhedron(1, C=[[-1.0]], d=[0.0], open_rows=(0,))
-    S = PolySet(1, [Piece(P, np.eye(1), np.zeros(1), "open")])
-    with pytest.raises(LpStatusError):
-        S.member([0.5])
-    assert len(calls) == 3
-
-
 def test_membership_of_small_pieces_needs_no_lp(monkeypatch):
     # the distance and the open-row margin are ranges over lifted pieces
     # that fit the enumeration budget; at 0.5 and at -1 no decomposition
     # point of the piece maps within tol of the query
     def no_lp(*args, **kwargs):
-        raise AssertionError("linprog called")
+        raise AssertionError("the pivoting routine ran")
 
-    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    monkeypatch.setattr(setcalc, "_bland", no_lp)
     P = Polyhedron(1, C=[[-1.0]], d=[0.0], open_rows=(0,))
     S = PolySet(1, [Piece(P, np.eye(1), np.zeros(1), "open")])
     assert S.member([0.5]) == setcalc.MemberVerdict("inside", "open", 0.0)
     assert S.member([0.0]) == setcalc.MemberVerdict("boundary", "open", 0.0)
     assert S.member([-1.0]) == setcalc.MemberVerdict("outside", "open", 1.0)
+
+
+@pytest.mark.parametrize("rows", [
+    dict(C=[[-1.0]], d=[0.0], C_eq=[[1.0], [1.0]], d_eq=[3.0e-8, 0.0]),
+    # the same set as row pairs, which the equality elimination does not see
+    dict(C=[[1.0], [-1.0], [1.0], [-1.0], [-1.0]], d=[3.0e-8, -3.0e-8, 0.0, 0.0, 0.0]),
+])
+def test_quarticshift_piece_is_empty_past_the_budget(monkeypatch, rows):
+    # the empty piece {z : z = 3e-8, z = 0, z >= 0} of the quarticshift value
+    # probe: past the enumeration budget it is decided at RANK_TOL, the
+    # decomposition's tolerance, with no LP
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
+    S = PolySet(1, [Piece(Polyhedron(1, **rows), np.eye(1), np.zeros(1), "quarticshift")])
+    assert S.is_empty()
+    assert S.member([0.0]) == setcalc.MemberVerdict("outside", None, math.inf)
+
+
+#: Queries pieces past the enumeration budget, float and rational, then
+#: prints the scipy modules loaded.  The last piece is the cycling example
+#: of Chvatal (Linear Programming, 1983, ch. 3), min -10x1 + 57x2 + 9x3 +
+#: 24x4 over x >= 0 and three rows: phase 2 starts at its degenerate vertex,
+#: the origin, where ratio tests tie at 0.
+_PAST_BUDGET_SCRIPT = """
+import json, math, sys
+from fractions import Fraction
+import numpy as np
+from valfun import setcalc
+from valfun.setcalc import Piece, Polyhedron, PolySet
+setcalc.MAX_VFORM_SUBSETS = 0
+for num, dt in ((float, float), (Fraction, object)):
+    arr = lambda vals, *shape: np.array([num(v) for v in vals], dtype=dt).reshape(*shape)
+    P = Polyhedron(2, C=arr([-1, 0, 0, -1, 1, 1], 3, 2), d=arr([-1, -1, 3], 3), open_rows=(2,))
+    S = PolySet(1, [Piece(P, arr([1, 2], 1, 2), arr([0], 1), "tri")])
+    assert not S.is_empty() and S.coord_range(0) == (3.0, 5.0)
+    assert [S.member([q]).status for q in (4.0, 5.0, 6.0)] == ["inside", "boundary", "outside"]
+    C = arr([-1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1,
+             0.5, -5.5, -2.5, 9, 0.5, -1.5, -0.5, 1, 1, 0, 0, 0], 7, 4)
+    P = Polyhedron(4, C, arr([0, 0, 0, 0, 0, 0, 1], 7))
+    S = PolySet(1, [Piece(P, arr([-10, 57, 9, 24], 1, 4), arr([0], 1), "cycling")])
+    lo, hi = S.coord_range(0)
+    assert math.isclose(lo, -1.0, rel_tol=1e-9) and hi == math.inf
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_queries_past_the_budget_import_no_scipy():
+    # the timeout turns a pivoting loop that does not end into a failure
+    proc = subprocess.run([sys.executable, "-c", _PAST_BUDGET_SCRIPT],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_membership_past_the_budget_solves_one_end_per_lifted_piece(monkeypatch):
+    # the distance asks only for its low end and the open-row margin only
+    # for its high end: one phase 2 each, where a whole range takes two
+    calls, real = [], setcalc._bland
+
+    def count(poly, row):
+        calls.append(any(row))
+        return real(poly, row)
+
+    monkeypatch.setattr(setcalc, "_bland", count)
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
+    P = Polyhedron(1, C=[[-1.0]], d=[0.0], open_rows=(0,))
+    S = PolySet(1, [Piece(P, np.eye(1), np.zeros(1), "open")])
+    assert S.member([0.5]) == setcalc.MemberVerdict("inside", "open", 0.0)
+    assert sum(calls) == 2
+    assert S.member([0.0]) == setcalc.MemberVerdict("boundary", "open", 0.0)
+    assert sum(calls) == 4
+    assert S.member([-1.0]) == setcalc.MemberVerdict("outside", "open", 1.0)
+    assert sum(calls) == 5
+
+
+def test_float_point_off_its_rows_raises(monkeypatch):
+    # a float basic point that misses the rows it solves leaves the query
+    # undecided; the piece is never dropped
+    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
+    monkeypatch.setattr(Polyhedron, "contains_point", lambda self, z, tol=0.0: False)
+    S = PolySet(1, [Piece(_box([(1.0, 2.0)]), np.eye(1), np.zeros(1), "box")])
+    for query in (S.is_empty, lambda: S.coord_range(0), lambda: S.member([1.5])):
+        with pytest.raises(LpStatusError):
+            query()
 
 
 def test_lp_fallback_matches_enumeration(monkeypatch):
@@ -289,23 +340,6 @@ def test_lp_range_of_empty_piece_stays_empty(monkeypatch):
     assert S.coord_range(0) == (np.inf, -np.inf)
 
 
-def test_lp_range_contradiction_raises(monkeypatch):
-    # an LP that keeps calling a nonempty piece infeasible cannot decide
-    class _Infeasible:
-        status, message, x, fun = 2, "infeasible", None, None
-
-    real = setcalc.linprog
-
-    def infeasible_unless_feasibility(c, **kwargs):
-        return real(c, **kwargs) if not np.any(c) else _Infeasible()
-
-    monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
-    monkeypatch.setattr(setcalc, "linprog", infeasible_unless_feasibility)
-    S = PolySet(1, [Piece(_box([(0.0, 1.0)]), np.eye(1), np.zeros(1), "box")])
-    with pytest.raises(LpStatusError):
-        S.coord_range(0)
-
-
 def _segments(num, k):
     """k segments { z : z1 + z2 = 1, j <= z1 <= j + 1 } of R^2, each mapped
     by z1 + z2: k different pieces whose images are all {1}."""
@@ -331,12 +365,12 @@ def test_equal_constant_pieces_decompose_once(monkeypatch, num):
 
 @pytest.mark.parametrize("num", [float, Fraction])
 def test_constant_pieces_inside_the_range_need_no_lp(monkeypatch, num):
-    # past the enumeration budget every segment would take range LPs; the
+    # past the enumeration budget every segment would take phase 2; the
     # point {1} opens the range, and each segment's constant lies inside it
     def no_lp(*args, **kwargs):
-        raise AssertionError("linprog called")
+        raise AssertionError("the pivoting routine ran")
 
-    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    monkeypatch.setattr(setcalc, "_bland", no_lp)
     monkeypatch.setattr(setcalc, "MAX_VFORM_SUBSETS", 0)
     point = PolySet.from_point(np.array([num(1)], dtype=object if num is Fraction else float))
     S = point.union(PolySet(1, _segments(num, 5)))
@@ -593,11 +627,11 @@ def test_hull_certificates_random_battery(rng):
 
 def test_hull_queries_solve_no_lp(monkeypatch):
     # certificates, membership and the hull coderivative all read the
-    # vertices of the weight polytope; none of them calls linprog
+    # vertices of the weight polytope; none of them pivots
     def no_lp(*args, **kwargs):
-        raise AssertionError("a hull query called linprog")
+        raise AssertionError("a hull query ran the pivoting routine")
 
-    monkeypatch.setattr(setcalc, "linprog", no_lp)
+    monkeypatch.setattr(setcalc, "_bland", no_lp)
     gens = [np.array(v, float) for v in [(0, 0), (2, 0), (0, 2)]]
     hull = ConvexHullSet(gens)
     inside, outside = np.array([0.6, 1.0]), np.array([2.0, 2.0])  # 0.2 g0 + 0.3 g1 + 0.5 g2

@@ -1,8 +1,9 @@
 """Property tests: emptiness, boundedness, coordinate ranges and
-membership (open-row margins included, by enumeration and by LPs) of
+membership (open-row margins included, by enumeration and by pivoting) of
 random small polyhedra (float and rational, dim <= 4, including empty,
-unbounded and non-pointed ones) agree with plain
-``scipy.optimize.linprog`` LPs written out here, exact elimination
+unbounded, non-pointed and degenerate ones) agree with plain
+``scipy.optimize.linprog`` LPs written out here, the pivoting routine
+agrees with the decomposition, exact elimination
 agrees with a plain Fraction Gauss-Jordan written out here, the
 zero-singleton test agrees with the coordinate ranges, the integer
 rows a rational polyhedron inherits or is handed are those of its public
@@ -39,8 +40,11 @@ INF = float("inf")
 @st.composite
 def polyhedra(draw, rational, t=None):
     """(polyhedron, map A, offset b) with small integer or rational data,
-    A of ``t`` rows (drawn when not given).  Now and then the last variable
-    is dropped from every row, which makes the set non-pointed."""
+    A of ``t`` rows (drawn when not given).  Now and then some rows recur,
+    or dim+1 or dim+2 more rows pass through one point (often the origin,
+    where phase 1 starts), so that pivots are degenerate and ratios tie;
+    now and then the last variable is dropped from every row, which makes
+    the set non-pointed."""
     dim = draw(st.integers(1, 4))
     den = draw(st.sampled_from([1, 2, 4]))
     dt = object if rational else float
@@ -57,11 +61,21 @@ def polyhedra(draw, rational, t=None):
     k, q = draw(st.integers(0, 5)), draw(st.integers(0, 2))
     t = draw(st.integers(1, 3)) if t is None else t
     C, C_eq, A = ([ints(-3, 3, dim) for _ in range(n)] for n in (k, q, t))
+    d = ints(-2, 4, k)
+    extra = draw(st.sampled_from(["", "", "copies", "concurrent"]))
+    if extra == "copies" and k:
+        for j in [draw(st.integers(0, k - 1)) for _ in range(draw(st.integers(1, 2)))]:
+            C.append(list(C[j]))
+            d.append(d[j])
+    elif extra == "concurrent":
+        through = [0] * dim if draw(st.booleans()) else ints(-2, 2, dim)
+        C += [ints(-3, 3, dim) for _ in range(dim + draw(st.integers(1, 2)))]
     if draw(st.booleans()):
         for row in C + C_eq:
             row[-1] = 0
-    poly = Polyhedron(dim, C=mat(C), d=vec(ints(-2, 4, k)),
-                      C_eq=mat(C_eq), d_eq=vec(ints(-2, 2, q)))
+    if extra == "concurrent":
+        d += [sum(a * x for a, x in zip(row, through)) for row in C[len(d):]]
+    poly = Polyhedron(dim, C=mat(C), d=vec(d), C_eq=mat(C_eq), d_eq=vec(ints(-2, 2, q)))
     return poly, mat(A), vec(ints(-2, 2, t))
 
 
@@ -110,7 +124,7 @@ def _check(poly, A, b):
             _oracle_lp(poly, -sign * np.eye(poly.dim)[j]).status == 0
             for j in range(poly.dim) for sign in (1.0, -1.0))
         assert is_bounded(poly) == bounded
-        with mock.patch.object(setcalc, "MAX_VFORM_SUBSETS", 0):  # range LPs
+        with mock.patch.object(setcalc, "MAX_VFORM_SUBSETS", 0):  # ranges by pivoting
             assert is_bounded(_fresh(poly)) == bounded
         vf = poly.vertices()
         assert (not vf.vertices) == (vf.anchor is not None)
@@ -121,6 +135,18 @@ def _check(poly, A, b):
         got = S.coord_range(i)
         want = _oracle_range(poly, A[i], b[i])
         assert _same(got[0], want[0]) and _same(got[1], want[1]), (got, want)
+    # the pivoting routine on a fresh copy decides as the decomposition does
+    pivoted = Piece(_fresh(poly), A, b, "p")
+    with mock.patch.object(setcalc, "MAX_VFORM_SUBSETS", 0):
+        assert (pivoted.poly.feasible_point() is None) == poly.vertices().empty
+        got = [setcalc._piece_range(pivoted, i) for i in range(A.shape[0])]
+    with mock.patch.object(setcalc, "MAX_VFORM_SUBSETS", INF):
+        want = [setcalc._piece_range(Piece(poly, A, b, "p"), i) for i in range(A.shape[0])]
+    if poly.rational:
+        assert got == want
+    else:
+        close = lambda u, v: u == v or abs(u - v) <= 1e-9 * max(1.0, abs(v))
+        assert all(close(g, w) for gw, ww in zip(got, want) for g, w in zip(gw, ww)), (got, want)
 
 
 @SETTINGS
@@ -450,7 +476,7 @@ def _check_open_member(poly, A, b, queries):
 @SETTINGS
 @given(case=open_member_cases())
 def test_open_row_membership_agrees_with_lp(budget, case):
-    # at budget 0 every distance and margin range is solved by LPs
+    # at budget 0 every distance and margin range is solved by pivoting
     with mock.patch.object(setcalc, "MAX_VFORM_SUBSETS", budget):
         _check_open_member(*case)
 
