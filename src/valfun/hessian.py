@@ -463,7 +463,7 @@ def _general(problem, query, case, ctxs, under, mode="auto", flavor="M",
                 "minimizer-enumeration",
                 ASSUMED if under else VERIFIED,
                 f"{len(ctxs)} minimizer(s), "
-                + ("heuristic search" if under else "exact/pinned"),
+                + ("a finite sample, may be incomplete" if under else "exact/pinned"),
             )
         )
     elif case in ("single-single", "single-s"):

@@ -6,12 +6,16 @@ point picks one of two exact algorithms from the data at x:
 
 * the least-vertex scan, for problems affine in y (certificate
   ``lp-exact``) and for f of degree <= 2 with g affine in y, a y_box and
-  f_yy negative definite at x (strictly concave f, ``qp-exact``).  A
-  linear or concave function bounded below on a pointed polyhedron is
-  least at a vertex (Rockafellar, Convex Analysis, section 32), so the
-  vertices of the feasible set (decomposed once per problem when no
-  constraint mentions x) are enumerated exactly, and those where f is
-  least are the minimizers;
+  f_yy negative definite at x (strictly concave f, ``qp-exact``).  The
+  feasible set is decomposed exactly (once per problem when no constraint
+  mentions x) into conv(points) + cone(rays), the rays holding both signs
+  of a lineality basis (Minkowski-Weyl; Rockafellar, Convex Analysis,
+  sections 19 and 32).  A linear or concave function bounded below on it
+  is least at a point, so the points where f is least are the minimizers;
+  a ray along which a linear f drops makes it unbounded below, and one
+  along which f stays makes the minimizer set unbounded, sampled by those
+  points and flagged ``under_enumerated``.  A set without rows is the
+  origin plus the whole space as lineality;
 * the KKT walk, for f of degree <= 2 with g affine in y, a y_box and f_yy
   positive semidefinite at x (convex f, ``qp-exact``): the active sets of
   the KKT system are walked in integers, and the first with multipliers
@@ -25,12 +29,12 @@ multistart (``fmin_slsqp``) over the problem's y_box, each local solve
 with g <= 0 as one vector constraint with its y-Jacobian, from compiled
 blocks with x bound once per solve.
 
-The heuristic path can miss global minimizers; results carry an
+The heuristic path can miss global minimizers, and an unbounded
+minimizer set has no finite enumeration; results carry an
 ``under_enumerated`` flag so downstream estimates can report that unions
 over minimizers may be incomplete.
 
-Inner-LP unboundedness is read off the exact rays of the feasible set,
-and MFCQ off the multiplier set (bounded when nonempty, Gauvin 1977) or,
+MFCQ is read off the multiplier set (bounded when nonempty, Gauvin 1977) or,
 when that is empty, off the rays of its recession cone.  scipy is
 imported only on first use, for SLSQP multistart.
 """
@@ -50,7 +54,7 @@ from .errors import (
     UnboundedProblemError,
 )
 from .model import DEFAULT_TOL_ACT, ParametricProblem, degree_in, is_affine_in, per_problem
-from .setcalc import Polyhedron, _gauss_int, _int_row, matrix_rank_generic
+from .setcalc import Polyhedron, _gauss_int, _int_row
 from .setcalc import linprog  # noqa: F401  (unused here; bench/tracer.py hooks kernel.linprog)
 
 VALUE_TIE_TOL = 1e-7
@@ -154,9 +158,13 @@ def solve_value(problem: ParametricProblem, x, rational: bool = False) -> SolveR
     Pinned points win over every solve path; the exact paths apply to
     problems affine in y, and to convex and strictly concave quadratic
     ones with a y_box (see the module docstring); everything else needs a
-    y_box for multistart.  With ``rational=True`` the exact paths also
-    report exact value and minimizers (it is an error to ask for rational
-    results off them).
+    y_box for multistart.  The exact paths report the exact value and
+    minimizers too.  An LP raises ``UnboundedProblemError`` when its value
+    drops along a ray or a lineality direction of the feasible set, every
+    exact path raises ``InfeasibleParameterError`` when that set is empty,
+    and an unbounded minimizer set comes back as a finite sample with
+    ``non_singleton`` and ``under_enumerated`` set.  ``rational=True``
+    skips the pins and makes it an error to fall off the exact paths.
     """
     x_raw = np.atleast_1d(np.asarray(x, dtype=object)).tolist()
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -175,7 +183,7 @@ def solve_value(problem: ParametricProblem, x, rational: bool = False) -> SolveR
             certificate="user-pinned",
             non_singleton=len(mins) > 1,
         )
-    res = _solve_exact(problem, x, rational, x_raw)
+    res = _solve_exact(problem, x, x_raw)
     if res is not None:
         return res
     if rational:
@@ -201,21 +209,23 @@ def _face_sample(vertices):
     return vertices + [[sum(col) / k for col in zip(*vertices)]] if k > 1 else vertices
 
 
-def _exact_result(x, value, mins_exact, certificate, rational):
+def _exact_result(x, value, mins_exact, certificate, unbounded=False):
     """The SolveResult of an exact path with the exact minimizers
-    ``mins_exact``."""
+    ``mins_exact``, a finite sample of an unbounded minimizer set when
+    ``unbounded``."""
     return SolveResult(
         x=x,
         value=float(value),
         minimizers=[np.array([float(c) for c in v]) for v in mins_exact],
         certificate=certificate,
-        non_singleton=len(mins_exact) > 1,
-        value_exact=value if rational else None,
-        minimizers_exact=mins_exact if rational else None,
+        non_singleton=len(mins_exact) > 1 or unbounded,
+        under_enumerated=unbounded,
+        value_exact=value,
+        minimizers_exact=mins_exact,
     )
 
 
-def _solve_exact(problem, x, rational, x_raw):
+def _solve_exact(problem, x, x_raw):
     """The exact paths (see the module docstring), or None off them: f not
     quadratic in y with affine g, or quadratic without a y_box, or f_yy
     neither positive semidefinite nor negative definite at x, or a solve
@@ -227,19 +237,10 @@ def _solve_exact(problem, x, rational, x_raw):
     lp = materialize_lp(problem, x_raw)
     m = problem.m
     if linear:
-        if not problem.p and problem.y_box is None:
-            if any(lp.c):
-                raise UnboundedProblemError("unconstrained linear objective")
-            # every y is a minimizer; the origin stands for them
-            res = _exact_result(x, lp.c0, [[Fraction(0)] * m], "lp-exact", rational)
-            res.non_singleton = m > 0
-            return res
-        poly, pointed = _cached_feasible_set(problem, lp)
-        if not pointed:
-            raise UnboundedProblemError("feasible set has no vertices and no y_box is given")
-        best, arg = _least_vertices(
-            poly, lambda v: sum(ci * vi for ci, vi in zip(lp.c, v)) + lp.c0)
-        return _exact_result(x, best, _face_sample(arg), "lp-exact", rational)
+        best, arg, unbounded = _least_vertices(
+            _cached_feasible_set(problem, lp),
+            lambda v: sum(ci * vi for ci, vi in zip(lp.c, v)) + lp.c0)
+        return _exact_result(x, best, _face_sample(arg), "lp-exact", unbounded)
     definite = _psd(lp.Q)
     if definite is None:
         if not _psd([[-v for v in row] for row in lp.Q]):
@@ -247,12 +248,12 @@ def _solve_exact(problem, x, rational, x_raw):
         # strictly concave f: least over a polytope (the y_box bounds it)
         # only at vertices, with no face sample between tied ones (it would
         # be a maximizer)
-        poly, _ = _cached_feasible_set(problem, lp)
+        poly = _cached_feasible_set(problem, lp)
         k = poly.C.shape[0]
         if math.comb(k, m) + math.comb(k, m - 1) > MAX_KKT_SYSTEMS:
             return None
-        best, mins = _least_vertices(poly, lambda v: _qp_value(lp, v))
-        return _exact_result(x, best, mins, "qp-exact", rational)
+        best, mins, _ = _least_vertices(poly, lambda v: _qp_value(lp, v))
+        return _exact_result(x, best, mins, "qp-exact")
     rows = (problem._memo(_feasible_rows, lambda: _feasible_rows(problem, lp))
             if problem.constraints_x_free() else _feasible_rows(problem, lp))
     y = _kkt_walk(lp.Q, lp.c, rows)
@@ -270,25 +271,29 @@ def _solve_exact(problem, x, rational, x_raw):
         face = _row_polyhedron(rows, m, C_eq=np.array([*lp.Q, lp.c], dtype=object),
                                d_eq=np.array([*Qy, cy], dtype=object))
         mins = _face_sample([list(v) for v in face.vertices().vertices])
-    return _exact_result(x, value, mins, "qp-exact", rational)
+    return _exact_result(x, value, mins, "qp-exact")
 
 
 def _least_vertices(poly, value):
-    """The least of the concave ``value`` over the vertices of the pointed
-    feasible set ``poly``, and the vertices (as lists) where it is attained.
-    Raises when ``poly`` is empty, and when ``value`` drops along an
-    extreme ray r from a vertex v, value(v + r) < value(v): concavity then
-    makes it unbounded below, and for a linear value this is the exact
-    test."""
+    """The least of the concave ``value`` over the feasible set ``poly``,
+    read off its cached decomposition conv(points) + cone(rays): the least
+    value over the points, the points (as lists) where it is attained, and
+    whether a ray r keeps it, value(v + r) == value(v) at the first point
+    v, which for a linear value makes the minimizer set unbounded.  With a
+    lineality space the points are the vertices of the orthogonal section
+    and the rays hold both signs of its basis.  Raises when ``poly`` is
+    empty, and when ``value`` drops along a ray: concavity then makes it
+    unbounded below, and for a linear value this is the exact test."""
     vf = poly.vertices()
     if not vf.points:
         raise _no_feasible_point()
-    vertices = vf.vertices
-    values = [value(v) for v in vertices]
-    if any(value([a + b for a, b in zip(vertices[0], r)]) < values[0] for r in vf.rays):
+    values = [value(v) for v in vf.points]
+    along = [value([a + b for a, b in zip(vf.points[0], r)]) - values[0] for r in vf.rays]
+    if any(d < 0 for d in along):
         raise UnboundedProblemError("inner LP is unbounded below at this parameter")
     best = min(values)
-    return best, [list(v) for v, val in zip(vertices, values) if val == best]
+    return (best, [list(v) for v, val in zip(vf.points, values) if val == best],
+            any(d == 0 for d in along))
 
 
 def _no_feasible_point():
@@ -325,20 +330,12 @@ def _row_polyhedron(rows, m, **eqs):
                                d=np.array([r[m] for r in rows], dtype=object), **eqs)
 
 
-def _feasible_set(problem, lp):
-    """{ y : A y <= b } and whether it is pointed (A has full column rank,
-    as the y_box rows give it)."""
-    poly = _row_polyhedron(_feasible_rows(problem, lp), problem.m)
-    return poly, problem.y_box is not None or matrix_rank_generic(poly.C) == problem.m
-
-
 def _cached_feasible_set(problem, lp):
-    """``_feasible_set``; a problem whose constraints never mention x keeps
-    the set of its first solve, so one cached decomposition serves every
-    parameter."""
-    if problem.constraints_x_free():
-        return problem._memo(_feasible_set, lambda: _feasible_set(problem, lp))
-    return _feasible_set(problem, lp)
+    """{ y : A y <= b } over ``_feasible_rows``; a problem whose constraints
+    never mention x keeps the set of its first solve, so one cached
+    decomposition serves every parameter."""
+    build = lambda: _row_polyhedron(_feasible_rows(problem, lp), problem.m)
+    return problem._memo(_cached_feasible_set, build) if problem.constraints_x_free() else build()
 
 
 def _qp_value(lp, y):

@@ -35,8 +35,9 @@ large to enumerate (``MAX_VFORM_SUBSETS``), lifted ones included, go to
 one pivoting routine on the same reduced rows (``_bland``, the simplex
 method with Bland's rule): phase 1 decides emptiness and each end of a
 range asked for is one phase 2, in integers on rational data and at
-RANK_TOL on floats.  Convex-hull questions read the vertices of one
-weight polytope (``weight_polytope``).  No query imports scipy.
+RANK_TOL on floats.  Convex-hull questions read one weight polytope
+(``weight_polytope``): a certificate its phase-1 basic point, the hull
+coderivative its vertices.  No query imports scipy.
 """
 
 from __future__ import annotations
@@ -217,17 +218,6 @@ def solve_linear(A, b, exact: bool | None = None):
         ncols = A.shape[1]
         return [Fraction(0) if exact else 0.0] * ncols, _null_space([], ncols, exact)
     return _gauss(rows, list(b) if exact else [float(v) for v in b], exact)
-
-
-def matrix_rank_generic(A, exact: bool | None = None) -> int:
-    A = np.asarray(A)
-    if A.size == 0:
-        return 0
-    if exact is None:
-        exact = _is_rational(A)
-    if not exact:
-        return int(np.linalg.matrix_rank(_as_float(A), tol=RANK_TOL))
-    return A.shape[1] - len(_gauss_int([_int_row(list(r) + [0]) for r in A], A.shape[1])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +442,13 @@ class Polyhedron:
 
     # -- point queries --------------------------------------------------------
 
-    def contains_point(self, z, tol: float = RANK_TOL, honor_open: bool = False) -> bool:
+    def contains_point(self, z, tol: float = RANK_TOL) -> bool:
+        """Whether z lies in the closure, every row within ``tol``."""
         z = np.asarray(z, dtype=object if self.rational else float)
         if self.C.shape[0]:
             vals = self.C @ z
             for i in range(self.C.shape[0]):
-                slack = self.d[i] - vals[i]
-                if honor_open and i in self.open_rows:
-                    if not slack > tol:
-                        return False
-                elif not slack >= -tol:
+                if not self.d[i] - vals[i] >= -tol:
                     return False
         if self.C_eq.shape[0]:
             vals = self.C_eq @ z
@@ -993,16 +980,6 @@ class PolySet:
             raise DimensionError("union of sets in different spaces")
         return PolySet(self.target_dim, list(self.pieces) + list(other.pieces))
 
-    def scale(self, t: float) -> "PolySet":
-        """Positive scaling t * S."""
-        if not t > 0:
-            raise ValueError("scale factor must be positive")
-        out = []
-        for pc in self.pieces:
-            tt = Fraction(t) if pc.A.dtype == object else float(t)
-            out.append(Piece(pc.poly, pc.A * tt, pc.b * tt, pc.provenance))
-        return PolySet(self.target_dim, out)
-
     def map(self, M, c=None) -> "PolySet":
         M = np.asarray(M, dtype=float)
         c = np.zeros(M.shape[0]) if c is None else np.asarray(c, dtype=float)
@@ -1299,7 +1276,7 @@ class HullCertificate:
 
 class ConvexHullSet:
     """Convex hull of finitely many generators; membership and certificates
-    read the first vertex of the weight polytope of the point."""
+    read one basic point of the weight polytope of the point."""
 
     def __init__(self, generators):
         self.generators = [np.asarray(g, dtype=float) for g in generators]
@@ -1311,14 +1288,16 @@ class ConvexHullSet:
         return self.certificate(point, tol) is not None
 
     def certificate(self, point, tol: float = 1e-9) -> HullCertificate | None:
-        """The support and weights of the first vertex of the weight
-        polytope, at most dim+1 generators; None when it has no vertex or
-        that vertex reconstructs ``point`` worse than max(tol, 1e-8)."""
+        """The support and weights of the phase-1 basic point of the weight
+        polytope (``feasible_point``), nothing decomposed: W is bounded, so
+        that point is a vertex, with at most dim+1 positive weights.  None
+        when W is empty or the point reconstructs ``point`` worse than
+        max(tol, 1e-8)."""
         point = np.asarray(point, dtype=float)
-        verts = weight_polytope(self.generators, point).vertices().vertices
-        if not verts:
+        w = weight_polytope(self.generators, point).feasible_point()
+        if w is None:
             return None
-        support = [i for i, wi in enumerate(verts[0]) if wi > 1e-12]
-        cert = HullCertificate(point, support, [float(verts[0][i]) for i in support])
+        support = [i for i, wi in enumerate(w) if wi > 1e-12]
+        cert = HullCertificate(point, support, [float(w[i]) for i in support])
         error = np.max(np.abs(cert.reconstruct(self.generators) - point), initial=0.0)
         return cert if error <= max(tol, 1e-8) else None

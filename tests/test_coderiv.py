@@ -75,9 +75,10 @@ def test_family_three_branch_split_on_degenerate_row():
     assert by_label["g1:E0"].contains_point([0.0, 4.0])
     assert not by_label["g1:E0"].contains_point([0.1, 4.0])
     # strict branch: -a > 0 and c > 0, stored closed with open flags
-    assert by_label["g1:pos"].contains_point([-1.0, 1.0], honor_open=True)
+    pos = PolySet(2, [Piece(by_label["g1:pos"], np.eye(2), np.zeros(2), "g1:pos")])
+    assert pos.member([-1.0, 1.0]).status == "inside"
     assert by_label["g1:pos"].contains_point([0.0, 1.0])  # closure only
-    assert not by_label["g1:pos"].contains_point([0.0, 1.0], honor_open=True)
+    assert pos.member([0.0, 1.0]).status == "boundary"
 
 
 def test_family_zero_covector_contains_origin():

@@ -29,7 +29,8 @@ from valfun.hessian import (
     sensitivity_system,
 )
 from valfun.model import make_kkt
-from valfun.reporting import ASSERTED, FAILED, NOT_CHECKED
+from valfun.oracle import fd_hessian
+from valfun.reporting import ASSERTED, ASSUMED, FAILED, NOT_CHECKED
 
 from conftest import load_instance
 from golden.capture import hessian_argv, run_cli
@@ -212,6 +213,41 @@ def test_single_s_duplicated_rows_collapse():
     assert not est.result.member([-0.5])
     names = [h.name for h in est.hypotheses]
     assert any(n.startswith("multiplier-vertex-union") for n in names)
+
+
+def test_doubly_set_valued_query_unions_every_minimizer():
+    # y = 1 + x and y = -1 - x both minimize -y^2; the lower one has a
+    # duplicated active row, so its multiplier set has two vertices while
+    # the upper one has a single regular vertex; phi = -(1 + x)^2
+    prob = model.parse_problem({"n": 1, "m": 1, "f": "-y1^2", "y_box": [[-3, 3]],
+                                "g": ["y1 - 1 - x1", "-y1 - 1 - x1", "-2*y1 - 2 - 2*x1"]})
+    query = HessianQuery([0.0], [-2.0], [1.0])
+    case, info = route(prob, query)
+    assert (case, sorted(info["multiplier_counts"])) == ("single-s", [1, 2])
+    est = compute(prob, query)
+    assert est.case == "single-s"
+    assert ("solution-single-valued", FAILED, "both maps are set-valued; union over all "
+            "minimizers used") in [(h.name, h.status, h.detail) for h in est.hypotheses]
+    # the regular minimizer composes through its solution tangent
+    assert any(pc.provenance.endswith("[base]") for pc in est.result.pieces)
+    fd = fd_hessian(prob, [0.0])
+    if fd.stable:
+        assert est.result.member(fd.value[:, 0], tol=1e-4)
+
+
+@pytest.mark.parametrize("spec, case", [
+    ({"n": 1, "m": 2, "f": "x1*y1", "g": ["-y1", "-y2 - x1"]}, "single-lambda"),
+    ({"n": 1, "m": 2, "f": "x1*y1", "g": ["-y1"]}, "unperturbed"),
+])
+def test_unbounded_lp_minimizer_set_is_not_single_valued(spec, case):
+    # every (0, t) on a ray or a line of the feasible set is a minimizer
+    est = compute(model.parse_problem(spec), HessianQuery([1.0], [0.0], [1.0]))
+    assert est.case == case and est.under_enumerated
+    records = {h.name: (h.status, h.detail) for h in est.hypotheses}
+    assert "solution-single-valued" not in records
+    if case == "unperturbed":
+        assert records["minimizer-enumeration"] == (
+            ASSUMED, "1 minimizer(s), a finite sample, may be incomplete")
 
 
 def test_single_lambda_selection():

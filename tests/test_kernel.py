@@ -96,10 +96,17 @@ INFEASIBLE_MESSAGE = ("no feasible point at this parameter; the model assumes a 
                       "feasible set wherever the value function is queried")
 
 
-@pytest.mark.parametrize("f", ["y1", "(y1 - x1)^2", "-(y1 - x1)^2"])
-def test_every_exact_path_reports_an_empty_feasible_set_alike(f):
+BOXED = {"n": 1, "m": 1, "g": ["y1 - x1 + 10"], "y_box": [[-1, 1]]}
+
+
+@pytest.mark.parametrize("spec", [
     # the LP scan, the convex KKT walk and the strictly concave vertex scan
-    prob = parse_problem({"n": 1, "m": 1, "f": f, "g": ["y1 - x1 + 10"], "y_box": [[-1, 1]]})
+    {**BOXED, "f": "y1"}, {**BOXED, "f": "(y1 - x1)^2"}, {**BOXED, "f": "-(y1 - x1)^2"},
+    # the LP scan on a set with a lineality direction: 0 <= y1 + y2 <= -1
+    {"n": 1, "m": 2, "f": "x1*(y1 + y2)", "g": ["y1 + y2 + 1", "-y1 - y2"]},
+], ids=["y1", "(y1 - x1)^2", "-(y1 - x1)^2", "lineality"])
+def test_every_exact_path_reports_an_empty_feasible_set_alike(spec):
+    prob = parse_problem(spec)
     with pytest.raises(InfeasibleParameterError) as err:
         solve_value(prob, [0.0])
     assert str(err.value) == INFEASIBLE_MESSAGE
@@ -109,7 +116,7 @@ def test_whole_space_lp():
     # no g rows and no y_box: bounded only where the cost in y vanishes,
     # and then every y is a minimizer
     prob = parse_problem({"n": 2, "m": 2, "f": "x1*y1 + x2", "g": []})
-    with pytest.raises(UnboundedProblemError, match="unconstrained linear objective"):
+    with pytest.raises(UnboundedProblemError, match="unbounded below"):
         solve_value(prob, [0.5, 0.0])
     res = solve_value(prob, [Fraction(0), Fraction(3, 4)], rational=True)
     assert res.certificate == "lp-exact" and res.non_singleton
@@ -176,17 +183,44 @@ def test_lp_path_honours_y_box():
 
 
 def test_rank_deficient_x_free_lp_falls_back_at_every_x():
-    # y2 is in no constraint: the feasible set has no vertex until the
-    # y_box rows join it
+    # y2 is in no constraint: without the y_box rows the feasible set has
+    # a lineality direction, along which the value stays
     spec = {"n": 1, "m": 2, "f": "x1*y1", "g": ["y1 - 1", "-y1 - 1"]}
     boxed = parse_problem({**spec, "y_box": [[-2, 2], [-1, 1]]})
     unboxed = parse_problem(spec)
     for x in ([0.5], [-0.25], [0.75]):
-        res = solve_value(boxed, x)
-        assert res.certificate == "lp-exact"
-        assert res.value == -abs(x[0])
-        with pytest.raises(UnboundedProblemError, match="no vertices"):
-            solve_value(unboxed, x)
+        for prob in (boxed, unboxed):
+            res = solve_value(prob, x)
+            assert res.certificate == "lp-exact"
+            assert res.value == -abs(x[0])
+            assert res.non_singleton
+            assert res.under_enumerated == (prob is unboxed)
+
+
+# (spec, x, value, minimizers) of LPs whose minimizer set is unbounded: a
+# lineality direction, then a ray, along which the value stays
+UNBOUNDED_FACES = [
+    ({"n": 1, "m": 2, "f": "x1*(y1 + y2)", "g": ["-y1 - y2"]}, 1, 0, [[0, 0]]),
+    ({"n": 1, "m": 2, "f": "x1*y1", "g": ["-y1", "-y2 - x1"]}, 1, 0, [[0, -1]]),
+]
+
+
+@pytest.mark.parametrize("spec, x, value, mins", UNBOUNDED_FACES)
+def test_lp_with_an_unbounded_minimizer_set_is_sampled_and_flagged(spec, x, value, mins):
+    res = solve_value(parse_problem(spec), [Fraction(x)], rational=True)
+    assert res.certificate == "lp-exact"
+    assert (res.value_exact, res.minimizers_exact) == (value, mins)
+    assert res.non_singleton and res.under_enumerated
+
+
+def test_exact_paths_report_exact_fields_without_a_rational_request():
+    for name, x in (("lp_skew", [-0.5]), ("quad2d", [0.25, -0.5]), ("multiSxfree", [0.8])):
+        prob = replace(load_instance(name), points={})
+        res = solve_value(prob, x)
+        assert res.certificate in ("lp-exact", "qp-exact")
+        assert res.value == float(res.value_exact)
+        assert [y.tolist() for y in res.minimizers] == [
+            [float(v) for v in y] for y in res.minimizers_exact]
 
 
 def test_multistart_raises_at_a_pole_on_the_grid():

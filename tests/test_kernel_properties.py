@@ -105,18 +105,21 @@ def test_mfcq_is_decided_without_any_lp(monkeypatch, rows, c, empty, holds):
 
 @st.composite
 def exact_lps(draw):
-    """Pointed LPs min c.y s.t. A y <= b with m <= 3, rational data:
-    optimal, unbounded and infeasible ones."""
+    """LPs min c.y s.t. A y <= b with m <= 3, rational data: optimal,
+    unbounded and infeasible ones.  On half the draws A has rank 1, so the
+    feasible set has a lineality space once m > 1."""
     m = draw(st.integers(1, 3))
-    k = draw(st.integers(m, 5))
+    k = draw(st.integers(1, 5))
     den = draw(st.sampled_from([1, 2, 3]))
 
     def q():
         return Fraction(draw(st.integers(-3, 3)), den)
 
-    A = [[q() for _ in range(m)] for _ in range(k)]
-    if np.linalg.matrix_rank(np.array(A, dtype=float)) < m:
-        A[:m] = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    if draw(st.booleans()):
+        a = [q() for _ in range(m)]
+        A = [[s * v for v in a] for s in (draw(st.integers(-2, 2)) for _ in range(k))]
+    else:
+        A = [[q() for _ in range(m)] for _ in range(k)]
     b = [Fraction(draw(st.integers(-2, 4)), den) for _ in range(k)]
     return A, b, [q() for _ in range(m)]
 
@@ -162,3 +165,7 @@ def test_rational_solve_agrees_with_lp(case):
         assert float(res.value_exact) == pytest.approx(value, abs=1e-9)
         for y in res.minimizers_exact:
             assert all(sum(a * v for a, v in zip(row, y)) <= bi for row, bi in zip(A, b))
+            assert sum(ci * v for ci, v in zip(c, y)) == res.value_exact
+        if np.linalg.matrix_rank(np.array(A, dtype=float)) < len(c):
+            # a lineality direction, along which a bounded value stays
+            assert res.non_singleton and res.under_enumerated

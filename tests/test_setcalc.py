@@ -19,7 +19,6 @@ from valfun.setcalc import (
     Piece,
     PolySet,
     Polyhedron,
-    matrix_rank_generic,
     solve_linear,
 )
 
@@ -77,12 +76,6 @@ def test_solve_linear_rows_without_columns_read_the_rhs(dtype):
     assert solve_linear(A, [zero]) == ([], [])
     P = Polyhedron(0, C_eq=A, d_eq=np.array([one], dtype=dtype))
     assert P._reduced() is None
-
-
-def test_matrix_rank_generic_exact_vs_float():
-    A = np.array([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], dtype=object)
-    assert matrix_rank_generic(A) == 1
-    assert matrix_rank_generic(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +453,10 @@ def test_exact_vertices_stay_rational():
 
 def test_open_rows_excluded_from_membership():
     P = Polyhedron(1, C=np.array([[-1.0]]), d=np.array([0.0]), open_rows=(0,))
-    assert P.contains_point([0.0])  # closure by default
-    assert not P.contains_point([0.0], honor_open=True)
-    assert P.contains_point([0.5], honor_open=True)
+    assert P.contains_point([0.0])  # the closure
+    S = PolySet(1, [Piece(P, np.eye(1), np.zeros(1), "open")])
+    assert S.member([0.0]).status == "boundary"
+    assert S.member([0.5]).status == "inside"
     assert not P.closure().open_rows
 
 
@@ -523,19 +517,6 @@ def test_member_monotone_in_tolerance():
     S = PolySet.from_point([1.0])
     assert not S.member([1.0 + 1e-5], tol=1e-9)
     assert S.member([1.0 + 1e-5], tol=1e-4)
-
-
-def test_polyset_scale_identity_and_exactness():
-    square = _box([(0.0, 1.0), (0.0, 1.0)])
-    S = PolySet(2, [Piece(square, np.eye(2), np.zeros(2), "p")])
-    assert S.scale(1.0).member([0.5, 0.5])
-    T = S.scale(2.0)
-    assert T.member([2.0, 2.0]) and not T.member([2.5, 2.5], tol=1e-6)
-    # exact pieces stay exact under rational scaling
-    E = PolySet.from_point([Fraction(1, 3)])
-    E2 = E.scale(Fraction(2))
-    rng = E2.coord_range(0)
-    assert rng[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_affine_map_composition_associative():
@@ -625,13 +606,12 @@ def test_hull_certificates_random_battery(rng):
         assert cert.reconstruct(gens) == pytest.approx(point, abs=1e-9)
 
 
-def test_hull_queries_solve_no_lp(monkeypatch):
-    # certificates, membership and the hull coderivative all read the
-    # vertices of the weight polytope; none of them pivots
-    def no_lp(*args, **kwargs):
-        raise AssertionError("a hull query ran the pivoting routine")
+def test_hull_certificates_decompose_nothing(monkeypatch):
+    # a certificate is the phase-1 basic point of the weight polytope
+    def no_decomposition(self):
+        raise AssertionError("a hull certificate decomposed a polyhedron")
 
-    monkeypatch.setattr(setcalc, "_bland", no_lp)
+    monkeypatch.setattr(Polyhedron, "_decompose", no_decomposition)
     gens = [np.array(v, float) for v in [(0, 0), (2, 0), (0, 2)]]
     hull = ConvexHullSet(gens)
     inside, outside = np.array([0.6, 1.0]), np.array([2.0, 2.0])  # 0.2 g0 + 0.3 g1 + 0.5 g2
@@ -641,6 +621,17 @@ def test_hull_queries_solve_no_lp(monkeypatch):
     assert hull.member(inside)
     assert hull.certificate(outside) is None and not hull.member(outside)
 
+
+def test_hull_queries_solve_no_lp(monkeypatch):
+    # the hull coderivative reads the vertices of the weight polytope, and
+    # membership in its estimate reads their cached decompositions; neither
+    # pivots
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a hull query ran the pivoting routine")
+
+    monkeypatch.setattr(setcalc, "_bland", no_lp)
+    gens = [np.array(v, float) for v in [(0, 0), (2, 0), (0, 2)]]
+    inside, outside = np.array([0.6, 1.0]), np.array([2.0, 2.0])  # 0.2 g0 + 0.3 g1 + 0.5 g2
     gm = FiniteGeneratorMap(
         gens, lambda k, w: PolySet.from_point((k + 1) * np.asarray(w, float), f"gen{k}"), 2)
     est = hull_coderivative(gm, inside, [1.0, 0.0])
