@@ -619,6 +619,11 @@ def hessian_single_lambda(
 
 # ---------------------------------------------------------------------------
 # Exact linear-program cases
+#
+# lp-lhs and lp-lhs-rhs run in Fractions on the constant blocks of their
+# form.  An _LpProgram holds those blocks and what queries on one program
+# share; a problem keeps its program, the public entry points build one
+# per call.
 # ---------------------------------------------------------------------------
 
 
@@ -660,18 +665,62 @@ def lp_lhs_hessian(
     return _lp_lhs(_lp_lhs_constants(A, b), query, flavor, branch_cap)
 
 
-def _lp_constants(A, v, Lxy, gx):
-    """(A, v, M, 0_p, 0_m) for ``_lp_lhs`` and ``_lp_lhs_rhs``: the program
-    data and the map matrix of their slices for the constant blocks Lxy,
-    gx, Lyy = 0 and gy = A, with its zero vectors; built once per program."""
-    p, m = A.shape
-    M = coderivative_map_matrix(_frac(Lxy), _frac(gx), _frac(np.zeros((m, m))), A)
-    return (A, v, *_read_only(M, _frac(np.zeros(p)), _frac(np.zeros(m))))
+class _LpProgram:
+    """The constant data of one exact LP form and what its queries share.
+
+    ``A`` and ``v`` are the program data (b for lp-lhs, the cost for
+    lp-lhs-rhs), ``M`` the map matrix of the slices for the constant
+    blocks Lxy, gx, Lyy = 0 and gy = A, and ``zero_p``, ``zero_m`` its
+    zero vectors.  A zero-covector branch family depends only on A and
+    its partition, so each is kept per (partition, flavor, branch cap).
+    The multiplier set of an inactive set and the complementary face of a
+    support set are kept at the last right-hand side they were asked at.
+    Every memo is bounded by the partitions and index sets the queries
+    visit; the program lives as long as its problem.
+    """
+
+    def __init__(self, A, v, Lxy, gx):
+        p, m = A.shape
+        M = coderivative_map_matrix(_frac(Lxy), _frac(gx), _frac(np.zeros((m, m))), A)
+        self.A, self.v = A, v
+        self.M, self.zero_p, self.zero_m = _read_only(M, _frac(np.zeros(p)), _frac(np.zeros(m)))
+        self._families, self._mults, self._faces = {}, {}, {}
+
+    def family(self, partition, flavor, branch_cap):
+        """The zero-covector branch family at ``partition``; a
+        BranchCapError propagates each time and is never kept."""
+        key = (partition, flavor, branch_cap)
+        if key not in self._families:
+            self._families[key] = build_branch_family(self.A, partition, self.zero_p, flavor,
+                                                      branch_cap)
+        return self._families[key]
+
+    def multiplier_vertices(self, fy, inactive):
+        """The V-form of  { u >= 0 : A^T u = -fy, u_i = 0 on ``inactive`` }."""
+        return _at_last(self._mults, tuple(inactive), fy,
+                        lambda: kernel.multiplier_polyhedron(self.A, fy, inactive).vertices())
+
+    def face_vertices(self, xbar, supp):
+        """The V-form of the face  { y : A y <= xbar, A_i y = xbar_i on ``supp`` }."""
+        A = self.A
+        return _at_last(self._faces, tuple(supp), xbar, lambda: Polyhedron(
+            A.shape[1], C=A, d=xbar, C_eq=A[supp] if supp else None,
+            d_eq=xbar[supp] if supp else None).vertices())
+
+
+def _at_last(memo, key, rhs, build):
+    """``memo[key]``, built by ``build()`` again when the right-hand side
+    ``rhs`` differs from the one it was last built at."""
+    rhs = tuple(rhs)
+    hit = memo.get(key)
+    if hit is None or hit[0] != rhs:
+        hit = memo[key] = (rhs, build())
+    return hit[1]
 
 
 def _lp_lhs_constants(A, b):
-    """``_lp_constants`` of min { x . y : A y <= b }: Lxy = I, gx = 0."""
-    return _lp_constants(A, b, np.eye(A.shape[1]), np.zeros(A.shape))
+    """The ``_LpProgram`` of min { x . y : A y <= b }: Lxy = I, gx = 0."""
+    return _LpProgram(A, b, np.eye(A.shape[1]), np.zeros(A.shape))
 
 
 @per_problem
@@ -682,9 +731,9 @@ def _lp_lhs_data(problem: ParametricProblem):
     return None if data is None else _lp_lhs_constants(*data)
 
 
-def _lp_lhs(constants, query, flavor, branch_cap) -> HessianEstimate:
+def _lp_lhs(lp, query, flavor, branch_cap) -> HessianEstimate:
     """``lp_lhs_hessian`` on the ``_lp_lhs_constants`` of the program."""
-    A, b, M, zero_p, zero_m = constants
+    A, b = lp.A, lp.v
     p, m = A.shape
     xbar = _frac(query.xbar)
     ybar = _frac(query.xund)
@@ -695,7 +744,7 @@ def _lp_lhs(constants, query, flavor, branch_cap) -> HessianEstimate:
     if any(gi > 0 for gi in g):
         raise HypothesisError("base gradient is not feasible for the program (exact)")
     inactive = [i for i in range(p) if g[i] < 0]
-    vf = kernel.multiplier_polyhedron(A, xbar, inactive).vertices()
+    vf = lp.multiplier_vertices(xbar, inactive)
     if vf.empty:
         raise HypothesisError(
             "no multiplier certifies optimality: the base gradient is not a "
@@ -714,8 +763,8 @@ def _lp_lhs(constants, query, flavor, branch_cap) -> HessianEstimate:
         )
     pieces = []
     for j, u in enumerate(vf.vertices):
-        fam = build_branch_family(A, partition_of(g, u, 0), zero_p, flavor, branch_cap)
-        pieces.extend(slice_pieces(fam, M, xstar, zero_m,
+        fam = lp.family(partition_of(g, u, 0), flavor, branch_cap)
+        pieces.extend(slice_pieces(fam, lp.M, xstar, lp.zero_m,
                                    lambda br: f"lp-lhs[u{j}|{br.label}]"))
     return _exact_estimate(query, "lp-lhs", PolySet(m, pieces), hyps, under)
 
@@ -746,8 +795,8 @@ def lp_lhs_rhs_hessian(
 
 
 def _lp_lhs_rhs_constants(A, cost):
-    """``_lp_constants`` of min { c . y : A y <= x }: Lxy = 0, gx = -I."""
-    return _lp_constants(A, cost, np.zeros(A.shape), -np.eye(A.shape[0]))
+    """The ``_LpProgram`` of min { c . y : A y <= x }: Lxy = 0, gx = -I."""
+    return _LpProgram(A, cost, np.zeros(A.shape), -np.eye(A.shape[0]))
 
 
 @per_problem
@@ -758,9 +807,9 @@ def _lp_lhs_rhs_data(problem: ParametricProblem):
     return None if data is None else _lp_lhs_rhs_constants(*data)
 
 
-def _lp_lhs_rhs(constants, query, flavor, branch_cap) -> HessianEstimate:
+def _lp_lhs_rhs(lp, query, flavor, branch_cap) -> HessianEstimate:
     """``lp_lhs_rhs_hessian`` on the ``_lp_lhs_rhs_constants`` of the program."""
-    A, cost, M, zero_p, zero_m = constants
+    A, cost = lp.A, lp.v
     p, m = A.shape
     xbar = _frac(query.xbar)
     xstar = _frac(query.xstar)
@@ -793,9 +842,7 @@ def _lp_lhs_rhs(constants, query, flavor, branch_cap) -> HessianEstimate:
         )
     )
     supp = [i for i in range(p) if u[i] > 0]
-    face = Polyhedron(m, C=A, d=xbar, C_eq=A[supp] if supp else None,
-                      d_eq=xbar[supp] if supp else None)
-    vf = face.vertices()
+    vf = lp.face_vertices(xbar, supp)
     ys = kernel._face_sample(list(vf.vertices))
     if len(ys) > 1:
         hyps.append(
@@ -829,12 +876,12 @@ def _lp_lhs_rhs(constants, query, flavor, branch_cap) -> HessianEstimate:
         fam1 = build_branch_family(A, partition_of(g, u, 0), -xstar, flavor, branch_cap)
         # inner families: one per multiplier vertex at this minimizer
         inactive = [i for i in range(p) if g[i] < 0]
-        uvf = kernel.multiplier_polyhedron(A, cost_eff, inactive).vertices()
+        uvf = lp.multiplier_vertices(cost_eff, inactive)
         for j, u2 in enumerate(uvf.vertices):
-            fam2 = build_branch_family(A, partition_of(g, u2, 0), zero_p, flavor, branch_cap)
+            fam2 = lp.family(partition_of(g, u2, 0), flavor, branch_cap)
             for br1 in fam1.branches:
                 pieces.extend(chain_pieces(
-                    br1, M, [(M, fam2)], zero_m, zero_p,
+                    br1, lp.M, [(lp.M, fam2)], lp.zero_m, lp.zero_p,
                     lambda _, br2: f"lp-lhs-rhs[y{k}u{j}|{br1.label}|{br2.label}]"))
     return _exact_estimate(query, "lp-lhs-rhs", PolySet(n, pieces), hyps, under)
 

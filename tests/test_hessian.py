@@ -13,7 +13,7 @@ import pytest
 
 from valfun import coderiv, firstorder, hessian, kernel, model, setcalc
 from valfun.firstorder import danskin
-from valfun.errors import CaseRoutingError, DegeneracyError, HypothesisError
+from valfun.errors import BranchCapError, CaseRoutingError, DegeneracyError, HypothesisError
 from valfun.hessian import (
     HessianQuery,
     compute,
@@ -648,6 +648,118 @@ def test_lp_lhs_branches_are_never_reduced(monkeypatch, name, point, xund, xstar
     assert branches
     assert [br.label for br in branches
             if br.poly._reduction is not setcalc._UNSET or br.poly._decomp is not None] == []
+
+
+def _count_lp_builds(monkeypatch):
+    """Calls of ``build_branch_family`` and ``multiplier_polyhedron``, in
+    every valfun module that binds them."""
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for mod in (coderiv, hessian, kernel):
+            if vars(mod).get(name) is real:
+                monkeypatch.setattr(mod, name, count)
+
+    counted(coderiv, "build_branch_family")
+    counted(kernel, "multiplier_polyhedron")
+    return calls
+
+
+def _builds(calls):
+    return calls["build_branch_family"], calls["multiplier_polyhedron"]
+
+
+def test_lp_lhs_reuses_families_and_multiplier_sets(monkeypatch):
+    # the zero-covector family depends on A and the partition only, and the
+    # multiplier set on A, the inactive set and xbar: the second covector
+    # at one generator builds neither again
+    prob = load_instance("bilinear2d")
+    calls = _count_lp_builds(monkeypatch)
+    origin, corner = prob.points["origin"].x, [-1.0, -1.0]
+    for xstar in ([1.0, 0.0], [0.0, 1.0]):
+        compute(prob, HessianQuery(origin, [1.0, 1.0], xstar), branch_cap=200)
+        assert _builds(calls) == (1, 1)
+    # the same inactive rows g2, g4 at a new xbar: the multiplier set is
+    # rebuilt, and its positive vertex has a partition of its own
+    compute(prob, HessianQuery(corner, [1.0, 1.0], [1.0, 0.0]), branch_cap=200)
+    assert _builds(calls) == (2, 2)
+    compute(prob, HessianQuery(corner, [1.0, 1.0], [0.0, 1.0]), branch_cap=200)
+    assert _builds(calls) == (2, 2)
+    # the set is kept at the last xbar only; the origin's family stays
+    compute(prob, HessianQuery(origin, [1.0, 1.0], [1.0, 0.0]), branch_cap=200)
+    assert _builds(calls) == (2, 3)
+
+
+def test_lp_lhs_branch_cap_error_is_never_kept(monkeypatch):
+    # 3^2 branches at bilinear2d/origin: the cap 8 refuses them on every
+    # call, before and after a larger cap has built the family
+    prob = load_instance("bilinear2d")
+    calls = _count_lp_builds(monkeypatch)
+    query = HessianQuery(prob.points["origin"].x, [1.0, 1.0], [1.0, 0.0])
+    for _ in range(2):
+        with pytest.raises(BranchCapError):
+            compute(prob, query)
+    est = compute(prob, query, branch_cap=200)
+    assert est.case == "lp-lhs" and len(est.result.pieces) == 9
+    with pytest.raises(BranchCapError):
+        compute(prob, query)
+    assert compute(prob, query, branch_cap=200).to_json() == est.to_json()
+    assert calls["build_branch_family"] == 4
+
+
+def test_lp_lhs_rhs_reuses_the_face_and_inner_families(monkeypatch):
+    # the second covector rebuilds only its outer family, at the one
+    # minimizer of the face; face and multiplier set are the same objects
+    prob = load_instance("rhslp")
+    calls = _count_lp_builds(monkeypatch)
+    xbar, lp = prob.points["base"].x, hessian._lp_lhs_rhs_data(prob)
+    compute(prob, HessianQuery(xbar, [0.0, -1.0], [1.0, 0.0]))
+    assert _builds(calls) == (2, 1)
+    kept = [vf for _, vf in [*lp._faces.values(), *lp._mults.values()]]
+    compute(prob, HessianQuery(xbar, [0.0, -1.0], [0.0, 1.0]))
+    assert _builds(calls) == (3, 1)
+    now = [vf for _, vf in [*lp._faces.values(), *lp._mults.values()]]
+    assert len(now) == len(kept) == 2 and all(a is b for a, b in zip(now, kept))
+
+
+LP_QUERIES = _battery_queries(lambda case: case.startswith("lp-"))
+
+
+def _lp_answer(prob, query):
+    est = compute(prob, HessianQuery(prob.points[query[1]].x, *map(_vector, query[2:])),
+                  branch_cap=200)
+    return est.to_json(), [est.result.coord_range(i) for i in range(est.result.target_dim)]
+
+
+def test_warm_lp_problems_answer_as_fresh_ones():
+    # every lp battery query, asked again of problems that have answered
+    # all of them, matches a freshly loaded problem exactly
+    warm = {name: load_instance(name) for name in {q[0] for q in LP_QUERIES}}
+    for q in LP_QUERIES:
+        _lp_answer(warm[q[0]], q)
+    assert len(LP_QUERIES) == 25
+    for q in LP_QUERIES:
+        assert _lp_answer(warm[q[0]], q) == _lp_answer(load_instance(q[0]), q), q
+
+
+def test_direct_lp_calls_share_nothing():
+    # the public entry points build their program per call: the same
+    # partition under another A gives that A's answer, in pieces of its own
+    b = [1, 1, 0, 0]
+    query = HessianQuery([0.0, 1.0], [0.0, 0.0], [0.0, 1.0])
+    skew = [[1, 1], [0, 1], [-1, 0], [0, -1]]
+    alone = lp_lhs_hessian(skew, b, query).to_json()
+    box = lp_lhs_hessian([[1, 0], [0, 1], [-1, 0], [0, -1]], b, query)
+    after = lp_lhs_hessian(skew, b, query)
+    assert after.to_json() == alone != box.to_json()
+    polys = [{id(pc.poly) for pc in est.result.pieces} for est in (box, after)]
+    assert not polys[0] & polys[1]
 
 
 def test_battery_decomposition_count(monkeypatch):
