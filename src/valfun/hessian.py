@@ -673,10 +673,10 @@ class _LpProgram:
     blocks Lxy, gx, Lyy = 0 and gy = A, and ``zero_p``, ``zero_m`` its
     zero vectors.  A zero-covector branch family depends only on A and
     its partition, so each is kept per (partition, flavor, branch cap).
-    The multiplier set of an inactive set and the complementary face of a
-    support set are kept at the last right-hand side they were asked at.
-    Every memo is bounded by the partitions and index sets the queries
-    visit; the program lives as long as its problem.
+    The multiplier set of an inactive set is kept at the last right-hand
+    side it was asked at.  Both memos are bounded by the partitions and
+    inactive sets the queries visit; the program lives as long as its
+    problem, so only callers that ask one problem many queries reuse them.
     """
 
     def __init__(self, A, v, Lxy, gx):
@@ -684,7 +684,7 @@ class _LpProgram:
         M = coderivative_map_matrix(_frac(Lxy), _frac(gx), _frac(np.zeros((m, m))), A)
         self.A, self.v = A, v
         self.M, self.zero_p, self.zero_m = _read_only(M, _frac(np.zeros(p)), _frac(np.zeros(m)))
-        self._families, self._mults, self._faces = {}, {}, {}
+        self._families, self._mults = {}, {}
 
     def family(self, partition, flavor, branch_cap):
         """The zero-covector branch family at ``partition``; a
@@ -696,26 +696,14 @@ class _LpProgram:
         return self._families[key]
 
     def multiplier_vertices(self, fy, inactive):
-        """The V-form of  { u >= 0 : A^T u = -fy, u_i = 0 on ``inactive`` }."""
-        return _at_last(self._mults, tuple(inactive), fy,
-                        lambda: kernel.multiplier_polyhedron(self.A, fy, inactive).vertices())
-
-    def face_vertices(self, xbar, supp):
-        """The V-form of the face  { y : A y <= xbar, A_i y = xbar_i on ``supp`` }."""
-        A = self.A
-        return _at_last(self._faces, tuple(supp), xbar, lambda: Polyhedron(
-            A.shape[1], C=A, d=xbar, C_eq=A[supp] if supp else None,
-            d_eq=xbar[supp] if supp else None).vertices())
-
-
-def _at_last(memo, key, rhs, build):
-    """``memo[key]``, built by ``build()`` again when the right-hand side
-    ``rhs`` differs from the one it was last built at."""
-    rhs = tuple(rhs)
-    hit = memo.get(key)
-    if hit is None or hit[0] != rhs:
-        hit = memo[key] = (rhs, build())
-    return hit[1]
+        """The V-form of  { u >= 0 : A^T u = -fy, u_i = 0 on ``inactive`` },
+        built again when ``fy`` differs from the last one of ``inactive``."""
+        key, rhs = tuple(inactive), tuple(fy)
+        hit = self._mults.get(key)
+        if hit is None or hit[0] != rhs:
+            vf = kernel.multiplier_polyhedron(self.A, fy, inactive).vertices()
+            hit = self._mults[key] = (rhs, vf)
+        return hit[1]
 
 
 def _lp_lhs_constants(A, b):
@@ -842,7 +830,9 @@ def _lp_lhs_rhs(lp, query, flavor, branch_cap) -> HessianEstimate:
         )
     )
     supp = [i for i in range(p) if u[i] > 0]
-    vf = lp.face_vertices(xbar, supp)
+    face = Polyhedron(m, C=A, d=xbar, C_eq=A[supp] if supp else None,
+                      d_eq=xbar[supp] if supp else None)
+    vf = face.vertices()
     ys = kernel._face_sample(list(vf.vertices))
     if len(ys) > 1:
         hyps.append(

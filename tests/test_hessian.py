@@ -713,19 +713,19 @@ def test_lp_lhs_branch_cap_error_is_never_kept(monkeypatch):
     assert calls["build_branch_family"] == 4
 
 
-def test_lp_lhs_rhs_reuses_the_face_and_inner_families(monkeypatch):
+def test_lp_lhs_rhs_reuses_the_inner_families(monkeypatch):
     # the second covector rebuilds only its outer family, at the one
-    # minimizer of the face; face and multiplier set are the same objects
+    # minimizer of the face; the multiplier set is the same object
     prob = load_instance("rhslp")
     calls = _count_lp_builds(monkeypatch)
     xbar, lp = prob.points["base"].x, hessian._lp_lhs_rhs_data(prob)
     compute(prob, HessianQuery(xbar, [0.0, -1.0], [1.0, 0.0]))
     assert _builds(calls) == (2, 1)
-    kept = [vf for _, vf in [*lp._faces.values(), *lp._mults.values()]]
+    kept = [vf for _, vf in lp._mults.values()]
     compute(prob, HessianQuery(xbar, [0.0, -1.0], [0.0, 1.0]))
     assert _builds(calls) == (3, 1)
-    now = [vf for _, vf in [*lp._faces.values(), *lp._mults.values()]]
-    assert len(now) == len(kept) == 2 and all(a is b for a, b in zip(now, kept))
+    now = [vf for _, vf in lp._mults.values()]
+    assert len(now) == len(kept) == 1 and now[0] is kept[0]
 
 
 LP_QUERIES = _battery_queries(lambda case: case.startswith("lp-"))
