@@ -44,7 +44,6 @@ from .coderiv import (
     chain_pieces,
     coderivative_map_matrix,
     hull_coderivative,
-    point_contexts,
     slice_pieces,
     solution_coderivative,
 )
@@ -445,17 +444,18 @@ _MODE_NAMES = {
 }
 
 
-def _general(problem, query, case, ctxs, under, mode="auto", flavor="M",
+def _general(problem, query, case, point, mode="auto", flavor="M",
              branch_cap=DEFAULT_BRANCH_CAP) -> HessianEstimate:
-    """One general case: its generators (the point contexts ``ctxs`` of
-    the minimizers, ``under`` whether they may be incomplete), the case's
-    own hypotheses, and the mode that combines the generators ("auto"
-    picks it)."""
+    """One general case at the ``_PointState`` ``point`` of the query's
+    xbar: its generators (the point contexts of the minimizers, and
+    whether they may be incomplete), the case's own hypotheses, and the
+    mode that combines the generators ("auto" picks it)."""
+    ctxs, under, _ = point.solution
     if case == "unperturbed" and not problem.constraints_x_free():
         raise CaseRoutingError("unperturbed case requires constraints free of x")
     if not ctxs:
         raise HypothesisError("no minimizer available at xbar")
-    gens = [_Generator(ctx, k, case, flavor, branch_cap) for k, ctx in enumerate(ctxs)]
+    gens = point.generators(case, flavor, branch_cap)
     hyps = []
     if case == "unperturbed":
         hyps.append(
@@ -544,8 +544,85 @@ def _general(problem, query, case, ctxs, under, mode="auto", flavor="M",
     return _combine(case, gens, query, mode, hyps, under)
 
 
-def _contexts(problem, query, minimizers=None):
-    return point_contexts(problem, _fvec(query.xbar), minimizers)
+# ---------------------------------------------------------------------------
+# Per-point state
+#
+# Every caller asks one xbar for many covectors, and what the general
+# cases read there depends on xbar alone: the minimizers' point contexts,
+# the first-order estimate and the generators.  A problem keeps that
+# state, and the lp-lhs multiplier sets of the same xbar, for each of its
+# named points and for the last other xbar asked.  Nothing kept depends on
+# a base gradient or a covector, so a query still builds its families at
+# u* = gx x*, its pieces and its estimate.  Calls that pass minimizers get
+# a state of their own.  The problem lives as long as its caller keeps it,
+# so a one-query ``valfun hessian`` process gains nothing.
+# ---------------------------------------------------------------------------
+
+
+class _PointState:
+    """What the queries at one xbar share, each item built on first use:
+    ``solution`` (a point context per minimizer, whether the minimizers
+    may be incomplete, and whether the solve found them set-valued), the
+    first-order estimate, the generators per (case, flavor, branch cap),
+    and ``lp_mults``, the lp-lhs multiplier set per inactive set.  With
+    ``minimizers`` given, the contexts are theirs and nothing is solved."""
+
+    def __init__(self, problem, xbar, minimizers=None):
+        self.problem, self.xbar = problem, _fvec(xbar)
+        self._minimizers = minimizers
+        self._generators, self.lp_mults = {}, {}
+
+    @cached_property
+    def solution(self):
+        if self._minimizers is not None:
+            ctxs = tuple(PointContext(self.problem, self.xbar, y) for y in self._minimizers)
+            return ctxs, False, False
+        res = kernel.solve_value(self.problem, self.xbar)
+        ctxs = tuple(PointContext(self.problem, res.x, y) for y in res.minimizers)
+        return ctxs, res.under_enumerated, res.non_singleton
+
+    @cached_property
+    def first_order(self):
+        return firstorder.auto_estimate(self.problem, self.xbar, contexts=self.solution[0])
+
+    def generators(self, case, flavor, branch_cap):
+        key = (case, flavor, branch_cap)
+        if key not in self._generators:
+            self._generators[key] = tuple(_Generator(ctx, k, case, flavor, branch_cap)
+                                          for k, ctx in enumerate(self.solution[0]))
+        return self._generators[key]
+
+
+class _PointStore:
+    """The ``_PointState`` of each named point of a problem (xbar equal to
+    the point's x, compared exactly) and of the last other xbar asked."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self._named = {tuple(_fvec(pt.x).tolist()): None for pt in problem.points.values()}
+        self._last = None
+
+    def at(self, xbar) -> _PointState:
+        key = tuple(_vec(xbar).tolist())
+        if key in self._named:
+            if self._named[key] is None:
+                self._named[key] = _PointState(self.problem, xbar)
+            return self._named[key]
+        if self._last is None or self._last[0] != key:
+            self._last = (key, _PointState(self.problem, xbar))
+        return self._last[1]
+
+
+@per_problem
+def _point_store(problem: ParametricProblem) -> _PointStore:
+    return _PointStore(problem)
+
+
+def _point(problem, query, minimizers=None) -> _PointState:
+    """The kept state at the query's xbar, or one of the given minimizers."""
+    if minimizers is None:
+        return _point_store(problem).at(query.xbar)
+    return _PointState(problem, query.xbar, minimizers)
 
 
 def hessian_unperturbed(
@@ -563,7 +640,7 @@ def hessian_unperturbed(
     gradient), "caratheodory" (hull treatment with supports of at most
     n+1 minimizers, for base gradients strictly inside the hull).
     """
-    return _general(problem, query, "unperturbed", *_contexts(problem, query, minimizers), smode,
+    return _general(problem, query, "unperturbed", _point(problem, query, minimizers), smode,
                     flavor, branch_cap)
 
 
@@ -578,7 +655,7 @@ def hessian_single_single(
     single matrix  Lxx + ds^T Lyx + du^T gx  applied to xstar whenever
     the KKT system is regular; otherwise the composed branch estimate
     with the same multiplier."""
-    return _general(problem, query, "single-single", *_contexts(problem, query, minimizers),
+    return _general(problem, query, "single-single", _point(problem, query, minimizers),
                     "auto", flavor, branch_cap)
 
 
@@ -593,7 +670,7 @@ def hessian_single_s(
     multiplier vertices of the composed branch estimates, with the inner
     derivative realized by a solution tangent when one exists and by the
     zero-covector branch families otherwise."""
-    return _general(problem, query, "single-s", *_contexts(problem, query, minimizers), "auto",
+    return _general(problem, query, "single-s", _point(problem, query, minimizers), "auto",
                     flavor, branch_cap)
 
 
@@ -613,7 +690,7 @@ def hessian_single_lambda(
     n+1 Lagrangian gradients and the per-minimizer derivatives are
     Minkowski-summed with the combination weights.
     """
-    return _general(problem, query, "single-lambda", *_contexts(problem, query, minimizers), mode,
+    return _general(problem, query, "single-lambda", _point(problem, query, minimizers), mode,
                     flavor, branch_cap)
 
 
@@ -623,7 +700,8 @@ def hessian_single_lambda(
 # lp-lhs and lp-lhs-rhs run in Fractions on the constant blocks of their
 # form.  An _LpProgram holds those blocks and what queries on one program
 # share; a problem keeps its program, the public entry points build one
-# per call.
+# per call.  An lp-lhs multiplier set depends on xbar as well, so it is
+# kept in the xbar's _PointState.
 # ---------------------------------------------------------------------------
 
 
@@ -662,7 +740,7 @@ def lp_lhs_hessian(
     b = _frac(b)
     if len(b) != A.shape[0]:
         raise ValueError("query/length mismatch with the program data")
-    return _lp_lhs(_lp_lhs_constants(A, b), query, flavor, branch_cap)
+    return _lp_lhs(_lp_lhs_constants(A, b), query, flavor, branch_cap, {})
 
 
 class _LpProgram:
@@ -673,10 +751,11 @@ class _LpProgram:
     blocks Lxy, gx, Lyy = 0 and gy = A, and ``zero_p``, ``zero_m`` its
     zero vectors.  A zero-covector branch family depends only on A and
     its partition, so each is kept per (partition, flavor, branch cap).
-    The multiplier set of an inactive set is kept at the last right-hand
-    side it was asked at.  Both memos are bounded by the partitions and
-    inactive sets the queries visit; the program lives as long as its
-    problem, so only callers that ask one problem many queries reuse them.
+    The lp-lhs-rhs multiplier set of an inactive set, whose right-hand
+    side is the cost, is kept at the last cost it was asked at.  Both
+    memos are bounded by the partitions and inactive sets the queries
+    visit; the program lives as long as its problem, so only callers that
+    ask one problem many queries reuse them.
     """
 
     def __init__(self, A, v, Lxy, gx):
@@ -719,8 +798,9 @@ def _lp_lhs_data(problem: ParametricProblem):
     return None if data is None else _lp_lhs_constants(*data)
 
 
-def _lp_lhs(lp, query, flavor, branch_cap) -> HessianEstimate:
-    """``lp_lhs_hessian`` on the ``_lp_lhs_constants`` of the program."""
+def _lp_lhs(lp, query, flavor, branch_cap, mults) -> HessianEstimate:
+    """``lp_lhs_hessian`` on the ``_lp_lhs_constants`` of the program;
+    ``mults`` keeps the multiplier set per inactive set at this xbar."""
     A, b = lp.A, lp.v
     p, m = A.shape
     xbar = _frac(query.xbar)
@@ -732,7 +812,9 @@ def _lp_lhs(lp, query, flavor, branch_cap) -> HessianEstimate:
     if any(gi > 0 for gi in g):
         raise HypothesisError("base gradient is not feasible for the program (exact)")
     inactive = [i for i in range(p) if g[i] < 0]
-    vf = lp.multiplier_vertices(xbar, inactive)
+    vf = mults.get(tuple(inactive))
+    if vf is None:
+        vf = mults[tuple(inactive)] = kernel.multiplier_polyhedron(A, xbar, inactive).vertices()
     if vf.empty:
         raise HypothesisError(
             "no multiplier certifies optimality: the base gradient is not a "
@@ -951,10 +1033,10 @@ def lp_rhs_parametric_data(problem: ParametricProblem):
 def route(problem: ParametricProblem, query: HessianQuery | None = None):
     """Pick a case from problem structure; returns (case, info).
 
-    The info dict carries anything expensive that was computed along the
-    way (a point context per minimizer of the solve, holding its
-    multiplier set, and the multiplier counts) so ``compute`` can hand it
-    to the first-order precheck and the case.
+    With a query, the cases that depend on the point are told apart by
+    the solve kept at its xbar (``_PointState``); the info dict then
+    carries the multiplier count per minimizer, and ``doubly_set_valued``
+    when both maps are set-valued.
     """
     if lp_cost_parametric_data(problem) is not None:
         return "lp-lhs", {}
@@ -964,11 +1046,10 @@ def route(problem: ParametricProblem, query: HessianQuery | None = None):
         return "unperturbed", {}
     if query is None:
         return "single-s", {}
-    res = kernel.solve_value(problem, _fvec(query.xbar))
-    ctxs = [PointContext(problem, res.x, y) for y in res.minimizers]
+    ctxs, _, non_singleton = _point(problem, query).solution
     counts = [0 if ctx.mult.empty else len(ctx.mult.vertices) for ctx in ctxs]
-    info = {"contexts": ctxs, "under": res.under_enumerated, "multiplier_counts": counts}
-    if len(ctxs) == 1 and not res.non_singleton:
+    info = {"multiplier_counts": counts}
+    if len(ctxs) == 1 and not non_singleton:
         return ("single-single" if counts[0] == 1 else "single-s"), info
     if all(c == 1 for c in counts):
         return "single-lambda", info
@@ -987,7 +1068,10 @@ def compute(
     Routes 'auto' cases by structure, verifies that the base gradient
     lies in the case-appropriate first-order estimate (skipped for the
     exact LP forms, which carry their own rational optimality checks),
-    and dispatches.
+    and dispatches.  What depends on xbar alone (the solve and its point
+    contexts, the first-order estimate, the generators, the lp-lhs
+    multiplier sets) is kept per problem for its named points and the
+    last other xbar (``_PointStore``); the query builds the rest.
     """
     case = query.case
     info = {}
@@ -999,7 +1083,7 @@ def compute(
             raise CaseRoutingError(
                 "problem is not of the cost-parametric LP form min{x.y : Ay <= b}"
             )
-        return _lp_lhs(data, query, flavor, branch_cap)
+        return _lp_lhs(data, query, flavor, branch_cap, _point(problem, query).lp_mults)
     if case == "lp-lhs-rhs":
         data = _lp_lhs_rhs_data(problem)
         if data is None:
@@ -1008,10 +1092,8 @@ def compute(
             )
         return _lp_lhs_rhs(data, query, flavor, branch_cap)
 
-    ctxs, under = info.get("contexts"), info.get("under")
-    if ctxs is None:
-        ctxs, under = _contexts(problem, query)
-    fo = firstorder.auto_estimate(problem, _fvec(query.xbar), contexts=ctxs)
+    point = _point(problem, query)
+    fo = point.first_order
     verdict = fo.member(_fvec(query.xund), MEMBERSHIP_TOL)
     if verdict.status == "outside":
         causes = [h.detail for h in fo.hypotheses
@@ -1024,7 +1106,7 @@ def compute(
             f"base gradient is not in the first-order estimate "
             f"({fo.formula}); distance at least {verdict.distance:.3e}"
         )
-    est = _general(problem, query, case, ctxs, under, "auto", flavor, branch_cap)
+    est = _general(problem, query, case, point, "auto", flavor, branch_cap)
     if info.get("doubly_set_valued"):
         est.hypotheses.append(
             HypothesisRecord(

@@ -30,7 +30,8 @@ from valfun.hessian import (
 )
 from valfun.model import make_kkt
 from valfun.oracle import fd_hessian
-from valfun.reporting import ASSERTED, ASSUMED, FAILED, NOT_CHECKED
+from valfun.reporting import ASSERTED, ASSUMED, FAILED, NOT_CHECKED, HypothesisRecord
+from valfun.setcalc import PolySet
 
 from conftest import load_instance
 from golden.capture import hessian_argv, run_cli
@@ -650,9 +651,9 @@ def test_lp_lhs_branches_are_never_reduced(monkeypatch, name, point, xund, xstar
             if br.poly._reduction is not setcalc._UNSET or br.poly._decomp is not None] == []
 
 
-def _count_lp_builds(monkeypatch):
-    """Calls of ``build_branch_family`` and ``multiplier_polyhedron``, in
-    every valfun module that binds them."""
+def _count_calls(monkeypatch, *functions):
+    """Calls per name of each (module, name) in ``functions``, in every
+    valfun module that binds it."""
     calls = Counter()
 
     def counted(module, name):
@@ -662,13 +663,19 @@ def _count_lp_builds(monkeypatch):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        for mod in (coderiv, hessian, kernel):
+        for mod in (coderiv, firstorder, hessian, kernel, model):
             if vars(mod).get(name) is real:
                 monkeypatch.setattr(mod, name, count)
 
-    counted(coderiv, "build_branch_family")
-    counted(kernel, "multiplier_polyhedron")
+    for module, name in functions:
+        counted(module, name)
     return calls
+
+
+def _count_lp_builds(monkeypatch):
+    """Calls of ``build_branch_family`` and ``multiplier_polyhedron``."""
+    return _count_calls(monkeypatch, (coderiv, "build_branch_family"),
+                        (kernel, "multiplier_polyhedron"))
 
 
 def _builds(calls):
@@ -691,9 +698,9 @@ def test_lp_lhs_reuses_families_and_multiplier_sets(monkeypatch):
     assert _builds(calls) == (2, 2)
     compute(prob, HessianQuery(corner, [1.0, 1.0], [0.0, 1.0]), branch_cap=200)
     assert _builds(calls) == (2, 2)
-    # the set is kept at the last xbar only; the origin's family stays
+    # the origin is a named point, so its multiplier set and family stay
     compute(prob, HessianQuery(origin, [1.0, 1.0], [1.0, 0.0]), branch_cap=200)
-    assert _builds(calls) == (2, 3)
+    assert _builds(calls) == (2, 2)
 
 
 def test_lp_lhs_branch_cap_error_is_never_kept(monkeypatch):
@@ -729,23 +736,120 @@ def test_lp_lhs_rhs_reuses_the_inner_families(monkeypatch):
 
 
 LP_QUERIES = _battery_queries(lambda case: case.startswith("lp-"))
+#: The 42 battery queries, in the golden file's order; twoactive/base asks
+#: one of them twice, as its two first-order generators coincide.
+ALL_QUERIES = [(q["instance"], q["point"], q["xund"], q["xstar"]) for q in BATTERY_QUERIES]
 
 
-def _lp_answer(prob, query):
-    est = compute(prob, HessianQuery(prob.points[query[1]].x, *map(_vector, query[2:])),
-                  branch_cap=200)
+def _ask(prob, query):
+    return compute(prob, HessianQuery(prob.points[query[1]].x, *map(_vector, query[2:])),
+                   branch_cap=200)
+
+
+def _answer(prob, query):
+    est = _ask(prob, query)
     return est.to_json(), [est.result.coord_range(i) for i in range(est.result.target_dim)]
 
 
-def test_warm_lp_problems_answer_as_fresh_ones():
-    # every lp battery query, asked again of problems that have answered
-    # all of them, matches a freshly loaded problem exactly
-    warm = {name: load_instance(name) for name in {q[0] for q in LP_QUERIES}}
-    for q in LP_QUERIES:
-        _lp_answer(warm[q[0]], q)
-    assert len(LP_QUERIES) == 25
-    for q in LP_QUERIES:
-        assert _lp_answer(warm[q[0]], q) == _lp_answer(load_instance(q[0]), q), q
+def test_warm_problems_answer_as_fresh_ones():
+    # every battery query, asked again of problems that have answered all
+    # of them, matches a freshly loaded problem exactly, even after each
+    # first answer had a record and a piece added to it
+    warm = {name: load_instance(name) for name in {q[0] for q in ALL_QUERIES}}
+    for q in ALL_QUERIES:
+        est = _ask(warm[q[0]], q)
+        est.hypotheses.append(HypothesisRecord("added", FAILED))
+        est.result.pieces.extend(PolySet.from_point(np.ones(est.result.target_dim)).pieces)
+    assert len(ALL_QUERIES) == 42
+    for q in ALL_QUERIES:
+        assert _answer(warm[q[0]], q) == _answer(load_instance(q[0]), q), q
+
+
+#: Functions whose results a second query at the same xbar reads from the
+#: point state, with their modules.
+POINT_FUNCTIONS = ((kernel, "solve_value"), (kernel, "multipliers"), (kernel, "check_mfcq"),
+                   (model, "differentiate"), (firstorder, "auto_estimate"))
+
+
+@pytest.mark.parametrize("name", ["quad2d", "multiS"])
+def test_second_covector_rebuilds_no_point_state(monkeypatch, name):
+    prob = load_instance(name)
+    calls = _count_calls(monkeypatch, *POINT_FUNCTIONS)
+    xbar = prob.points["base"].x
+    xund = firstorder.auto_estimate(prob, xbar).generators[0]
+    compute(prob, HessianQuery(xbar, xund, [1.0, 0.0]))
+    assert all(calls[name] for _, name in POINT_FUNCTIONS if name != "check_mfcq")
+    calls.clear()
+    compute(prob, HessianQuery(xbar, xund, [0.0, 1.0]))
+    assert calls == Counter()
+
+
+def test_second_ask_rebuilds_only_the_covector_families(monkeypatch):
+    # twoactive/base: two zero-covector families and two at u* = gx x*;
+    # the second ask builds only the latter
+    prob = load_instance("twoactive")
+    calls = _count_lp_builds(monkeypatch)
+    query = HessianQuery(prob.points["base"].x, [1.0], [1.0])
+    first = compute(prob, query, branch_cap=200)
+    assert calls["build_branch_family"] == 4
+    assert compute(prob, query, branch_cap=200).to_json() == first.to_json()
+    assert calls["build_branch_family"] == 6
+
+
+def test_second_battery_pass_rebuilds_no_point_state(monkeypatch):
+    problems = {name: load_instance(name) for name in {q[0] for q in ALL_QUERIES}}
+    for q in ALL_QUERIES:
+        _ask(problems[q[0]], q)
+    calls = _count_calls(monkeypatch, *POINT_FUNCTIONS, (kernel, "multiplier_polyhedron"))
+    for q in ALL_QUERIES:
+        _ask(problems[q[0]], q)
+    assert calls == Counter()
+
+
+def test_point_store_keeps_named_points_and_one_other(monkeypatch):
+    prob = load_instance("quad2d")
+    store = hessian._point_store(prob)
+    base = prob.points["base"].x
+    compute(prob, HessianQuery(base, firstorder.auto_estimate(prob, base).generators[0],
+                               [1.0, 0.0]))
+    named = store.at(base)
+    for k in range(1, 31):
+        xbar = base + k / 64
+        compute(prob, HessianQuery(xbar, firstorder.auto_estimate(prob, xbar).generators[0],
+                                   [1.0, 0.0]))
+    assert [s for s in store._named.values() if s is not None] == [named]
+    assert store._last[0] == tuple(base + 30 / 64)
+    # the named state answers without a solve; an earlier other xbar solves again
+    calls = _count_calls(monkeypatch, (kernel, "solve_value"))
+    assert store.at(base) is named and named.solution
+    assert store.at(base + 29 / 64).solution and calls["solve_value"] == 1
+
+
+def test_given_minimizers_bypass_the_point_store(monkeypatch):
+    prob = load_instance("twoactive")
+    store = hessian._point_store(prob)
+    query = HessianQuery(prob.points["base"].x, [1.0], [1.0])
+    given = hessian_single_s(prob, query, minimizers=[[0.0]], branch_cap=200)
+    assert set(store._named.values()) == {None} and store._last is None
+    stored = hessian_single_s(prob, query, branch_cap=200)
+    assert stored.to_json() == given.to_json()
+    calls = _count_calls(monkeypatch, (kernel, "multipliers"))
+    hessian_single_s(prob, query, minimizers=[[0.0]], branch_cap=200)
+    assert calls["multipliers"] == 1
+
+
+def test_general_branch_cap_error_is_never_kept():
+    # 3 branches at twoactive/base exceed the cap 2 on every call, before
+    # and after a larger cap has answered
+    prob = load_instance("twoactive")
+    query = HessianQuery(prob.points["base"].x, [1.0], [1.0])
+    for _ in range(2):
+        with pytest.raises(BranchCapError):
+            compute(prob, query, branch_cap=2)
+    est = compute(prob, query, branch_cap=200)
+    with pytest.raises(BranchCapError):
+        compute(prob, query, branch_cap=2)
+    assert compute(prob, query, branch_cap=200).to_json() == est.to_json()
 
 
 def test_direct_lp_calls_share_nothing():
