@@ -735,7 +735,6 @@ def test_lp_lhs_rhs_reuses_the_inner_families(monkeypatch):
     assert len(now) == len(kept) == 1 and now[0] is kept[0]
 
 
-LP_QUERIES = _battery_queries(lambda case: case.startswith("lp-"))
 #: The 42 battery queries, in the golden file's order; twoactive/base asks
 #: one of them twice, as its two first-order generators coincide.
 ALL_QUERIES = [(q["instance"], q["point"], q["xund"], q["xstar"]) for q in BATTERY_QUERIES]
